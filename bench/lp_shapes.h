@@ -1,7 +1,7 @@
 // Routing-shaped LP generators shared by the solver microbenches
 // (bench/micro_lp.cc) and the perf-trajectory tool (tools/bench_to_json).
 //
-// The shape mirrors what SolveRoutingLp builds for the Fig. 12 program:
+// The shape mirrors what IncrementalRoutingLp builds for the Fig. 12 program:
 // groups of path-fraction columns summing to 1, shared capacity rows with
 // per-link overload variables, and a dominant Omax term. "Growth" is one
 // Fig. 13 round: a fraction of the groups gain one extra path column. The

@@ -18,8 +18,8 @@
 #                — including tests/concurrency_test.cc, the dedicated
 #                stressor for the thread-pool corpus fan-out, the Failpoint
 #                registry hot path, PathStore's const-read contract, and
-#                pool shutdown churn, on both LDR_LP_BASIS modes. Any TSan
-#                report is a hard failure (halt_on_error=1).
+#                pool shutdown churn. Any TSan report is a hard failure
+#                (halt_on_error=1).
 #   --tidy       configure with compile_commands.json (build dir build-tidy)
 #                and run clang-tidy (profile: .clang-tidy — bugprone-*,
 #                performance-*, concurrency-*, selected cppcoreguidelines)
@@ -29,8 +29,9 @@
 #   --bench-smoke  after the tests, run the micro_lp warm-resolve bench once
 #                and bench_to_json in --smoke mode, failing if any
 #                correctness marker in the emitted JSON — lp_pricing /
-#                lp_revised objective_parity, lp_lu basis_parity (sparse-LU
-#                vs dense-inverse objectives across the size sweep), scenario
+#                lp_revised objective_parity, lp_lu kkt_certificate (every
+#                solve of the basis-size sweep carries a KKT optimality
+#                certificate from the independent checker), scenario
 #                placement_parity, degradation recovery_parity, lp_dual
 #                warm_restart_parity (dual warm restart vs cold-rebuild
 #                placements reconverge within 2 epochs of each event),
@@ -186,8 +187,8 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   SMOKE_JSON=$(mktemp)
   trap 'rm -f "$PROBE_1" "$PROBE_4" "$SMOKE_JSON"' EXIT
   "$BUILD_DIR/bench_to_json" --smoke "$SMOKE_JSON" >&2
-  for marker in objective_parity basis_parity placement_parity recovery_parity \
-      warm_restart_parity survivability_parity; do
+  for marker in objective_parity kkt_certificate placement_parity \
+      recovery_parity warm_restart_parity survivability_parity; do
     if grep -q "\"$marker\": false" "$SMOKE_JSON"; then
       echo "ci.sh: bench smoke FAILED ($marker is false)" >&2
       exit 1
@@ -197,5 +198,5 @@ if [ "$BENCH_SMOKE" = 1 ]; then
       exit 1
     fi
   done
-  echo "ci.sh: bench smoke OK (objective/basis/placement/recovery/warm-restart/survivability parity true)" >&2
+  echo "ci.sh: bench smoke OK (objective/kkt/placement/recovery/warm-restart/survivability markers true)" >&2
 fi

@@ -115,7 +115,7 @@ void KspGenerator::GenerateCandidatesFromLast() {
 bool KspGenerator::ProduceNext() {
   if (produced_.empty()) return false;  // never had a shortest path
   GenerateCandidatesFromLast();
-  // Pop-time mask guard. KspCache::InvalidateLink evicts any generator
+  // Pop-time mask guard. KspCache::InvalidateLinks evicts any generator
   // holding a candidate that crosses a downed link, so cache users never
   // reach this with a masked candidate; the guard is defense in depth for
   // standalone generators whose graph is masked without invalidation — it
@@ -160,49 +160,31 @@ bool KspGenerator::HasProduced(PathId id) const {
   return std::find(produced_.begin(), produced_.end(), id) != produced_.end();
 }
 
-size_t KspCache::EvictProducedCrossing(LinkId link) {
-  size_t evicted = 0;
-  // Produced-path side via the reverse index: cheap, no generator scan.
-  // The index lists every path ever interned on the link, including ones
-  // only an earlier (already-evicted) generation of the pair produced —
-  // HasProduced keeps a rebuilt generator that now avoids the link alive
-  // through repeated failures of it.
-  for (PathId pid : store_.PathsOnLink(link)) {
-    LinkSpan links = store_.Links(pid);
-    if (links.empty()) continue;
-    NodeId src = g_->link(links.front()).src;
-    NodeId dst = g_->link(links.back()).dst;
-    auto it = generators_.find(Key(src, dst));
-    if (it == generators_.end() || !it->second->HasProduced(pid)) continue;
-    generators_.erase(it);
-    ++evicted;
-  }
-  return evicted;
-}
-
-size_t KspCache::InvalidateLink(LinkId link) {
-  size_t evicted = EvictProducedCrossing(link);
-  // Candidate-queue side: survivors holding a queued spur result that
-  // crosses the link must go too (see the header contract) — candidates are
-  // not interned, so this half needs the scan.
-  for (auto it = generators_.begin(); it != generators_.end();) {
-    if (it->second->AnyCandidateCrosses(link)) {
-      it = generators_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  return evicted;
-}
-
 size_t KspCache::InvalidateLinks(const std::vector<LinkId>& links) {
   size_t evicted = 0;
-  // Produced-path side per member link. A generator crossing several member
+  // Produced-path side via the reverse index: cheap, no generator scan.
+  // The index lists every path ever interned on a link, including ones only
+  // an earlier (already-evicted) generation of the pair produced —
+  // HasProduced keeps a rebuilt generator that now avoids the link alive
+  // through repeated failures of it. A generator crossing several member
   // links is erased by the first one that finds it — the later members'
-  // reverse-index walks miss it in generators_ and cannot recount it.
-  for (LinkId link : links) evicted += EvictProducedCrossing(link);
-  // One candidate-queue scan for the whole group.
+  // walks miss it in generators_ and cannot recount it.
+  for (LinkId link : links) {
+    for (PathId pid : store_.PathsOnLink(link)) {
+      LinkSpan span = store_.Links(pid);
+      if (span.empty()) continue;
+      NodeId src = g_->link(span.front()).src;
+      NodeId dst = g_->link(span.back()).dst;
+      auto it = generators_.find(Key(src, dst));
+      if (it == generators_.end() || !it->second->HasProduced(pid)) continue;
+      generators_.erase(it);
+      ++evicted;
+    }
+  }
+  // Candidate-queue side: survivors holding a queued spur result that
+  // crosses any member link must go too (see the header contract) —
+  // candidates are not interned, so this half needs one scan for the whole
+  // group.
   for (auto it = generators_.begin(); it != generators_.end();) {
     bool crosses = false;
     for (LinkId link : links) {

@@ -56,11 +56,11 @@ class KspGenerator {
   // True if any *queued candidate* path crosses `link`. Produced paths are
   // interned, so the cache answers that side through the store's reverse
   // index; this covers the non-interned half of the generator's state for
-  // KspCache::InvalidateLink's eviction decision.
+  // KspCache::InvalidateLinks's eviction decision.
   bool AnyCandidateCrosses(LinkId link) const;
 
   // True if this generator produced the interned path `id`. The reverse
-  // index outlives generators (the arena never shrinks), so InvalidateLink
+  // index outlives generators (the arena never shrinks), so InvalidateLinks
   // must distinguish "this pair's *current* generator produced a crossing
   // path" from "some earlier, already-evicted generation did".
   bool HasProduced(PathId id) const;
@@ -120,39 +120,29 @@ class KspCache {
   void Clear() { generators_.clear(); }
   size_t size() const { return generators_.size(); }
 
-  // Topology-change invalidation for a link that just went down: evicts
-  // exactly the generators whose state references the link — a *produced*
-  // path crossing it (found through the store's reverse index, not by
-  // scanning generators) or a queued *candidate* crossing it (Yen's spur
-  // searches record only the single best spur per position, so a masked
-  // candidate cannot simply be discarded: the spur that produced it is
-  // never re-run, and a valid masked-graph path could be lost for good).
-  // Survivors reference the link nowhere, and for them the mask changes
-  // nothing: a down link only removes paths, so every recorded spur result
-  // that avoids it is still the best for its position, production order and
-  // completeness both hold. The arena itself is never shrunk — PathIds stay
-  // stable for warm LP column identity — stale interned paths are simply
-  // never produced again. Returns the eviction count.
+  // Topology-change invalidation for a group of links that just went down
+  // (one link, an SRLG cut, a node failure): evicts exactly the generators
+  // whose state references any member link — a *produced* path crossing it
+  // (found through the store's reverse index, not by scanning generators) or
+  // a queued *candidate* crossing it (Yen's spur searches record only the
+  // single best spur per position, so a masked candidate cannot simply be
+  // discarded: the spur that produced it is never re-run, and a valid
+  // masked-graph path could be lost for good). Survivors reference the links
+  // nowhere, and for them the mask changes nothing: a down link only removes
+  // paths, so every recorded spur result that avoids it is still the best
+  // for its position, production order and completeness both hold. The
+  // arena itself is never shrunk — PathIds stay stable for warm LP column
+  // identity — stale interned paths are simply never produced again. Each
+  // generator is evicted and counted once, and the candidate queues are
+  // scanned once for the whole group. Returns the eviction count.
   //
   // A link coming back up is the opposite case: the restored link can create
   // *shorter* paths for arbitrary pairs, which would violate the production
   // order of any generator, so callers must Clear() — the store (and its
   // cached delays, which masking never touches) survives either way.
-  size_t InvalidateLink(LinkId link);
-
-  // Grouped form of InvalidateLink for correlated events (SRLG cuts, node
-  // failures): evicts exactly the generators whose state references *any*
-  // member link — same per-link contract as above — but counts each
-  // generator once and scans the candidate queues once for the whole group
-  // instead of once per member. The scenario engine delivers every grouped
-  // down-event through this, so batch eviction matches the batched
-  // controller delta (one epoch delta, not N).
   size_t InvalidateLinks(const std::vector<LinkId>& links);
 
  private:
-  // Produced-path half of the eviction contract for one link, via the
-  // store's reverse index. Shared by both Invalidate forms.
-  size_t EvictProducedCrossing(LinkId link);
 
   static uint64_t Key(NodeId src, NodeId dst) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |

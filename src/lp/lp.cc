@@ -69,43 +69,23 @@ void SumDuplicates(std::vector<std::pair<int, double>>* coeffs) {
 // identified 1:1 throughout: basis_[i] is the ref basic "in row i", and an
 // FTRAN result ftran_[i] is the entering column's coefficient on that ref.
 //
-// Factorized storage comes in two representations behind BasisMode:
+// Factorized storage: B itself is factorized, PB = LU via Markowitz
+// elimination (prow_/pcol_/upiv_ record the pivot sequence, l_* the row
+// operations of L, u_* the rows of U), plus the update file file_/file_ent_
+// of product-form ops appended between refactorizations — one kEta per
+// pivot (the FTRAN-ed entering column) and one kRowExt per AddRow (the
+// bordered [[B,0],[wᵀ,1]] extension). FTRAN and BTRAN are sparse triangular
+// solves through L, U and an in-order (reverse-order for BTRAN) replay of
+// the file; nothing dense is ever formed.
 //
-//   kSparseLU (default): B itself is factorized, PB = LU via Markowitz
-//   elimination (prow_/pcol_/upiv_ record the pivot sequence, l_* the row
-//   operations of L, u_* the rows of U), plus the update file file_/
-//   file_ent_ of product-form ops appended between refactorizations — one
-//   kEta per pivot (the FTRAN-ed entering column) and one kRowExt per
-//   AddRow (the bordered [[B,0],[wᵀ,1]] extension). FTRAN and BTRAN are
-//   sparse triangular solves through L, U and an in-order (reverse-order
-//   for BTRAN) replay of the file; nothing dense is ever formed.
-//
-//   kDenseInverse (A/B fallback): the PR 5 explicit m×m inverse bcol_, held
-//   column-major (bcol_[k] is B^-1·e_k), with O(m²) product-form eta
-//   updates per pivot.
-//
-// Structural tableau columns are never materialized in either mode — the
-// entering column B^-1·A_j is computed on demand into the ftran_ scratch,
-// and everything that used to read the dense tableau (pricing, ratio test,
-// mutations) reads either the duals, ftran_, or the factorization.
+// Structural tableau columns are never materialized — the entering column
+// B^-1·A_j is computed on demand into the ftran_ scratch, and everything that
+// would read a tableau (pricing, ratio test, mutations) reads either the
+// duals, ftran_, or the factorization.
 class Solver::Impl {
  public:
-  explicit Impl(const SolveOptions& opt)
-      : opt_(opt), mode_(ResolveBasisMode(opt.basis.mode)) {
+  explicit Impl(const SolveOptions& opt) : opt_(opt) {
     warm_restart_ = ResolveWarmRestart(opt.warm_restart);
-  }
-
-  // LDR_LP_BASIS=dense|lu overrides the configured representation — the CI
-  // hook that runs the whole suite against the fallback without a rebuild.
-  static BasisMode ResolveBasisMode(BasisMode configured) {
-    const char* e = std::getenv("LDR_LP_BASIS");
-    if (e != nullptr) {
-      if (std::strcmp(e, "dense") == 0) return BasisMode::kDenseInverse;
-      if (std::strcmp(e, "lu") == 0 || std::strcmp(e, "sparse") == 0) {
-        return BasisMode::kSparseLU;
-      }
-    }
-    return configured;
   }
 
   int AddVariable(double lo, double hi, double obj) {
@@ -169,40 +149,20 @@ class Solver::Impl {
       ++updates_since_refactor_;
       // New basis row: with the new slack joining the basis, the extended
       // basis is the bordered B' = [[B, 0], [w^T, 1]] where w_i is the new
-      // row's coefficient on the variable basic in position i.
-      if (mode_ == BasisMode::kDenseInverse) {
-        // Explicit-inverse extension: B'^-1 = [[B^-1, 0], [-w^T B^-1, 1]].
-        // Only B^-1 grows — there are no structural tableau columns to
-        // extend, which is what makes AddRow O(m·(|w|+1)) instead of the
-        // old O(n·|w| + m·|w|).
-        std::vector<std::pair<size_t, double>> w;
-        for (const auto& [var, c] : summed) {
-          int br = vrow_[static_cast<size_t>(var)];
-          if (br >= 0) w.emplace_back(static_cast<size_t>(br), c);
-        }
-        for (size_t k = 0; k + 1 < m_; ++k) {
-          double e = 0.0;
-          for (const auto& [i, wc] : w) e -= wc * bcol_[k][i];
-          bcol_[k].push_back(e);
-        }
-        bcol_.emplace_back(m_, 0.0);
-        bcol_.back()[static_cast<size_t>(r)] = 1.0;
-      } else {
-        // LU mode: record the bordered extension as one update-file op
-        // holding the sparse w; FTRAN/BTRAN replay it in O(|w|). The
-        // factorization itself is untouched.
-        FileOp op;
-        op.kind = FileOp::kRowExt;
-        op.pos = r;
-        op.pivot = 1.0;
-        op.start = static_cast<int>(file_ent_.size());
-        for (const auto& [var, c] : summed) {
-          int br = vrow_[static_cast<size_t>(var)];
-          if (br >= 0) file_ent_.emplace_back(br, c);
-        }
-        op.end = static_cast<int>(file_ent_.size());
-        file_.push_back(op);
+      // row's coefficient on the variable basic in position i. It is
+      // recorded as one update-file op holding the sparse w; FTRAN/BTRAN
+      // replay it in O(|w|). The factorization itself is untouched.
+      FileOp op;
+      op.kind = FileOp::kRowExt;
+      op.pos = r;
+      op.pivot = 1.0;
+      op.start = static_cast<int>(file_ent_.size());
+      for (const auto& [var, c] : summed) {
+        int br = vrow_[static_cast<size_t>(var)];
+        if (br >= 0) file_ent_.emplace_back(br, c);
       }
+      op.end = static_cast<int>(file_ent_.size());
+      file_.push_back(op);
 
       // The slack's basic value is the row's residual at the current point.
       double residual = rhs;
@@ -213,7 +173,6 @@ class Solver::Impl {
       }
       xb_.push_back(residual);
     } else {
-      if (mode_ == BasisMode::kDenseInverse) bcol_.emplace_back();
       xb_.push_back(0.0);
     }
 
@@ -235,18 +194,12 @@ class Solver::Impl {
     }
     // A nonbasic column has no factorized image to maintain; only the basic
     // values shift, and only when the column rests at a nonzero bound. The
-    // shift direction is column B^-1·e_row — a direct read of bcol_ under
-    // the dense inverse, one slack FTRAN under LU.
+    // shift direction is column B^-1·e_row, one slack FTRAN.
     double val = value_[v];
     if (val == 0.0) return;  // NOLINT(ldr-float-eq): exact sparsity test on a stored value
     ++updates_since_refactor_;
-    if (mode_ == BasisMode::kDenseInverse) {
-      const double* b = bcol_[static_cast<size_t>(row)].data();
-      for (size_t i = 0; i < m_; ++i) xb_[i] -= delta * b[i] * val;
-    } else {
-      Ftran(~row);
-      for (size_t i = 0; i < m_; ++i) xb_[i] -= delta * ftran_[i] * val;
-    }
+    Ftran(~row);
+    for (size_t i = 0; i < m_; ++i) xb_[i] -= delta * ftran_[i] * val;
   }
 
   void SetRhs(int row, double rhs) {
@@ -256,13 +209,8 @@ class Solver::Impl {
     rhs_[r] = rhs;
     if (!factor_valid_) return;
     ++updates_since_refactor_;
-    if (mode_ == BasisMode::kDenseInverse) {
-      const double* b = bcol_[r].data();
-      for (size_t i = 0; i < m_; ++i) xb_[i] += b[i] * delta;
-    } else {
-      Ftran(~row);
-      for (size_t i = 0; i < m_; ++i) xb_[i] += ftran_[i] * delta;
-    }
+    Ftran(~row);
+    for (size_t i = 0; i < m_; ++i) xb_[i] += ftran_[i] * delta;
   }
 
   double rhs(int row) const { return rhs_[static_cast<size_t>(row)]; }
@@ -314,6 +262,12 @@ class Solver::Impl {
 
   void Invalidate() { factor_valid_ = false; }
 
+  std::vector<double> RowDuals() {
+    std::vector<double> y;
+    if (factor_valid_) BasicCostBtran(&y);
+    return y;
+  }
+
   Solution Solve() {
     Solution sol = SolveImpl();
     sol.columns_priced = columns_priced_;
@@ -324,32 +278,23 @@ class Solver::Impl {
     sol.dual_pivots = dual_pivots_;
     sol.bound_flips = bound_flips_;
     sol.warm_restart = warm_restart_used_;
-    // Resident factorized footprint per representation. Dense: the B^-1
-    // columns plus their vector headers. LU: the L/U arrays, the pivot
-    // sequence, and the update file — everything FTRAN/BTRAN touch.
-    size_t bytes = 0;
-    if (mode_ == BasisMode::kDenseInverse) {
-      bytes = bcol_.capacity() * sizeof(std::vector<double>);
-      for (const auto& c : bcol_) bytes += c.capacity() * sizeof(double);
-    } else {
-      bytes += prow_.capacity() * sizeof(int);
-      bytes += pcol_.capacity() * sizeof(int);
-      bytes += upiv_.capacity() * sizeof(double);
-      bytes += l_start_.capacity() * sizeof(int);
-      bytes += l_dst_.capacity() * sizeof(int);
-      bytes += l_mult_.capacity() * sizeof(double);
-      bytes += u_start_.capacity() * sizeof(int);
-      bytes += u_ent_.capacity() * sizeof(std::pair<int, double>);
-      bytes += file_.capacity() * sizeof(FileOp);
-      bytes += file_ent_.capacity() * sizeof(std::pair<int, double>);
-      sol.lu_nnz = lu_nnz_;
-      sol.eta_count = static_cast<int>(file_.size());
-      sol.fill_ratio = lu_fill_base_ > 0
-                           ? static_cast<double>(lu_nnz_) /
-                                 static_cast<double>(lu_fill_base_)
-                           : 0.0;
-    }
-    sol.basis_bytes = bytes;
+    // Resident factorized footprint: the L/U arrays, the pivot sequence,
+    // and the update file — everything FTRAN/BTRAN touch.
+    sol.basis_bytes = prow_.capacity() * sizeof(int) +
+                      pcol_.capacity() * sizeof(int) +
+                      upiv_.capacity() * sizeof(double) +
+                      l_start_.capacity() * sizeof(int) +
+                      l_dst_.capacity() * sizeof(int) +
+                      l_mult_.capacity() * sizeof(double) +
+                      u_start_.capacity() * sizeof(int) +
+                      u_ent_.capacity() * sizeof(std::pair<int, double>) +
+                      file_.capacity() * sizeof(FileOp) +
+                      file_ent_.capacity() * sizeof(std::pair<int, double>);
+    sol.lu_nnz = lu_nnz_;
+    sol.eta_count = static_cast<int>(file_.size());
+    sol.fill_ratio = lu_fill_base_ > 0 ? static_cast<double>(lu_nnz_) /
+                                             static_cast<double>(lu_fill_base_)
+                                       : 0.0;
     return sol;
   }
 
@@ -408,14 +353,11 @@ class Solver::Impl {
     }
 
     // Periodic refactorization: every incremental update (pivot, appended
-    // row, rhs shift) compounds error in B^-1; a long-lived controller-epoch
-    // solver can run thousands of them without ever hitting the
-    // basic-AddToRow invalidation. Re-establish B^-1 from the exact sparse
-    // columns once enough drift-accumulating updates have passed. With no
-    // tableau to rebuild the re-establishment is O(m²) per basic column, so
-    // the automatic interval runs much tighter than the tableau-era
-    // max(4096, 8(m+n)) — better numerics at negligible amortized cost, and
-    // independent of n.
+    // row, rhs shift) compounds error in the factorization; a long-lived
+    // controller-epoch solver can run thousands of them without ever hitting
+    // the basic-AddToRow invalidation. Refactorize from the exact sparse
+    // columns once enough drift-accumulating updates have passed — the
+    // interval is independent of n.
     long refactor_after =
         opt_.refactor_interval > 0
             ? opt_.refactor_interval
@@ -596,37 +538,19 @@ class Solver::Impl {
   }
 
   // Computes ftran_ = B^-1 · A(ref), the entering tableau column, from the
-  // sparse original column. Dense mode: O(m · nnz) accumulation of B^-1
-  // columns (a slack's image is column k of B^-1, copied — the eta update
-  // in RawPivot must read the pre-pivot column while it rewrites bcol_[k]).
-  // LU mode: one sparse triangular solve through L, U and the update file.
+  // sparse original column: one sparse triangular solve through L, U and
+  // the update file.
   void Ftran(int ref) {
-    if (mode_ == BasisMode::kSparseLU) {
-      luw_.assign(m_, 0.0);
-      if (ref < 0) {
-        luw_[static_cast<size_t>(~ref)] = 1.0;
-        ++ftran_nnz_;
-      } else {
-        const auto& col = acol_[static_cast<size_t>(ref)];
-        ftran_nnz_ += static_cast<long>(col.size());
-        for (const auto& [r, c] : col) luw_[static_cast<size_t>(r)] += c;
-      }
-      LuFtran(&luw_, &ftran_);
-      return;
-    }
+    luw_.assign(m_, 0.0);
     if (ref < 0) {
-      const std::vector<double>& b = bcol_[static_cast<size_t>(~ref)];
-      ftran_.assign(b.begin(), b.end());
+      luw_[static_cast<size_t>(~ref)] = 1.0;
       ++ftran_nnz_;
-      return;
+    } else {
+      const auto& col = acol_[static_cast<size_t>(ref)];
+      ftran_nnz_ += static_cast<long>(col.size());
+      for (const auto& [r, c] : col) luw_[static_cast<size_t>(r)] += c;
     }
-    ftran_.assign(m_, 0.0);
-    const auto& col = acol_[static_cast<size_t>(ref)];
-    ftran_nnz_ += static_cast<long>(col.size());
-    for (const auto& [r, c] : col) {
-      const double* b = bcol_[static_cast<size_t>(r)].data();
-      for (size_t i = 0; i < m_; ++i) ftran_[i] += c * b[i];
-    }
+    LuFtran(&luw_, &ftran_);
   }
 
   // --- sparse LU solves -----------------------------------------------------
@@ -749,15 +673,9 @@ class Solver::Impl {
   }
 
   // Fills rho_ with row r of the *current* B^-1 — the vector the per-pivot
-  // dual update multiplies (y += d · rho). Dense: a gather across the
-  // explicit inverse's columns. LU: BTRAN(e_r), since (B^-T e_r)[k] =
+  // dual update multiplies (y += d · rho): BTRAN(e_r), since (B^-T e_r)[k] =
   // (B^-1)[r][k].
   void ComputeInverseRow(size_t r) {
-    if (mode_ == BasisMode::kDenseInverse) {
-      rho_.resize(m_);
-      for (size_t k = 0; k < m_; ++k) rho_[k] = bcol_[k][r];
-      return;
-    }
     lub_.assign(m_, 0.0);
     lub_[r] = 1.0;
     LuBtran(&lub_, &rho_);
@@ -894,68 +812,39 @@ class Solver::Impl {
   //   phase 1:  y1 = g^T B^-1 where g is the per-row subgradient of total
   //             bound infeasibility (+-1 on violated rows), so d_j = -y1^T A_j
   //
-  // Both are read off the explicit B^-1 in the slack block when (re)built,
-  // and updated per pivot with y += d_enter * (row r of the new B^-1) — the
-  // standard revised-simplex dual update; for y1 the blocking row's
-  // subgradient change cancels against the basis change, so the same one-line
-  // update is exact as long as no *other* row's violation state flips. Since
-  // that can only happen through tolerance-edge landings, phase 1 re-scans the
-  // subgradient each iteration (O(m), already paid by the feasibility check)
-  // and rebuilds y1 only when the scan disagrees with the cached g1_.
+  // Both are (re)built with one BTRAN of the basic cost / subgradient
+  // vector, and updated per pivot with y += d_enter * (row r of the new
+  // B^-1) — the standard revised-simplex dual update; for y1 the blocking
+  // row's subgradient change cancels against the basis change, so the same
+  // one-line update is exact as long as no *other* row's violation state
+  // flips. Since that can only happen through tolerance-edge landings, phase
+  // 1 re-scans the subgradient each iteration (O(m), already paid by the
+  // feasibility check) and rebuilds y1 only when the scan disagrees with the
+  // cached g1_.
+
+  // *y = B^-T c_B: one BTRAN of the basic-cost vector.
+  void BasicCostBtran(std::vector<double>* y) {
+    lub_.assign(m_, 0.0);
+    for (size_t i = 0; i < m_; ++i) lub_[i] = CostOf(basis_[i]);
+    LuBtran(&lub_, y);
+  }
 
   void RebuildPhase2Duals() {
-    if (mode_ == BasisMode::kSparseLU) {
-      // y2 = B^-T c_B: one BTRAN of the basic-cost vector.
-      lub_.assign(m_, 0.0);
-      for (size_t i = 0; i < m_; ++i) lub_[i] = CostOf(basis_[i]);
-      LuBtran(&lub_, &y2_);
-      y2_valid_ = true;
-      return;
-    }
-    dual_rows_.clear();
-    for (size_t i = 0; i < m_; ++i) {
-      double cb = CostOf(basis_[i]);
-      if (cb != 0) dual_rows_.emplace_back(i, cb);
-    }
-    y2_.assign(m_, 0.0);
-    for (size_t k = 0; k < m_; ++k) {
-      double acc = 0;
-      const double* col = bcol_[k].data();
-      for (const auto& [i, cb] : dual_rows_) acc += cb * col[i];
-      y2_[k] = acc;
-    }
+    BasicCostBtran(&y2_);
     y2_valid_ = true;
   }
 
+  // y1 = B^-T g: one BTRAN of the infeasibility subgradient.
   void RebuildPhase1Duals() {
     g1_.assign(m_, 0);
-    if (mode_ == BasisMode::kSparseLU) {
-      // y1 = B^-T g: one BTRAN of the infeasibility subgradient.
-      lub_.assign(m_, 0.0);
-      for (size_t i = 0; i < m_; ++i) {
-        if (!BasicViolated(i)) continue;
-        int8_t g = xb_[i] < LoOf(basis_[i]) ? -1 : 1;
-        g1_[i] = g;
-        lub_[i] = g;
-      }
-      LuBtran(&lub_, &y1_);
-      y1_valid_ = true;
-      return;
-    }
-    dual_rows_.clear();
+    lub_.assign(m_, 0.0);
     for (size_t i = 0; i < m_; ++i) {
       if (!BasicViolated(i)) continue;
       int8_t g = xb_[i] < LoOf(basis_[i]) ? -1 : 1;
       g1_[i] = g;
-      dual_rows_.emplace_back(i, g);
+      lub_[i] = g;
     }
-    y1_.assign(m_, 0.0);
-    for (size_t k = 0; k < m_; ++k) {
-      double acc = 0;
-      const double* col = bcol_[k].data();
-      for (const auto& [i, g] : dual_rows_) acc += g * col[i];
-      y1_[k] = acc;
-    }
+    LuBtran(&lub_, &y1_);
     y1_valid_ = true;
   }
 
@@ -1142,63 +1031,31 @@ class Solver::Impl {
     return true;
   }
 
-  // Product-form pivot on row r with the FTRAN-ed entering column for
-  // `enter_ref` held in ftran_: B_new^-1 = E · B^-1 where E is the eta
-  // matrix for (r, ftran_). Per B^-1 column c: f = c[r]/pivot;
-  // c[i] -= f·ftran_[i]; c[r] = f — columns with c[r] == 0 are untouched.
-  // Only the m columns of B^-1 are updated, O(m²) total; the old code
-  // additionally swept all n structural tableau columns. An entering
-  // slack's own B^-1 column (the data ftran_ was copied from) becomes e_r
-  // under this update only up to rounding (f = pivot·(1/pivot) ≈ 1), so it
-  // is snapped to an exact e_r afterwards — the same guarantee the old
-  // explicit fill gave, keeping ulp residue from compounding across
-  // slack-entering pivots in long-lived solvers.
+  // Product-form pivot on row r with the FTRAN-ed entering column held in
+  // ftran_ (Forrest–Tomlin style): append one eta op holding the column's
+  // nonzeros. O(nnz(ftran_)) — nothing else in the factorization moves; the
+  // file is re-absorbed into L/U at the next refactorization.
   //
   // Returns false — touching nothing — when the pivot element is numerically
-  // zero (or NaN). This used to be an assert, which vanishes in NDEBUG
-  // builds and let a release binary divide by ~0 and poison the basis
-  // inverse; callers now recover (Step forces a refactorization, Refactorize
-  // flags the basis singular) instead of corrupting state.
-  bool RawPivot(size_t r, int enter_ref) {
+  // zero (or NaN), so callers recover (Step forces a refactorization)
+  // instead of dividing by ~0 and poisoning the factorization.
+  bool RawPivot(size_t r) {
     double pivot = ftran_[r];
     if (!(std::abs(pivot) > kMinPivot)) return false;
     ++updates_since_refactor_;
     ++pivots_;
-    if (mode_ == BasisMode::kSparseLU) {
-      // Forrest–Tomlin-style product-form update: append one eta op holding
-      // the FTRAN-ed entering column's nonzeros. O(nnz(ftran_)) — nothing
-      // else in the factorization moves; the file is re-absorbed into L/U at
-      // the next refactorization.
-      FileOp op;
-      op.kind = FileOp::kEta;
-      op.pos = static_cast<int>(r);
-      op.pivot = pivot;
-      op.start = static_cast<int>(file_ent_.size());
-      for (size_t i = 0; i < m_; ++i) {
-        if (i != r && ftran_[i] != 0.0) {  // NOLINT(ldr-float-eq): drop exact zeros when compressing the eta
-          file_ent_.emplace_back(static_cast<int>(i), ftran_[i]);
-        }
+    FileOp op;
+    op.kind = FileOp::kEta;
+    op.pos = static_cast<int>(r);
+    op.pivot = pivot;
+    op.start = static_cast<int>(file_ent_.size());
+    for (size_t i = 0; i < m_; ++i) {
+      if (i != r && ftran_[i] != 0.0) {  // NOLINT(ldr-float-eq): drop exact zeros when compressing the eta
+        file_ent_.emplace_back(static_cast<int>(i), ftran_[i]);
       }
-      op.end = static_cast<int>(file_ent_.size());
-      file_.push_back(op);
-      (void)enter_ref;  // no explicit inverse column to snap under LU
-      return true;
     }
-    double inv = 1.0 / pivot;
-    const double* pc = ftran_.data();
-    for (auto& c : bcol_) {
-      double crj = c[r];
-      if (crj == 0) continue;
-      double f = crj * inv;
-      double* cd = c.data();
-      for (size_t i = 0; i < m_; ++i) cd[i] -= f * pc[i];
-      cd[r] = f;
-    }
-    if (enter_ref < 0) {
-      std::vector<double>& ecol = bcol_[static_cast<size_t>(~enter_ref)];
-      std::fill(ecol.begin(), ecol.end(), 0.0);
-      ecol[r] = 1.0;
-    }
+    op.end = static_cast<int>(file_ent_.size());
+    file_.push_back(op);
     return true;
   }
 
@@ -1211,13 +1068,12 @@ class Solver::Impl {
       deadline_hit_ = true;
       return StepResult::kStuck;
     }
-    // LU update-file bound: once the file outgrows its op/entry caps, fold
+    // Update-file bound: once the file outgrows its op/entry caps, fold
     // it into a fresh factorization before pivoting further — this is what
     // keeps both replay cost and resident memory bounded over a long solve.
     // refactor_interval < 0 disables it along with the drift guard (the
     // file then grows with the pivot count but stays exact).
-    if (mode_ == BasisMode::kSparseLU && factor_valid_ &&
-        opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
+    if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
       factor_valid_ = false;
       Refactorize();
       return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
@@ -1375,9 +1231,9 @@ class Solver::Impl {
          !(std::abs(ecol[static_cast<size_t>(leave_row)]) > kMinPivot))) {
       // About to pivot on a numerically zero (or NaN) element —
       // factorization drift a NDEBUG build would previously have divided
-      // by. Re-establish B^-1 from
-      // the exact sparse columns and let the caller re-price against the
-      // fresh factorization instead of poisoning the basis.
+      // by. Refactorize from the exact sparse columns and let the caller
+      // re-price against the fresh factorization instead of poisoning the
+      // basis.
       ++pivot_recoveries_;
       factor_valid_ = false;
       Refactorize();
@@ -1412,7 +1268,7 @@ class Solver::Impl {
     // the bound it hit.
     size_t r = static_cast<size_t>(leave_row);
     int leaving = basis_[r];
-    if (!RawPivot(r, entering)) {
+    if (!RawPivot(r)) {
       // Unreachable given the pre-check above, but never corrupt state.
       ++pivot_recoveries_;
       factor_valid_ = false;
@@ -1434,8 +1290,7 @@ class Solver::Impl {
     // the duals by d * (row r of the *new* B^-1) — for y1 the blocking row's
     // subgradient change cancels against the basis change (see the dual
     // section above), so both phases share the one-line update. The inverse
-    // row is a gather across bcol_ under the dense inverse and one
-    // BTRAN(e_r) under LU (the appended eta's transpose maps e_r to
+    // row is one BTRAN(e_r) (the appended eta's transpose maps e_r to
     // (1/pivot)·e_r, so the post-append BTRAN yields the *new* row
     // directly).
     if (y1_valid_ || y2_valid_) {
@@ -1475,10 +1330,9 @@ class Solver::Impl {
       deadline_hit_ = true;
       return StepResult::kStuck;
     }
-    // LU update-file bound, as in Step: fold an outgrown file into a fresh
+    // Update-file bound, as in Step: fold an outgrown file into a fresh
     // factorization before pivoting further.
-    if (mode_ == BasisMode::kSparseLU && factor_valid_ &&
-        opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
+    if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
       factor_valid_ = false;
       Refactorize();
       return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
@@ -1492,10 +1346,9 @@ class Solver::Impl {
     double leave_bound = below ? blo : bhi;
 
     // Price the pivot row: alpha_j = rho^T A_j over every nonbasic column,
-    // with rho = row r of B^-1 (a gather across bcol_ under the dense
-    // inverse, one BTRAN(e_r) under LU). A candidate is admissible when the
-    // dual step moves its reduced cost toward zero from the feasible side;
-    // t is the step at which it crosses.
+    // with rho = row r of B^-1 (one BTRAN(e_r)). A candidate is admissible
+    // when the dual step moves its reduced cost toward zero from the
+    // feasible side; t is the step at which it crosses.
     ComputeInverseRow(r);
     const double* rho = rho_.data();
     dual_cand_.clear();
@@ -1611,7 +1464,7 @@ class Solver::Impl {
       if (a == 0) continue;
       xb_[i] -= a * move;
     }
-    if (!RawPivot(r, e)) {
+    if (!RawPivot(r)) {
       ++pivot_recoveries_;
       factor_valid_ = false;
       Refactorize();
@@ -1638,26 +1491,6 @@ class Solver::Impl {
     return StepResult::kPivoted;
   }
 
-  // Re-establishes the factorization for the recorded basis from the exact
-  // sparse columns: a Markowitz-ordered sparse LU under kSparseLU, the
-  // explicit-inverse Gaussian re-establishment under kDenseInverse.
-  void Refactorize() {
-    refactor_singular_ = false;
-    // Fault site: the recorded basis fails to re-establish (as a genuinely
-    // singular basis would). State is exactly as if elimination had run and
-    // failed: factor_valid_ stays false, callers see refactor_singular_.
-    if (LDR_FAILPOINT("lp.refactor_singular")) {
-      refactor_singular_ = true;
-      return;
-    }
-    ++refactorizations_;
-    if (mode_ == BasisMode::kSparseLU) {
-      RefactorizeLU();
-    } else {
-      RefactorizeDense();
-    }
-  }
-
   // How close the eta/row-extension file is to its bound (see BasisOptions).
   bool NeedsEtaRefactor() const {
     long ops_cap = opt_.basis.max_file_ops > 0
@@ -1670,128 +1503,24 @@ class Solver::Impl {
            static_cast<long>(file_ent_.size()) >= ent_cap;
   }
 
-  // Dense-inverse re-establishment (the PR 5 path, kDenseInverse only):
-  // FTRAN each desired basic column against the partially built inverse,
-  // then eta-pivot, falling back to a row's own slack (or any usable column)
-  // where the recorded basic column has gone numerically singular. O(m²)
-  // per basic column.
-  void RefactorizeDense() {
-    for (size_t k = 0; k < m_; ++k) {
-      bcol_[k].assign(m_, 0.0);
-      bcol_[k][k] = 1.0;
+  // Re-establishes the factorization for the recorded basis from the exact
+  // sparse columns: a Markowitz-ordered sparse LU elimination. A singular
+  // (or threshold-unstable beyond repair) elimination demotes the recorded
+  // basics at the unpivoted positions, substitutes free slacks of the
+  // unpivoted rows, and retries — phase 1 then repairs any feasibility the
+  // substitution cost. Only repeated failure (which a real
+  // repeated-singular basis produces, and the lp.refactor_singular failpoint
+  // emulates) flags refactor_singular_.
+  void Refactorize() {
+    refactor_singular_ = false;
+    // Fault site: the recorded basis fails to re-establish (as a genuinely
+    // singular basis would). State is exactly as if elimination had run and
+    // failed: factor_valid_ stays false, callers see refactor_singular_.
+    if (LDR_FAILPOINT("lp.refactor_singular")) {
+      refactor_singular_ = true;
+      return;
     }
-
-    desired_ = basis_;
-    vrow_.assign(n_, -1);
-    srow_.assign(m_, -1);
-
-    for (size_t i = 0; i < m_; ++i) {
-      int ref = desired_[i];
-      // A ref an earlier row already established (possible when a fallback
-      // stole a later row's slack) is off limits — and must NOT be demoted,
-      // since it is legitimately basic elsewhere.
-      bool available = BasicRowOf(ref) < 0;
-      // A slack basic in its own row needs no pivot: its inverse column is
-      // still e_i (pivots on other rows cannot disturb it).
-      if (available && ref < 0 && static_cast<size_t>(~ref) == i) {
-        basis_[i] = ref;
-        BasicRowOf(ref) = static_cast<int>(i);
-        StateOf(ref) = VarState::kBasic;
-        continue;
-      }
-      // The candidate column under the partial factorization: exactly what
-      // the old working tableau held at this point, computed on demand.
-      if (available) Ftran(ref);
-      if (!available || std::abs(ftran_[i]) <= 1e-9) {
-        // Demote the unusable recorded basic to a nonbasic bound and use
-        // this row's own slack instead, provided neither is claimed
-        // elsewhere.
-        if (available) Demote(ref);
-        ref = ~static_cast<int>(i);
-        bool slack_free = BasicRowOf(ref) < 0;
-        for (size_t i2 = i; slack_free && i2 < m_; ++i2) {
-          if (desired_[i2] == ref) slack_free = false;
-        }
-        if (slack_free) Ftran(ref);
-        if (!slack_free || std::abs(ftran_[i]) <= 1e-9) {
-          ref = FindPivotColumn(i, desired_);
-          if (ref != kNoRef) Ftran(ref);
-        }
-        if (ref == kNoRef) {
-          // Singular beyond repair in this row: fall back to any unclaimed
-          // slack (one always exists — fewer than m are claimed so far),
-          // preferring the row's own. Phase 1 sorts out feasibility; a
-          // later row that wanted this slack hits the `available` guard
-          // above and re-resolves itself.
-          ref = ~static_cast<int>(i);
-          for (size_t k = 0; BasicRowOf(ref) >= 0 && k < m_; ++k) {
-            if (srow_[k] < 0) ref = ~static_cast<int>(k);
-          }
-          Ftran(ref);
-        }
-      }
-      if (RawPivot(i, ref)) {
-        // established
-      } else {
-        // No usable pivot anywhere: the column recorded basic is not e_i,
-        // so the factorization invariant is broken. Flag it so Solve()
-        // reports a numerical failure instead of optimizing over an
-        // inconsistent basis (callers treat that as breakdown and rebuild
-        // cold).
-        refactor_singular_ = true;
-      }
-      basis_[i] = ref;
-      BasicRowOf(ref) = static_cast<int>(i);
-      StateOf(ref) = VarState::kBasic;
-    }
-
-    // Anything recorded basic that lost its slot is nonbasic now.
-    for (size_t j = 0; j < n_; ++j) {
-      if (vstate_[j] == VarState::kBasic && vrow_[j] < 0) {
-        Demote(static_cast<int>(j));
-      }
-    }
-    for (size_t k = 0; k < m_; ++k) {
-      if (sstate_[k] == VarState::kBasic && srow_[k] < 0) {
-        Demote(~static_cast<int>(k));
-      }
-    }
-
-    // x_B = B^-1 · (b - sum over nonbasic structural columns of A_j x_j)
-    // (nonbasic slacks rest at 0 and drop out). The net right-hand side is
-    // accumulated sparsely first so the dense pass is one O(m²) product
-    // instead of per-column O(m) sweeps over all n columns.
-    net_rhs_ = rhs_;
-    for (size_t j = 0; j < n_; ++j) {
-      if (vrow_[j] >= 0 || value_[j] == 0) continue;
-      for (const auto& [r, c] : acol_[j]) {
-        net_rhs_[static_cast<size_t>(r)] -= c * value_[j];
-      }
-    }
-    xb_.assign(m_, 0.0);
-    for (size_t k = 0; k < m_; ++k) {
-      if (net_rhs_[k] == 0) continue;
-      const double* col = bcol_[k].data();
-      for (size_t i = 0; i < m_; ++i) xb_[i] += col[i] * net_rhs_[k];
-    }
-    factor_valid_ = true;
-    updates_since_refactor_ = 0;  // counts from this exact rebuild
-    // The basis may have been re-established differently; both dual vectors
-    // are stale until their phase rebuilds them.
-    y1_valid_ = false;
-    y2_valid_ = false;
-  }
-
-  // Sparse LU refactorization (kSparseLU): Markowitz-ordered elimination of
-  // the exact basis columns. A singular (or threshold-unstable beyond
-  // repair) elimination demotes the recorded basics at the unpivoted
-  // positions, substitutes free slacks of the unpivoted rows, and retries —
-  // phase 1 then repairs any feasibility the substitution cost, the same
-  // ladder the dense path's slack fallback walks. Only repeated failure
-  // (which a real repeated-singular basis produces, and the
-  // lp.refactor_singular failpoint emulates upstream) flags
-  // refactor_singular_.
-  void RefactorizeLU() {
+    ++refactorizations_;
     for (int attempt = 0;; ++attempt) {
       if (EliminateLU()) break;
       if (attempt >= 4 || !RepairSingularBasis()) {
@@ -2101,42 +1830,9 @@ class Solver::Impl {
     return true;
   }
 
-  static constexpr int kNoRef = std::numeric_limits<int>::min();
   static constexpr int kLuCandidates = 4;
   static constexpr double kLuStabTau = 0.01;   // Markowitz threshold pivoting
   static constexpr double kLuSingularTol = 1e-9;
-
-  // Picks a nonbasic, not-later-desired column with the largest pivot
-  // magnitude in row i (refactorization fallback). The pivot magnitude of
-  // column j is (B^-1 A_j)[i] = (row i of B^-1) · A_j, so one BTRAN — a
-  // gather of row i across the column-major B^-1 — prices every candidate
-  // by a sparse dot in O(nnz) instead of a dense tableau read.
-  int FindPivotColumn(size_t i, const std::vector<int>& desired) {
-    btran_.resize(m_);
-    for (size_t k = 0; k < m_; ++k) btran_[k] = bcol_[k][i];
-    int best = kNoRef;
-    double best_mag = 1e-9;
-    auto consider = [&](int ref, double pivot) {
-      if (BasicRowOf(ref) >= 0) return;
-      for (size_t i2 = i + 1; i2 < m_; ++i2) {
-        if (desired[i2] == ref) return;
-      }
-      double mag = std::abs(pivot);
-      if (mag > best_mag) {
-        best_mag = mag;
-        best = ref;
-      }
-    };
-    for (size_t j = 0; j < n_; ++j) {
-      double pivot = 0;
-      for (const auto& [r, c] : acol_[j]) {
-        pivot += btran_[static_cast<size_t>(r)] * c;
-      }
-      consider(static_cast<int>(j), pivot);
-    }
-    for (size_t k = 0; k < m_; ++k) consider(~static_cast<int>(k), btran_[k]);
-    return best;
-  }
 
   void Demote(int ref) {
     double lo = LoOf(ref), hi = HiOf(ref);
@@ -2158,7 +1854,6 @@ class Solver::Impl {
   }
 
   const SolveOptions opt_;
-  const BasisMode mode_;
   size_t m_ = 0;  // rows
   size_t n_ = 0;  // structural variables
 
@@ -2168,17 +1863,15 @@ class Solver::Impl {
   std::vector<RowType> row_type_;
   std::vector<double> rhs_;
 
-  // Factorized working state: B^-1 is the ONLY dense factorization kept —
-  // structural columns live solely in sparse acol_ and are FTRAN-ed on
-  // demand (revised simplex).
+  // Factorized working state: structural columns live solely in sparse
+  // acol_ and are FTRAN-ed on demand (revised simplex).
   bool factor_valid_ = true;
   bool refactor_singular_ = false;  // last Refactorize failed a pivot
-  // Drift-accumulating updates applied to B^-1 since the last exact rebuild
-  // (see SolveOptions::refactor_interval).
+  // Drift-accumulating updates applied to the factorization since the last
+  // exact rebuild (see SolveOptions::refactor_interval).
   long updates_since_refactor_ = 0;
-  std::vector<std::vector<double>> bcol_;  // explicit B^-1 (kDenseInverse)
 
-  // Sparse LU state (kSparseLU). Base factorization PB = LU over the m0_
+  // Sparse LU state. Base factorization PB = LU over the m0_
   // rows/positions that existed at the last refactorization:
   size_t m0_ = 0;
   std::vector<int> prow_, pcol_;  // elimination step -> pivot row / position
@@ -2249,10 +1942,7 @@ class Solver::Impl {
   // (FTRAN, ratio test, pivot) allocates nothing once these reach capacity
   // (asserted by LpSolver.WarmResolveInnerLoopIsAllocationFree).
   std::vector<double> ftran_;    // entering column B^-1·A_j of the live Step
-  std::vector<double> btran_;    // row-of-B^-1 gather (dense refactor fallback)
   std::vector<double> rt_, rb_;  // ratio test: per-row step / bound landed on
-  std::vector<std::pair<size_t, double>> dual_rows_;  // rebuild scratch
-  std::vector<int> desired_;     // Refactorize: recorded basis snapshot
   std::vector<double> net_rhs_;  // Refactorize: rhs net of nonbasic values
   std::vector<double> rho_;      // row r of B^-1 for the per-pivot dual update
   // Dual ratio-test candidate: a nonbasic column with a nonzero pivot-row
@@ -2365,6 +2055,8 @@ Solution Solver::Solve() { return impl_->Solve(); }
 
 void Solver::Invalidate() { impl_->Invalidate(); }
 
+std::vector<double> Solver::RowDuals() { return impl_->RowDuals(); }
+
 Solution Solve(const Problem& problem, const SolveOptions& options) {
   Solver solver(problem, options);
   return solver.Solve();
@@ -2372,7 +2064,7 @@ Solution Solve(const Problem& problem, const SolveOptions& options) {
 
 // LDR_LP_WARM=cold|warm overrides the configured warm-restart mode — the CI
 // hook that runs the whole suite against the cold-rebuild baseline without a
-// rebuild, mirroring LDR_LP_BASIS. Shared by the solver's dual-entry gate
+// rebuild. Shared by the solver's dual-entry gate
 // and the routing layer's keep-vs-drop decision on topology events.
 bool ResolveWarmRestart(bool configured) {
   const char* e = std::getenv("LDR_LP_WARM");

@@ -22,32 +22,28 @@
 //   * Solver: a long-lived object that keeps its factorized basis and bound
 //     state alive across calls.
 //
-// Storage contract (sparse LU basis, PR 7): the solver holds the *sparse
-// original* columns A_j plus a sparse LU factorization of the basis matrix B
-// itself — never an explicit B^-1, and never a working tableau B^-1·A. The
-// factorization is a Markowitz-ordered elimination PB = LU kept as compact
-// row-operation (L) and row-of-U arrays, plus a bounded *update file* of
-// product-form operations appended between refactorizations: one eta per
-// simplex pivot (the FTRAN-ed entering column, Forrest–Tomlin style) and one
-// row-extension per AddRow (the bordered [[B,0],[wᵀ,1]] growth). FTRAN
-// (B·x = a, the entering column) and BTRAN (Bᵀ·y = c, dual maintenance and
-// the post-pivot inverse-row read) are sparse triangular solves through L, U
-// and a replay of the file — ~O(nnz(L+U) + nnz(file)) per solve instead of
-// the PR 5 dense inverse's O(m²) per *pivot* (the eta update swept all m
-// columns of B^-1) and O(m²) resident doubles. Pricing still runs off
-// incrementally maintained duals (PR 3): a structural column is only ever
-// FTRAN-ed when it enters. Refactorize() rebuilds L and U from the exact
-// sparse basis columns with Markowitz pivoting (threshold-stability guarded,
-// singular bases repaired by slack substitution), clears the file, and is
-// triggered by `refactor_interval`, by the eta file outgrowing its bound, or
-// forced by numerical recovery — so both drift *and* update-file memory stay
-// bounded. The structural deltas the Fig. 13 path-growth loop needs stay
-// cheap: AddColumn is O(1) (the new column rests nonbasic), AddRow appends
-// one file op, AddToRow/SetRhs cost one FTRAN. The PR 5 explicit-inverse
-// representation survives behind `SolveOptions::basis` (kDenseInverse) as
-// the A/B baseline the parity suite and benches diff against. Solve()
-// warm-starts primal simplex from the previous optimal basis (typically a
-// handful of pivots instead of a full cold solve).
+// Storage contract: the solver holds the *sparse original* columns A_j plus
+// a sparse LU factorization of the basis matrix B itself — never an explicit
+// B^-1, and never a working tableau B^-1·A. The factorization is a
+// Markowitz-ordered elimination PB = LU kept as compact row-operation (L)
+// and row-of-U arrays, plus a bounded *update file* of product-form
+// operations appended between refactorizations: one eta per simplex pivot
+// (the FTRAN-ed entering column, Forrest–Tomlin style) and one row-extension
+// per AddRow (the bordered [[B,0],[wᵀ,1]] growth). FTRAN (B·x = a, the
+// entering column) and BTRAN (Bᵀ·y = c, dual maintenance and the post-pivot
+// inverse-row read) are sparse triangular solves through L, U and a replay
+// of the file — ~O(nnz(L+U) + nnz(file)) per solve and ~O(nnz) resident
+// memory. Pricing runs off incrementally maintained duals: a structural
+// column is only ever FTRAN-ed when it enters. Refactorize() rebuilds L and
+// U from the exact sparse basis columns with Markowitz pivoting
+// (threshold-stability guarded, singular bases repaired by slack
+// substitution), clears the file, and is triggered by `refactor_interval`,
+// by the eta file outgrowing its bound, or forced by numerical recovery — so
+// both drift *and* update-file memory stay bounded. The structural deltas
+// the Fig. 13 path-growth loop needs stay cheap: AddColumn is O(1) (the new
+// column rests nonbasic), AddRow appends one file op, AddToRow/SetRhs cost
+// one FTRAN. Solve() warm-starts primal simplex from the previous optimal
+// basis (typically a handful of pivots instead of a full cold solve).
 #ifndef LDR_LP_LP_H_
 #define LDR_LP_LP_H_
 
@@ -128,27 +124,11 @@ struct PricingOptions {
   int sweep = 0;
 };
 
-// Basis-factorization representation (see the storage contract above).
-//
-//   kSparseLU      (default) sparse LU of B with Markowitz refactorization
-//                  and a bounded eta/row-extension update file; per-pivot
-//                  work ~O(nnz(L+U)) and memory ~O(nnz).
-//   kDenseInverse  the PR 5 explicit m×m B^-1 with O(m²) product-form eta
-//                  updates — kept as the A/B baseline so benches and the
-//                  parity suite can diff the two representations on
-//                  identical problems.
-//
-// The `LDR_LP_BASIS` environment variable ("dense" / "lu"), when set,
-// overrides the configured mode — this is how CI runs the whole test suite
-// against the fallback representation without a second build.
-enum class BasisMode { kSparseLU, kDenseInverse };
-
+// Update-file bounds (see the storage contract above): mid-solve
+// refactorization triggers, both disabled along with the drift guard when
+// refactor_interval < 0. 0 means automatic: max(64, rows / 2) ops /
+// max(1024, 8 * nnz(L+U)) entries.
 struct BasisOptions {
-  BasisMode mode = BasisMode::kSparseLU;
-  // Mid-solve refactorization triggers that bound the update file (LU mode
-  // only; both respect refactor_interval < 0 disabling the drift guard).
-  // 0 means automatic: max(64, rows / 2) ops / max(1024, 8 * nnz(L+U))
-  // entries.
   int max_file_ops = 0;
   long max_file_entries = 0;
 };
@@ -160,15 +140,11 @@ struct SolveOptions {
   PricingOptions pricing;
   BasisOptions basis;
   // Periodic refactorization for long-lived solvers (controller epochs):
-  // once this many incremental B^-1 updates — pivots plus structural
-  // mutations folded into the factorization — have accumulated since the
-  // last exact factorization, the next Solve() re-establishes B^-1 from the
-  // recorded basis and the exact sparse columns before optimizing, bounding
-  // floating-point drift. Re-establishment costs O(m²) per basic column
-  // (there is no tableau to rebuild), so the automatic interval is far
-  // tighter than the old tableau-era guard: 0 means max(256, 8 * rows) —
-  // better numerics at negligible amortized cost. Negative disables the
-  // guard.
+  // once this many incremental updates — pivots plus structural mutations
+  // folded into the factorization — have accumulated since the last exact
+  // factorization, the next Solve() refactorizes the recorded basis from the
+  // exact sparse columns before optimizing, bounding floating-point drift.
+  // 0 means max(256, 8 * rows). Negative disables the guard.
   int refactor_interval = 0;
   // Wall-clock budget for one Solve() call, in milliseconds. Checked on
   // entry (before any refactorization) and at every simplex iteration, so a
@@ -188,8 +164,8 @@ struct SolveOptions {
   // verified before entry (one pricing sweep) and the solver falls back to
   // the primal path — with its Bland anti-cycling guard — the moment the
   // dual loop loses feasibility or progress. The `LDR_LP_WARM` environment
-  // variable ("cold" / "warm"), when set, overrides this flag — the A/B
-  // hook mirroring LDR_LP_BASIS.
+  // variable ("cold" / "warm"), when set, overrides this flag (the
+  // cold-rebuild A/B hook).
   bool warm_restart = false;
 };
 
@@ -208,18 +184,15 @@ struct Solution {
   int pivot_recoveries = 0;
   // Revised-simplex work/memory telemetry:
   // Resident bytes of the factorized state at the end of the solve — the
-  // L/U arrays plus the update file under kSparseLU, the m×m B^-1 storage
-  // under kDenseInverse.
+  // L/U arrays plus the update file.
   size_t basis_bytes = 0;
   // Total sparse input nonzeros fed through FTRAN (entering-column solves
   // B^-1·A_j) over the whole solve.
   long ftran_nnz = 0;
   // Basis-changing pivots over the solve: simplex basis changes (iterations
-  // minus bound flips) plus refactorization re-establishment pivots. Each
-  // costs one eta append + one BTRAN under kSparseLU, O(m²) under
-  // kDenseInverse — the count the per-pivot win multiplies.
+  // minus bound flips). Each costs one eta append + one BTRAN.
   int pivots = 0;
-  // LU-factorization telemetry (all zero under kDenseInverse):
+  // LU-factorization telemetry:
   // Stored nonzeros in L + U (pivots included) after the last sparse
   // refactorization.
   long lu_nnz = 0;
@@ -230,8 +203,7 @@ struct Solution {
   // fill-in factor (1.0 = no fill).
   double fill_ratio = 0;
   // Full refactorizations performed during this solve (interval/drift
-  // triggers, eta-file bounds, and numerical recoveries; counted in both
-  // basis modes).
+  // triggers, eta-file bounds, and numerical recoveries).
   int refactorizations = 0;
   // Dual-simplex pivots run while repairing a primal-infeasible warm basis
   // (SolveOptions::warm_restart; 0 for every primal-only solve).
@@ -324,9 +296,17 @@ class Solver {
   Solution Solve();
 
   // Drops the factorization; the next Solve() re-establishes it (a fresh
-  // Markowitz LU, or the explicit B^-1 under kDenseInverse) from the sparse
-  // columns under the current basis. Exposed for tests.
+  // Markowitz LU) from the sparse columns under the current basis. Exposed
+  // for tests.
   void Invalidate();
+
+  // Row duals y = B^-T c_B of the current basis, one per row, from a fresh
+  // BTRAN through the live factorization: the reduced cost of structural j
+  // is c_j - yᵀA_j and that of row k's slack is -y_k. Meaningful right after
+  // an optimal Solve(); empty when the factorization has been dropped.
+  // Computed on demand (no solve pays for it) and read-only: it touches only
+  // scratch buffers, so later solves run bit for bit as without the call.
+  std::vector<double> RowDuals();
 
  private:
   class Impl;
@@ -339,8 +319,7 @@ Solution Solve(const Problem& problem, const SolveOptions& options = {});
 // ("cold" disables, "warm" enables), when set, overrides `configured`.
 // Shared by the solver and by the routing layer's keep-vs-drop decision on
 // topology deltas, so one env knob flips the whole stack to the
-// cold-rebuild A/B baseline — exactly how LDR_LP_BASIS selects the basis
-// representation.
+// cold-rebuild A/B baseline.
 bool ResolveWarmRestart(bool configured);
 
 }  // namespace ldr::lp

@@ -55,19 +55,6 @@ void LdrController::MarkLpStale() {
   }
 }
 
-void LdrController::OnLinkDown(LinkId link) {
-  ksp_evictions_ += cache_->InvalidateLink(link);
-  MarkLpStale();
-}
-
-void LdrController::OnLinkUp(LinkId) {
-  // A restored link can create shorter paths for any pair; every
-  // generator's production order is suspect, so clear them all. The store
-  // (stable PathIds, cached delays) survives.
-  cache_->Clear();
-  MarkLpStale();
-}
-
 void LdrController::OnCapacityChange() {
   // Path identities and delays are untouched; only the LP's capacity rows
   // are stale — repaired in place under warm restarts, rebuilt cold under
@@ -75,11 +62,10 @@ void LdrController::OnCapacityChange() {
   MarkLpStale();
 }
 
-// Grouped deltas (PR 10): one reconciliation per correlated event. The KSP
-// side is the batch form of the singleton hooks' contract; the LP side is
-// marked stale exactly once, so the dual-simplex repair of the next epoch
-// fixes every member link's path variables in one pass — one epoch delta,
-// not a per-link cascade.
+// Mask deltas: one reconciliation per event. The LP side is marked stale
+// exactly once, so the dual-simplex repair of the next epoch fixes every
+// member link's path variables in one pass — one epoch delta, not a
+// per-link cascade.
 void LdrController::OnLinksDown(const std::vector<LinkId>& links) {
   if (links.empty()) return;
   ksp_evictions_ += cache_->InvalidateLinks(links);
@@ -88,8 +74,9 @@ void LdrController::OnLinksDown(const std::vector<LinkId>& links) {
 
 void LdrController::OnLinksUp(const std::vector<LinkId>& links) {
   if (links.empty()) return;
-  // Same reasoning as OnLinkUp, once for the whole group: any restored
-  // member can shorten any pair's k-th path.
+  // A restored link can create shorter paths for any pair; every
+  // generator's production order is suspect, so clear them all. The store
+  // (stable PathIds, cached delays) survives.
   cache_->Clear();
   MarkLpStale();
 }

@@ -89,7 +89,7 @@ std::vector<double> AdvancePredictors(
 // (Algorithm 1 decay needs the previous prediction), the warm LP plus grown
 // path sets (LpReuseContext), and the KSP cache it was handed. The scenario
 // engine owns one of these and threads topology deltas through the
-// OnLinkDown / OnLinkUp / OnCapacityChange hooks, which invalidate exactly
+// OnLinksDown / OnLinksUp / OnCapacityChange hooks, which invalidate exactly
 // as much of that state as the delta requires (PR 9: under warm restarts —
 // the default; LDR_LP_WARM=cold is the A/B baseline — the LP is marked
 // dirty and repaired in place instead of dropped):
@@ -98,12 +98,13 @@ std::vector<double> AdvancePredictors(
 //   capacity change    LP marked dirty (capacity-row coefficients re-synced
 //                      on the next solve); cold baseline: LP dropped.
 //                      Predictors and KSP cache survive (delays unchanged)
-//   link down          targeted KSP eviction of the pairs whose produced
-//                      paths cross the link (KspCache::InvalidateLink over
-//                      the reverse index); LP marked dirty — dead-path
-//                      variables fixed to zero, dual-simplex restart off
-//                      the surviving basis. Cold baseline: LP dropped
-//   link up            all generators cleared (a restored link can shorten
+//   links down         targeted KSP eviction of the pairs whose produced
+//                      paths cross any member link (KspCache::
+//                      InvalidateLinks over the reverse index); LP marked
+//                      dirty — dead-path variables fixed to zero,
+//                      dual-simplex restart off the surviving basis. Cold
+//                      baseline: LP dropped
+//   links up           all generators cleared (a restored link can shorten
 //                      any pair's k-th path; the PathStore arena survives,
 //                      so rediscovered paths keep their ids); LP marked
 //                      dirty — fixed variables released back to [0, 1].
@@ -126,15 +127,14 @@ class LdrController {
       const std::vector<std::vector<double>>& segment_100ms);
 
   // Topology deltas (see table above). The caller flips the graph state
-  // (Graph::SetLinkDown / SetCapacity) itself; these hooks reconcile the
+  // (Graph::SetLinksDown / SetCapacity) itself; these hooks reconcile the
   // controller's cached state with it.
-  void OnLinkDown(LinkId link);
-  void OnLinkUp(LinkId link);
   void OnCapacityChange();
 
-  // Grouped topology deltas (PR 10): a correlated event — SRLG cut, node
-  // failure, maintenance drain — delivers all its member links in ONE batch,
-  // so the controller reconciles once per event, not once per link: the KSP
+  // Link mask deltas. Every event is a group — a single link event is a
+  // group with one member, and a correlated event (SRLG cut, node failure,
+  // maintenance drain) delivers all its member links in ONE batch — so the
+  // controller reconciles once per event, not once per link: the KSP
   // cache is invalidated for the whole group (batch eviction: each affected
   // generator evicted and counted once) or cleared once for a grouped
   // restore, and the live LP is marked dirty once — the dual-simplex repair
@@ -150,7 +150,7 @@ class LdrController {
   // the warm-vs-cold benches use.
   void DropWarmState();
 
-  // Generators evicted by OnLinkDown calls so far (telemetry).
+  // Generators evicted by OnLinksDown calls so far (telemetry).
   size_t ksp_evictions() const { return ksp_evictions_; }
 
   const LdrControllerOptions& options() const { return opts_; }

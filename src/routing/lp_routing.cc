@@ -19,10 +19,8 @@ double NowMs() {
 }
 
 // §8 class weighting: class c uses class_weights[c] (the last entry
-// saturates out-of-range classes); empty means all classes equal. The cold
-// builder, the incremental builder, and the best-solution tracker must all
-// use this one definition — the warm/cold equivalence tests assume the
-// objectives are term-for-term identical.
+// saturates out-of-range classes); empty means all classes equal. The LP
+// builder and the best-solution tracker must both use this one definition.
 double ClassWeight(const std::vector<double>& class_weights,
                    int traffic_class) {
   if (class_weights.empty()) return 1.0;
@@ -33,7 +31,6 @@ double ClassWeight(const std::vector<double>& class_weights,
 lp::SolveOptions SolverOptionsFor(const RoutingLpOptions& opts) {
   lp::SolveOptions so;
   so.pricing = opts.pricing;
-  so.basis = opts.basis;
   so.max_iters = opts.max_iters;
   so.deadline_ms = opts.deadline_ms;
   so.warm_restart = opts.warm_restart;
@@ -49,177 +46,6 @@ double AggregateDelayMs(const PathStore& store,
     d += pa.fraction * store.DelayMs(pa.path);
   }
   return d;
-}
-
-RoutingLpResult SolveRoutingLp(
-    const PathStore& store, const std::vector<Aggregate>& aggregates,
-    const std::vector<std::vector<PathId>>& paths,
-    const RoutingLpOptions& opts) {
-  const Graph& g = store.graph();
-  RoutingLpResult result;
-  size_t num_links = g.LinkCount();
-  double cap_scale = 1.0 - opts.headroom;
-
-  // Weight normalization: sum_a n_a * S_a == 100 keeps the delay objective
-  // well-scaled against M2 regardless of network size.
-  double weight_denom = 0;
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    if (paths[a].empty()) continue;
-    weight_denom += aggregates[a].flow_count * store.DelayMs(paths[a][0]);
-  }
-  if (weight_denom <= 0) weight_denom = 1;
-  auto weight = [&](size_t a) {
-    return 100.0 * ClassWeight(opts.class_weights, aggregates[a].traffic_class) *
-           aggregates[a].flow_count / weight_denom;
-  };
-
-  // Fixed loads from single-path aggregates; collect variable aggregates.
-  std::vector<double> fixed_load(num_links, 0.0);
-  std::vector<size_t> variable;  // aggregate indices with >= 2 paths
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    if (paths[a].empty()) continue;
-    if (paths[a].size() == 1) {
-      for (LinkId l : store.Links(paths[a][0])) {
-        fixed_load[static_cast<size_t>(l)] += aggregates[a].demand_gbps;
-      }
-    } else {
-      variable.push_back(a);
-    }
-  }
-
-  // Links that can carry load: fixed load now, or any candidate path.
-  std::vector<bool> link_used(num_links, false);
-  for (size_t l = 0; l < num_links; ++l) link_used[l] = fixed_load[l] > 0;
-  for (size_t a : variable) {
-    for (PathId p : paths[a]) {
-      for (LinkId l : store.Links(p)) link_used[static_cast<size_t>(l)] = true;
-    }
-  }
-
-  lp::Problem problem;
-  // Path-fraction variables.
-  std::vector<std::vector<int>> xvar(aggregates.size());
-  for (size_t a : variable) {
-    double s_a = store.DelayMs(paths[a][0]);
-    if (s_a <= 0) s_a = 1e-3;
-    xvar[a].resize(paths[a].size());
-    for (size_t pi = 0; pi < paths[a].size(); ++pi) {
-      double dp = store.DelayMs(paths[a][pi]);
-      double coeff = weight(a) * dp * (1.0 + opts.m1 / s_a);
-      xvar[a][pi] = problem.AddVariable(0, 1, coeff);
-    }
-  }
-
-  // Per-link rows and overload/utilization variables.
-  std::vector<int> olvar(num_links, -1);
-  int omax_var = -1;
-  if (opts.minmax) {
-    omax_var = problem.AddVariable(0, lp::kInfinity, opts.m2);  // U
-  } else {
-    omax_var = problem.AddVariable(1, lp::kInfinity, opts.m2);  // Omax
-  }
-
-  // Gather per-link terms from variable aggregates.
-  std::vector<std::vector<std::pair<int, double>>> link_terms(num_links);
-  for (size_t a : variable) {
-    for (size_t pi = 0; pi < paths[a].size(); ++pi) {
-      for (LinkId l : store.Links(paths[a][pi])) {
-        link_terms[static_cast<size_t>(l)].emplace_back(
-            xvar[a][pi], aggregates[a].demand_gbps);
-      }
-    }
-  }
-
-  for (size_t l = 0; l < num_links; ++l) {
-    if (!link_used[l]) continue;
-    double cap = g.link(static_cast<LinkId>(l)).capacity_gbps * cap_scale;
-    if (cap <= 0) cap = 1e-9;
-    if (opts.minmax) {
-      // load + fixed <= cap * U
-      auto row = link_terms[l];
-      row.emplace_back(omax_var, -cap);
-      problem.AddRow(lp::RowType::kLe, -fixed_load[l], std::move(row));
-    } else {
-      olvar[l] = problem.AddVariable(1, lp::kInfinity, 1.0);
-      auto row = link_terms[l];
-      row.emplace_back(olvar[l], -cap);
-      problem.AddRow(lp::RowType::kLe, -fixed_load[l], std::move(row));
-      problem.AddRow(lp::RowType::kLe, 0, {{olvar[l], 1}, {omax_var, -1}});
-    }
-  }
-
-  // Every variable aggregate fully routed.
-  for (size_t a : variable) {
-    std::vector<std::pair<int, double>> row;
-    for (int v : xvar[a]) row.emplace_back(v, 1.0);
-    problem.AddRow(lp::RowType::kEq, 1.0, std::move(row));
-  }
-
-  lp::Solution sol = lp::Solve(problem, SolverOptionsFor(opts));
-  result.status = sol.status;
-  result.columns_priced = sol.columns_priced;
-  result.iterations = sol.iterations;
-  result.pivots = sol.pivots;
-  result.ftran_nnz = sol.ftran_nnz;
-  result.basis_bytes = sol.basis_bytes;
-  result.lu_nnz = sol.lu_nnz;
-  result.eta_count = sol.eta_count;
-  result.fill_ratio = sol.fill_ratio;
-  result.refactorizations = sol.refactorizations;
-  result.pivot_recoveries = sol.pivot_recoveries;
-  result.dual_pivots = sol.dual_pivots;
-  result.bound_flips = sol.bound_flips;
-  result.warm_restart = sol.warm_restart;
-  if (!sol.ok()) {
-    // The LP is always feasible by construction (overload variables are
-    // unbounded above); failure here means a numerical breakdown, an
-    // exhausted iteration budget, or an expired deadline — never consume
-    // such a solution as optimal.
-    result.solved = false;
-    return result;
-  }
-
-  // Extract fractions.
-  result.fractions.resize(aggregates.size());
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    result.fractions[a].assign(paths[a].size(), 0.0);
-    if (paths[a].empty()) continue;
-    if (paths[a].size() == 1) {
-      result.fractions[a][0] = 1.0;
-      continue;
-    }
-    for (size_t pi = 0; pi < paths[a].size(); ++pi) {
-      result.fractions[a][pi] =
-          std::clamp(sol.values[static_cast<size_t>(xvar[a][pi])], 0.0, 1.0);
-    }
-  }
-
-  // Recompute per-link levels from actual loads (more robust than reading
-  // the LP's overload variables).
-  std::vector<double> load(num_links, 0.0);
-  for (size_t l = 0; l < num_links; ++l) load[l] = fixed_load[l];
-  for (size_t a : variable) {
-    for (size_t pi = 0; pi < paths[a].size(); ++pi) {
-      double f = result.fractions[a][pi];
-      if (f <= 1e-12) continue;
-      for (LinkId l : store.Links(paths[a][pi])) {
-        load[static_cast<size_t>(l)] += f * aggregates[a].demand_gbps;
-      }
-    }
-  }
-  // link_level is utilization against headroom-scaled capacity; omax floors
-  // at 1 in LDR mode (an overload factor), at 0 in MinMax mode.
-  result.link_level.assign(num_links, 0.0);
-  result.omax = opts.minmax ? 0.0 : 1.0;
-  for (size_t l = 0; l < num_links; ++l) {
-    double cap = g.link(static_cast<LinkId>(l)).capacity_gbps * cap_scale;
-    if (cap <= 0) continue;
-    double level = load[l] / cap;
-    result.link_level[l] = level;
-    result.omax = std::max(result.omax, level);
-  }
-  result.solved = true;
-  return result;
 }
 
 IncrementalRoutingLp::IncrementalRoutingLp(
@@ -250,8 +76,7 @@ double IncrementalRoutingLp::Weight(size_t a) const {
 
 // Creates capacity rows (and LDR-mode overload variables) for links that
 // became used — carrying fixed load or crossed by a candidate path of a
-// variable aggregate — since the last call. Matches SolveRoutingLp's
-// link_used criterion round for round.
+// variable aggregate — since the last call.
 void IncrementalRoutingLp::EnsureLinkRows() {
   for (size_t l = 0; l < link_row_.size(); ++l) {
     if (link_row_[l] >= 0) continue;
@@ -533,9 +358,19 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   outcome.allocations.resize(aggregates.size());
 
   std::vector<std::vector<PathId>> paths;
+  // The LP the rounds solve, owned by the reuse slot when the caller keeps
+  // one. incremental=false installs a freshly built one every round.
   std::unique_ptr<IncrementalRoutingLp> local_lp;
   IncrementalRoutingLp* ilp = nullptr;
-  bool warm_entry = reuse != nullptr && reuse->lp != nullptr &&
+  auto install = [&](std::unique_ptr<IncrementalRoutingLp> lp) {
+    ilp = lp.get();
+    (reuse != nullptr ? reuse->lp : local_lp) = std::move(lp);
+  };
+  auto build = [&] {
+    return std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
+  };
+  bool warm_entry = opts.incremental && reuse != nullptr &&
+                    reuse->lp != nullptr &&
                     reuse->paths.size() == aggregates.size();
   if (warm_entry && reuse->lp->topology_dirty()) {
     // Topology-event re-entry: the repair fixes every dead-path variable to
@@ -592,17 +427,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
         paths[a].push_back(p);
       }
     }
-    if (opts.incremental) {
-      auto fresh =
-          std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
-      if (reuse != nullptr) {
-        reuse->lp = std::move(fresh);
-        ilp = reuse->lp.get();
-      } else {
-        local_lp = std::move(fresh);
-        ilp = local_lp.get();
-      }
-    }
+    install(build());
   }
 
   // Weighted total delay of a solution — used to keep the best feasible
@@ -660,49 +485,40 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   // canonicalization rebuild one epoch later regrows from scratch and
   // restores the full-quality placement off that path.
   const bool grow_allowed = opts.grow && !outcome.topology_repaired;
-  int round = 0;
-  for (; round < opts.max_rounds; ++round) {
-    res = ilp != nullptr ? ilp->Solve(paths)
-                         : SolveRoutingLp(store, aggregates, paths, opts.lp);
+  for (int round = 0; round < opts.max_rounds; ++round) {
+    ++outcome.lp_rounds;
+    res = ilp->Solve(paths);
     accumulate(res);
     if (!res.solved) {
       ++outcome.lp_failures;
-      // Degradation ladder, rung 1: most in-place solve failures are B^-1
-      // drift. Force an exact refactorization of the live solver and retry
-      // once before giving up on it.
-      if (ilp != nullptr) {
-        ilp->ForceRefactorize();
-        RoutingLpResult retry = ilp->Solve(paths);
-        accumulate(retry);
-        if (retry.solved) {
-          res = retry;
-          outcome.fallback =
-              std::max(outcome.fallback, FallbackRung::kRetryRefactor);
-        } else {
-          ++outcome.lp_failures;
-        }
+      // Degradation ladder, rung 1: most in-place solve failures are
+      // factorization drift. Force an exact refactorization of the live
+      // solver and retry once before giving up on it.
+      ilp->ForceRefactorize();
+      RoutingLpResult retry = ilp->Solve(paths);
+      accumulate(retry);
+      if (retry.solved) {
+        res = retry;
+        outcome.fallback =
+            std::max(outcome.fallback, FallbackRung::kRetryRefactor);
+      } else {
+        ++outcome.lp_failures;
       }
-      // Rung 2: rebuild the incremental LP cold — fresh solver, exact
-      // columns, same grown path sets — and swap it into the reuse slot so
-      // later rounds (and the next epoch) run against the healthy instance.
-      if (!res.solved && ilp != nullptr) {
-        auto rebuilt =
-            std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
-        RoutingLpResult cold = rebuilt->Solve(paths);
-        accumulate(cold);
-        if (cold.solved) {
-          res = cold;
-          outcome.fallback =
-              std::max(outcome.fallback, FallbackRung::kColdRebuild);
-          ilp = rebuilt.get();
-          if (reuse != nullptr) {
-            reuse->lp = std::move(rebuilt);
-          } else {
-            local_lp = std::move(rebuilt);
-          }
-        } else {
-          ++outcome.lp_failures;
-        }
+    }
+    if (!res.solved) {
+      // Rung 2: rebuild the LP cold — fresh solver, exact columns, same
+      // grown path sets — and install it so later rounds (and the next
+      // epoch) run against the healthy instance.
+      auto rebuilt = build();
+      RoutingLpResult cold = rebuilt->Solve(paths);
+      accumulate(cold);
+      if (cold.solved) {
+        res = cold;
+        outcome.fallback =
+            std::max(outcome.fallback, FallbackRung::kColdRebuild);
+        install(std::move(rebuilt));
+      } else {
+        ++outcome.lp_failures;
       }
     }
     if (!res.solved) break;
@@ -745,6 +561,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     size_t grown = GrowPathSets(store, aggregates, res.fractions, hot, cache,
                                 opts.max_paths_per_aggregate, &paths);
     if (grown == 0) break;  // exhausted: congestion unavoidable
+    if (!opts.incremental) install(build());
   }
 
   // Persist the grown (pre-restore) path sets for the next warm re-entry;
@@ -764,10 +581,12 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     paths = best_paths;
   }
 
-  outcome.lp_rounds = round + 1;
   if (res.solved) {
+    // A loop stopped by the round cap right after growing has paths the
+    // last solve never saw; growth is append-only, so the solved ones are
+    // the leading res.fractions[a].size() entries.
     for (size_t a = 0; a < aggregates.size(); ++a) {
-      for (size_t pi = 0; pi < paths[a].size(); ++pi) {
+      for (size_t pi = 0; pi < res.fractions[a].size(); ++pi) {
         double f = res.fractions[a][pi];
         if (f <= 1e-9) continue;
         outcome.allocations[a].push_back({paths[a][pi], f});

@@ -52,10 +52,6 @@ struct RoutingLpOptions {
   // (partial candidate-list pricing by default; kDantzig full sweeps are the
   // A/B baseline the benches compare against).
   lp::PricingOptions pricing;
-  // Basis-factorization representation handed to the underlying lp::Solver
-  // (sparse LU by default; kDenseInverse is the A/B baseline the benches
-  // and parity suites diff against).
-  lp::BasisOptions basis;
   // Per-solve budgets forwarded to lp::SolveOptions — the controller's
   // epoch decision guard. max_iters 0 keeps the solver's automatic cap;
   // deadline_ms is a wall-clock budget per LP solve (negative disables,
@@ -93,12 +89,11 @@ struct RoutingLpResult {
   int iterations = 0;
   // Revised-simplex telemetry (see lp::Solution): basis-changing pivots,
   // sparse nonzeros fed through FTRAN, and the resident bytes of the
-  // solver's factorized state (L/U + update file under sparse LU, the
-  // explicit B^-1 under the dense fallback).
+  // solver's factorized state (L/U + update file).
   int pivots = 0;
   long ftran_nnz = 0;
   size_t basis_bytes = 0;
-  // Sparse-LU telemetry (see lp::Solution; all zero under kDenseInverse).
+  // Sparse-LU telemetry (see lp::Solution).
   long lu_nnz = 0;
   int eta_count = 0;
   double fill_ratio = 0;
@@ -115,21 +110,15 @@ struct RoutingLpResult {
   bool warm_restart = false;
 };
 
-// Path sets are interned ids into `store` (delays cached at intern time;
-// LP columns are keyed by PathId, making column identity exact across
-// epochs that rediscover the same path).
-RoutingLpResult SolveRoutingLp(
-    const PathStore& store, const std::vector<Aggregate>& aggregates,
-    const std::vector<std::vector<PathId>>& paths,
-    const RoutingLpOptions& opts);
-
-// Incremental form of SolveRoutingLp: keeps one lp::Solver alive across
-// Fig. 13 rounds. Each Solve(paths) call appends only what changed since the
-// last call — new path columns for grown aggregates, capacity rows for newly
-// used links, equality rows (and removed fixed load) for aggregates whose
-// path list grew past one — then re-solves warm from the previous optimal
-// basis. The LP solved is identical to what SolveRoutingLp would build from
-// scratch for the same path sets.
+// The Fig. 12 LP builder: keeps one lp::Solver alive across Fig. 13 rounds.
+// Each Solve(paths) call appends only what changed since the last call — new
+// path columns for grown aggregates, capacity rows for newly used links,
+// equality rows (and removed fixed load) for aggregates whose path list grew
+// past one — then re-solves warm from the previous optimal basis. A fresh
+// instance solved once is the cold build of the same LP. Path sets are
+// interned ids into `store` (delays cached at intern time; LP columns are
+// keyed by PathId, making column identity exact across epochs that
+// rediscover the same path).
 class IncrementalRoutingLp {
  public:
   IncrementalRoutingLp(const PathStore& store,
@@ -137,7 +126,7 @@ class IncrementalRoutingLp {
                        const RoutingLpOptions& opts);
 
   // `paths` must grow append-only relative to the previous call (the Fig. 13
-  // discipline). Returns the same result SolveRoutingLp would.
+  // discipline).
   RoutingLpResult Solve(const std::vector<std::vector<PathId>>& paths);
 
   // Re-targets demand estimates for the same aggregate set (only demand_gbps
@@ -213,9 +202,11 @@ struct IterativeOptions {
   int patience = 2;
   // Overload tolerance deciding "the traffic fits".
   double fit_eps = 1e-4;
-  // Use the warm-started IncrementalRoutingLp across rounds (default);
-  // false re-solves every round cold via SolveRoutingLp — kept as the
-  // baseline the micro_iterative bench compares against.
+  // Keep one warm-started IncrementalRoutingLp across rounds (default);
+  // false builds a fresh one every round (and never re-enters a reuse
+  // context warm) — the cold baseline the micro_iterative bench and the
+  // warm/cold parity tests compare against. The degradation ladder's
+  // refactorize and rebuild rungs apply in both modes.
   bool incremental = true;
 };
 

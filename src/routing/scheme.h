@@ -55,7 +55,7 @@ struct RoutingOutcome {
   // given (after headroom scaling). Congestion is judged separately against
   // true capacities by sim::Evaluate.
   bool feasible = true;
-  int lp_rounds = 0;       // iterative path-growth rounds (LP schemes)
+  int lp_rounds = 0;       // path-growth rounds that ran (LP schemes)
   // LP schemes with an LpReuseContext: true when this call re-entered the
   // previous call's live solver with demand deltas instead of rebuilding —
   // set by the one place that makes that decision (IterativeLpRoute), so
@@ -68,16 +68,14 @@ struct RoutingOutcome {
   long lp_columns_priced = 0;
   long lp_iterations = 0;
   // Revised-simplex telemetry over all LP rounds: basis-changing pivots,
-  // FTRAN input nonzeros (the O(m·nnz) entering-column solves), and the
-  // peak resident bytes of the solver's factorization (B^-1; the dropped
-  // dense tableau would have added O((n+m)·m) on top).
+  // FTRAN input nonzeros (the entering-column solves), and the peak
+  // resident bytes of the solver's factorization (L/U + update file).
   long lp_pivots = 0;
   long lp_ftran_nnz = 0;
   size_t lp_basis_bytes = 0;
-  // Sparse-LU telemetry over all LP rounds (PR 7; all zero under the
-  // kDenseInverse fallback): peak factor nonzeros, peak update-file length,
-  // peak fill-in ratio (nnz(L+U) / nnz(B)), and total Markowitz
-  // refactorizations across solves.
+  // Sparse-LU telemetry over all LP rounds: peak factor nonzeros, peak
+  // update-file length, peak fill-in ratio (nnz(L+U) / nnz(B)), and total
+  // Markowitz refactorizations across solves.
   long lp_lu_nnz = 0;
   int lp_eta_count = 0;
   double lp_fill_ratio = 0;

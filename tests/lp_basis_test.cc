@@ -1,104 +1,92 @@
-// PR 7 coverage for the basis-representation knob: the sparse-LU
-// factorization (default) against the explicit dense-inverse fallback.
-//
-// The two representations must be interchangeable: identical mutation
-// sequences solved under both modes reach the same objectives, the LU
-// telemetry is populated only when LU actually ran, the eta/spike update
-// file stays bounded by the refactorization triggers, a near-singular
-// recorded basis survives refactorization (Markowitz threshold pivoting +
-// the singular-repair slack substitution), and the lp.refactor_singular
-// failpoint still turns refactorization failure into a clean !ok() solve.
-//
-// The whole file honors LDR_LP_BASIS: under the CI dense A/B registration
-// (ctest lp_basis_test_dense_basis) both "modes" resolve to dense and the
-// cross-mode comparisons become self-comparisons — still valid, just
-// degenerate — while LU-only assertions are skipped via SolverUsesLu().
+// Sparse-LU basis coverage: randomized mutation sequences certified by the
+// KKT oracle (tests/kkt.h) after every optimal solve, the read-only contract
+// of Solver::RowDuals(), routing-shaped LPs certified under both pricing
+// modes, the LU telemetry, the eta/row-extension update file staying bounded
+// by the refactorization triggers, a near-singular recorded basis surviving
+// refactorization (Markowitz threshold pivoting + the singular-repair slack
+// substitution), and the lp.refactor_singular failpoint turning
+// refactorization failure into a clean !ok() solve.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/lp_shapes.h"
 #include "lp/lp.h"
+#include "tests/kkt.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
 namespace ldr::lp {
 namespace {
 
-// Mirrors the solver's LDR_LP_BASIS resolution: the env var, when set,
-// overrides any configured BasisOptions::mode.
-bool SolverUsesLu() {
-  const char* env = std::getenv("LDR_LP_BASIS");
-  return env == nullptr || std::string(env) != "dense";
-}
+// --- KKT certificate on randomized mutation sequences -----------------------
 
-SolveOptions WithBasis(BasisMode mode) {
-  SolveOptions so;
-  so.basis.mode = mode;
-  return so;
-}
+// The lp_test mutation-sequence generator, mirrored into a shadow Problem
+// and applied to two solvers in lockstep. After every re-solve the first
+// solver's result must carry a KKT certificate for the shadow problem, read
+// through RowDuals(); the second never has its duals read and must match
+// the first bit for bit — values, objective, iterations, pivots — so the
+// accessor provably leaves every later solve untouched.
+class LpBasisMutationKktTest : public ::testing::TestWithParam<int> {};
 
-// --- cross-representation parity on randomized mutation sequences ----------
-
-// The lp_test mutation-sequence generator, driven once and applied to two
-// solvers in lockstep — one per basis representation. After every re-solve
-// both must be optimal with equal objectives. This is the LU-vs-dense twin
-// of LpMutationSequenceTest's warm-vs-cold parity.
-class LpBasisMutationParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(LpBasisMutationParityTest, LuAndDenseAgreeAcrossMutations) {
+TEST_P(LpBasisMutationKktTest, EverySolveCertifiedAndRowDualsReadOnly) {
   Rng rng(static_cast<uint64_t>(23000 + GetParam()));
-  Solver lu(WithBasis(BasisMode::kSparseLU));
-  Solver dense(WithBasis(BasisMode::kDenseInverse));
-  size_t nvars = 0;
-  size_t nrows = 0;
+  Solver observed;
+  Solver plain;
+  std::vector<double> hi, obj;
+  std::vector<Row> rows;
 
   auto rand_rhs = [&](RowType type) {
     return type == RowType::kLe ? rng.Uniform(0.5, 6) : -rng.Uniform(0.5, 6);
   };
-  std::vector<RowType> row_types;
   auto add_column = [&] {
     double h = rng.Uniform(0.5, 3);
     double c = rng.Uniform(-3, 3);
     std::vector<std::pair<int, double>> coeffs;
-    for (size_t r = 0; r < nrows; ++r) {
+    for (size_t r = 0; r < rows.size(); ++r) {
       if (rng.NextIndex(3) != 0) continue;
-      coeffs.emplace_back(static_cast<int>(r), rng.Uniform(-2, 2));
+      double a = rng.Uniform(-2, 2);
+      coeffs.emplace_back(static_cast<int>(r), a);
+      rows[r].coeffs.emplace_back(static_cast<int>(hi.size()), a);
     }
-    ASSERT_EQ(lu.AddColumn(0, h, c, coeffs), static_cast<int>(nvars));
-    ASSERT_EQ(dense.AddColumn(0, h, c, coeffs), static_cast<int>(nvars));
-    ++nvars;
+    ASSERT_EQ(observed.AddColumn(0, h, c, coeffs), static_cast<int>(hi.size()));
+    ASSERT_EQ(plain.AddColumn(0, h, c, coeffs), static_cast<int>(hi.size()));
+    hi.push_back(h);
+    obj.push_back(c);
   };
   auto add_row = [&] {
-    RowType type = rng.NextIndex(2) == 0 ? RowType::kLe : RowType::kGe;
-    double rhs = rand_rhs(type);
-    std::vector<std::pair<int, double>> coeffs;
-    for (size_t j = 0; j < nvars; ++j) {
+    Row row;
+    row.type = rng.NextIndex(2) == 0 ? RowType::kLe : RowType::kGe;
+    row.rhs = rand_rhs(row.type);
+    for (size_t j = 0; j < hi.size(); ++j) {
       if (rng.NextIndex(3) != 0) continue;
-      coeffs.emplace_back(static_cast<int>(j), rng.Uniform(-2, 2));
+      row.coeffs.emplace_back(static_cast<int>(j), rng.Uniform(-2, 2));
     }
-    ASSERT_EQ(lu.AddRow(type, rhs, coeffs), static_cast<int>(nrows));
-    ASSERT_EQ(dense.AddRow(type, rhs, coeffs), static_cast<int>(nrows));
-    row_types.push_back(type);
-    ++nrows;
+    ASSERT_EQ(observed.AddRow(row.type, row.rhs, row.coeffs),
+              static_cast<int>(rows.size()));
+    ASSERT_EQ(plain.AddRow(row.type, row.rhs, row.coeffs),
+              static_cast<int>(rows.size()));
+    rows.push_back(std::move(row));
   };
-  auto check_parity = [&](int step) {
-    Solution sl = lu.Solve();
-    Solution sd = dense.Solve();
-    ASSERT_TRUE(sl.ok()) << ToString(sl.status) << " step " << step;
-    ASSERT_TRUE(sd.ok()) << ToString(sd.status) << " step " << step;
-    EXPECT_NEAR(sl.objective, sd.objective,
-                1e-6 * (1 + std::abs(sd.objective)))
-        << "step " << step;
+  auto check = [&](int step) {
+    Solution so = observed.Solve();
+    Solution sp = plain.Solve();
+    ASSERT_TRUE(so.ok()) << ToString(so.status) << " step " << step;
+    Problem p;
+    for (size_t j = 0; j < hi.size(); ++j) p.AddVariable(0, hi[j], obj[j]);
+    for (const Row& row : rows) p.AddRow(row.type, row.rhs, row.coeffs);
+    EXPECT_EQ(KktViolation(p, so, &observed), "") << "step " << step;
+    EXPECT_EQ(so.values, sp.values) << "step " << step;
+    EXPECT_EQ(so.objective, sp.objective) << "step " << step;
+    EXPECT_EQ(so.iterations, sp.iterations) << "step " << step;
+    EXPECT_EQ(so.pivots, sp.pivots) << "step " << step;
   };
 
   for (int j = 0; j < 4; ++j) add_column();
   for (int r = 0; r < 3; ++r) add_row();
-  check_parity(-1);
+  check(-1);
   for (int step = 0; step < 40; ++step) {
     switch (rng.NextIndex(6)) {
       case 0:
@@ -109,54 +97,50 @@ TEST_P(LpBasisMutationParityTest, LuAndDenseAgreeAcrossMutations) {
         add_row();
         break;
       case 3: {
-        if (nrows == 0 || nvars == 0) break;
-        int r = static_cast<int>(rng.NextIndex(nrows));
-        int v = static_cast<int>(rng.NextIndex(nvars));
+        if (rows.empty() || hi.empty()) break;
+        size_t r = rng.NextIndex(rows.size());
+        int v = static_cast<int>(rng.NextIndex(hi.size()));
         double delta = rng.Uniform(-0.5, 0.5);
-        lu.AddToRow(r, v, delta);
-        dense.AddToRow(r, v, delta);
+        observed.AddToRow(static_cast<int>(r), v, delta);
+        plain.AddToRow(static_cast<int>(r), v, delta);
+        rows[r].coeffs.emplace_back(v, delta);  // Problem sums duplicates
         break;
       }
       default: {
-        if (nrows == 0) break;
-        size_t r = rng.NextIndex(nrows);
-        double rhs = rand_rhs(row_types[r]);
-        lu.SetRhs(static_cast<int>(r), rhs);
-        dense.SetRhs(static_cast<int>(r), rhs);
+        if (rows.empty()) break;
+        size_t r = rng.NextIndex(rows.size());
+        rows[r].rhs = rand_rhs(rows[r].type);
+        observed.SetRhs(static_cast<int>(r), rows[r].rhs);
+        plain.SetRhs(static_cast<int>(r), rows[r].rhs);
         break;
       }
     }
-    if (step % 5 == 4) check_parity(step);
+    if (step % 5 == 4) check(step);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LpBasisMutationParityTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, LpBasisMutationKktTest,
                          ::testing::Range(1, 13));
 
-// The same cross-mode agreement under full-Dantzig pricing — the
-// lp_pricing_test mutation axis crossed with the basis axis, on cold solves
-// of routing-shaped LPs (both pricing modes run under both representations).
-TEST(LpBasisParity, RoutingShapesAgreeAcrossPricingAndBasisModes) {
+// Routing-shaped LPs (bench/lp_shapes.h, the Fig. 12 shape) solved cold
+// under both pricing modes: each optimum certified, objectives in agreement.
+TEST(LpBasisKkt, RoutingShapesCertifiedUnderBothPricingModes) {
   for (uint64_t seed = 61; seed < 66; ++seed) {
     auto spec = bench::RoutingLpSpec::Random(seed, 40, 20);
     Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
     double reference = 0;
-    bool first = true;
-    for (BasisMode basis : {BasisMode::kSparseLU, BasisMode::kDenseInverse}) {
-      for (PricingMode pricing :
-           {PricingMode::kPartial, PricingMode::kDantzig}) {
-        SolveOptions so = WithBasis(basis);
-        so.pricing.mode = pricing;
-        Solution s = Solve(p, so);
-        ASSERT_TRUE(s.ok()) << ToString(s.status) << " seed " << seed;
-        if (first) {
-          reference = s.objective;
-          first = false;
-        } else {
-          EXPECT_NEAR(s.objective, reference,
-                      1e-6 * (1 + std::abs(reference)))
-              << "seed " << seed;
-        }
+    for (PricingMode pricing : {PricingMode::kPartial, PricingMode::kDantzig}) {
+      SolveOptions so;
+      so.pricing.mode = pricing;
+      Solver solver(p, so);
+      Solution s = solver.Solve();
+      ASSERT_TRUE(s.ok()) << ToString(s.status) << " seed " << seed;
+      EXPECT_EQ(KktViolation(p, s, &solver), "") << "seed " << seed;
+      if (pricing == PricingMode::kPartial) {
+        reference = s.objective;
+      } else {
+        EXPECT_NEAR(s.objective, reference, 1e-6 * (1 + std::abs(reference)))
+            << "seed " << seed;
       }
     }
   }
@@ -164,25 +148,14 @@ TEST(LpBasisParity, RoutingShapesAgreeAcrossPricingAndBasisModes) {
 
 // --- telemetry --------------------------------------------------------------
 
-TEST(LpBasisTelemetry, LuFieldsPopulatedOnlyUnderLu) {
+TEST(LpBasisTelemetry, LuFieldsPopulated) {
   auto spec = bench::RoutingLpSpec::Random(77, 60, 30);
-  Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
-
-  Solution sl = Solve(p, WithBasis(BasisMode::kSparseLU));
-  ASSERT_TRUE(sl.ok());
-  if (SolverUsesLu()) {
-    EXPECT_GT(sl.lu_nnz, 0);
-    EXPECT_GE(sl.fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
-    EXPECT_GE(sl.refactorizations, 1);
-    EXPECT_GT(sl.basis_bytes, 0u);
-  }
-
-  Solution sd = Solve(p, WithBasis(BasisMode::kDenseInverse));
-  ASSERT_TRUE(sd.ok());
-  EXPECT_EQ(sd.lu_nnz, 0);
-  EXPECT_EQ(sd.eta_count, 0);
-  EXPECT_EQ(sd.fill_ratio, 0.0);
-  EXPECT_GT(sd.basis_bytes, 0u);
+  Solution s = Solve(bench::BuildProblem(spec, /*with_growth=*/true));
+  ASSERT_TRUE(s.ok());
+  EXPECT_GT(s.lu_nnz, 0);
+  EXPECT_GE(s.fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
+  EXPECT_GE(s.refactorizations, 1);
+  EXPECT_GT(s.basis_bytes, 0u);
 }
 
 // --- eta-file growth bound --------------------------------------------------
@@ -191,10 +164,9 @@ TEST(LpBasisTelemetry, LuFieldsPopulatedOnlyUnderLu) {
 // update file reported at the end of each solve must respect the cap: the
 // eta file cannot grow without bound no matter how many pivots a solve runs.
 TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
-  if (!SolverUsesLu()) GTEST_SKIP() << "LDR_LP_BASIS=dense forces dense mode";
   auto spec = bench::RoutingLpSpec::Random(31, 80, 40);
 
-  SolveOptions so = WithBasis(BasisMode::kSparseLU);
+  SolveOptions so;
   so.basis.max_file_ops = 8;
   bench::WarmLp warm = bench::BuildSolverBase(spec, so);
   Solution s0 = warm.solver.Solve();
@@ -211,9 +183,7 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
 
   // Same LP with the trigger left automatic: the file still ends bounded by
   // the documented max(64, m/2) ops ceiling.
-  Solution sauto =
-      Solve(bench::BuildProblem(spec, /*with_growth=*/true),
-            WithBasis(BasisMode::kSparseLU));
+  Solution sauto = Solve(bench::BuildProblem(spec, /*with_growth=*/true));
   ASSERT_TRUE(sauto.ok());
   long rows = static_cast<long>(
       bench::BuildProblem(spec, true).RowCount());
@@ -229,7 +199,7 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
 // objective as a cold solve of the same problem.
 TEST(LpBasisNumerics, NearSingularBasisRefactorizes) {
   const double eps = 1e-6;
-  Solver solver(WithBasis(BasisMode::kSparseLU));
+  Solver solver;
   int x0 = solver.AddColumn(0, 2, -1.0, {});
   int x1 = solver.AddColumn(0, 2, -1.0, {});
   solver.AddRow(RowType::kEq, 1.5, {{x0, 1.0}, {x1, 1.0}});
@@ -250,8 +220,7 @@ TEST(LpBasisNumerics, NearSingularBasisRefactorizes) {
 // slack (RepairSingularBasis), and the re-solve must recover the new optimum
 // instead of reporting a numerical failure.
 TEST(LpBasisNumerics, SingularBasisRepairedBySlackSubstitution) {
-  if (!SolverUsesLu()) GTEST_SKIP() << "LDR_LP_BASIS=dense forces dense mode";
-  Solver solver(WithBasis(BasisMode::kSparseLU));
+  Solver solver;
   int x = solver.AddColumn(0, 5, -1.0, {});
   int row = solver.AddRow(RowType::kLe, 3.0, {{x, 1.0}});
   Solution first = solver.Solve();
@@ -269,13 +238,11 @@ TEST(LpBasisNumerics, SingularBasisRepairedBySlackSubstitution) {
 
 // --- lp.refactor_singular failpoint -----------------------------------------
 
-// The failpoint sits at the top of the Refactorize dispatcher, so it fires
-// identically under LU: an invalidated solver whose refactorization "fails"
-// must surface a clean non-ok solve, and recover once the failpoint clears.
+// An invalidated solver whose refactorization "fails" must surface a clean
+// non-ok solve, and recover once the failpoint clears.
 TEST(LpBasisFailpoints, RefactorSingularFiresUnderLu) {
   auto spec = bench::RoutingLpSpec::Random(19, 30, 15);
-  SolveOptions so = WithBasis(BasisMode::kSparseLU);
-  bench::WarmLp warm = bench::BuildSolverBase(spec, so);
+  bench::WarmLp warm = bench::BuildSolverBase(spec);
   Solution s0 = warm.solver.Solve();
   ASSERT_TRUE(s0.ok());
 

@@ -9,7 +9,7 @@
 //    feasibility lost / genuinely infeasible repair);
 //  - dual ratio-test ties and degenerate (zero-length) dual steps;
 //  - randomized bound/rhs-perturbation parity against from-scratch cold
-//    solves, across both basis representations and both pricing modes;
+//    solves under both pricing modes, every optimum KKT-certified;
 //  - the lp.dual_infeasible failpoint forcing the primal fallback.
 //
 // The file honors LDR_LP_WARM exactly like the solver does: under the CI
@@ -26,6 +26,7 @@
 
 #include "bench/lp_shapes.h"
 #include "lp/lp.h"
+#include "tests/kkt.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -237,88 +238,109 @@ TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
 
 // --- randomized perturbation parity -----------------------------------------
 
+// The accumulated repair state of a BuildSolverBase solver as a Problem:
+// BuildProblem lays variables and rows out in the same order, so link-row
+// rhs edits and fixed base paths (variable 1 + k) carry over by index.
+Problem Repaired(const bench::RoutingLpSpec& spec,
+                 const std::vector<int>& link_rows,
+                 const std::vector<double>& link_rhs,
+                 const std::vector<char>& fixed) {
+  Problem base = bench::BuildProblem(spec, /*with_growth=*/false);
+  Problem p;
+  for (size_t j = 0; j < base.VariableCount(); ++j) {
+    bool zero = j >= 1 && j - 1 < fixed.size() && fixed[j - 1] != 0;
+    p.AddVariable(base.lower_bounds()[j],
+                  zero ? 0.0 : base.upper_bounds()[j], base.objective()[j]);
+  }
+  std::vector<Row> rows = base.rows();
+  for (size_t l = 0; l < link_rows.size(); ++l) {
+    rows[static_cast<size_t>(link_rows[l])].rhs = link_rhs[l];
+  }
+  for (Row& row : rows) p.AddRow(row.type, row.rhs, std::move(row.coeffs));
+  return p;
+}
+
 // Routing-shaped LPs under randomized rhs perturbations and dead-path
-// fix/unfix cycles: after every repair the dual-restarted solver must land
-// on the same objective as a from-scratch cold solve of the accumulated
-// state — across both basis representations and both pricing modes.
+// fix/unfix cycles: after every repair the dual-restarted solver must carry
+// a KKT certificate for the accumulated state and land on the same
+// objective as a from-scratch cold solve of it — under both pricing modes.
 class LpDualPerturbParityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
   const uint64_t seed = static_cast<uint64_t>(91000 + GetParam());
-  for (BasisMode basis : {BasisMode::kSparseLU, BasisMode::kDenseInverse}) {
-    for (PricingMode pricing :
-         {PricingMode::kPartial, PricingMode::kDantzig}) {
-      Rng rng(seed);
-      auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
-      SolveOptions warm_so = WithWarm(true);
-      warm_so.basis.mode = basis;
-      warm_so.pricing.mode = pricing;
-      bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
-      Solution s0 = warm.solver.Solve();
-      ASSERT_TRUE(s0.ok());
-      EXPECT_FALSE(s0.warm_restart);
+  for (PricingMode pricing : {PricingMode::kPartial, PricingMode::kDantzig}) {
+    Rng rng(seed);
+    auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
+    SolveOptions warm_so = WithWarm(true);
+    warm_so.pricing.mode = pricing;
+    bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
+    Solution s0 = warm.solver.Solve();
+    ASSERT_TRUE(s0.ok());
+    EXPECT_FALSE(s0.warm_restart);
 
-      // Cumulative mutation state, replayed into each cold reference.
-      // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
-      std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
-      std::vector<char> fixed(spec.base.size(), 0);
-      std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
-      long dual_pivots_total = 0;
+    // Cumulative mutation state, replayed into each cold reference.
+    // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
+    std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
+    std::vector<char> fixed(spec.base.size(), 0);
+    std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
+    long dual_pivots_total = 0;
 
-      for (int step = 0; step < 12; ++step) {
-        if (rng.NextIndex(2) == 0) {
-          // Capacity-style repair: move a link row's rhs.
-          size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
-          link_rhs[l] = rng.Uniform(-1.5, 1.5);
-          warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
-        } else {
-          // Dead-path repair: fix a path column to 0 (at most two of a
-          // group's three paths, so the unit-sum row stays satisfiable) or
-          // revive a previously fixed one.
-          size_t k = rng.NextIndex(spec.base.size());
-          size_t g = static_cast<size_t>(spec.base[k].group);
-          int var = 1 + static_cast<int>(k);
-          if (fixed[k] == 0 && fixed_in_group[g] < 2) {
-            warm.solver.FixVariable(var, 0.0);
-            fixed[k] = 1;
-            ++fixed_in_group[g];
-          } else if (fixed[k] != 0) {
-            warm.solver.SetBounds(var, 0.0, 1.0);
-            fixed[k] = 0;
-            --fixed_in_group[g];
-          }
-        }
-
-        Solution sw = warm.solver.Solve();
-        ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
-        dual_pivots_total += sw.dual_pivots;
-        if (sw.dual_pivots > 0) {
-          EXPECT_TRUE(sw.warm_restart);
-        }
-
-        bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
-        for (size_t l = 0; l < link_rhs.size(); ++l) {
-          fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
-        }
-        for (size_t k = 0; k < fixed.size(); ++k) {
-          if (fixed[k] != 0) {
-            fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
-          }
-        }
-        Solution sc = fresh.solver.Solve();
-        ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
-        EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
-        EXPECT_NEAR(sw.objective, sc.objective,
-                    1e-6 * (1 + std::abs(sc.objective)))
-            << "step " << step;
-      }
-      if (DualWarmEnabled(true)) {
-        // The perturbation mix reliably leaves primal-infeasible warm bases;
-        // at least one repair must have gone through the dual loop.
-        EXPECT_GT(dual_pivots_total, 0);
+    for (int step = 0; step < 12; ++step) {
+      if (rng.NextIndex(2) == 0) {
+        // Capacity-style repair: move a link row's rhs.
+        size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
+        link_rhs[l] = rng.Uniform(-1.5, 1.5);
+        warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
       } else {
-        EXPECT_EQ(dual_pivots_total, 0);
+        // Dead-path repair: fix a path column to 0 (at most two of a
+        // group's three paths, so the unit-sum row stays satisfiable) or
+        // revive a previously fixed one.
+        size_t k = rng.NextIndex(spec.base.size());
+        size_t g = static_cast<size_t>(spec.base[k].group);
+        int var = 1 + static_cast<int>(k);
+        if (fixed[k] == 0 && fixed_in_group[g] < 2) {
+          warm.solver.FixVariable(var, 0.0);
+          fixed[k] = 1;
+          ++fixed_in_group[g];
+        } else if (fixed[k] != 0) {
+          warm.solver.SetBounds(var, 0.0, 1.0);
+          fixed[k] = 0;
+          --fixed_in_group[g];
+        }
       }
+
+      Solution sw = warm.solver.Solve();
+      ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
+      Problem p = Repaired(spec, warm.link_rows, link_rhs, fixed);
+      EXPECT_EQ(KktViolation(p, sw, &warm.solver), "") << "step " << step;
+      dual_pivots_total += sw.dual_pivots;
+      if (sw.dual_pivots > 0) {
+        EXPECT_TRUE(sw.warm_restart);
+      }
+
+      bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
+      for (size_t l = 0; l < link_rhs.size(); ++l) {
+        fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
+      }
+      for (size_t k = 0; k < fixed.size(); ++k) {
+        if (fixed[k] != 0) {
+          fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
+        }
+      }
+      Solution sc = fresh.solver.Solve();
+      ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
+      EXPECT_EQ(KktViolation(p, sc, &fresh.solver), "") << "step " << step;
+      EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
+      EXPECT_NEAR(sw.objective, sc.objective,
+                  1e-6 * (1 + std::abs(sc.objective)))
+          << "step " << step;
+    }
+    if (DualWarmEnabled(true)) {
+      // The perturbation mix reliably leaves primal-infeasible warm bases;
+      // at least one repair must have gone through the dual loop.
+      EXPECT_GT(dual_pivots_total, 0);
+    } else {
+      EXPECT_EQ(dual_pivots_total, 0);
     }
   }
 }

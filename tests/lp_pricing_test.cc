@@ -1,9 +1,10 @@
 // Pricing-equivalence property tests: partial (candidate-list) pricing and
 // full Dantzig pricing are different *search orders* over the same simplex —
 // they must reach the same optimum. Random bounded LPs and the zoo-corpus
-// Fig. 13 loop are solved both ways and compared; the partial mode must also
-// actually do what it exists for, pricing fewer columns per iteration than a
-// full sweep on LPs of routing scale.
+// Fig. 13 loop are solved both ways and compared, and every optimal solve of
+// the randomized LPs carries a KKT certificate (tests/kkt.h); the partial
+// mode must also actually do what it exists for, pricing fewer columns per
+// iteration than a full sweep on LPs of routing scale.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "lp/lp.h"
 #include "routing/lp_routing.h"
 #include "sim/workload.h"
+#include "tests/kkt.h"
 #include "topology/zoo_corpus.h"
 #include "util/random.h"
 
@@ -24,6 +26,16 @@ lp::SolveOptions WithMode(lp::PricingMode mode) {
   lp::SolveOptions so;
   so.pricing.mode = mode;
   return so;
+}
+
+// One-shot solve of `p` that also checks the KKT certificate when optimal.
+lp::Solution SolveCertified(const lp::Problem& p, const lp::SolveOptions& so) {
+  lp::Solver solver(p, so);
+  lp::Solution s = solver.Solve();
+  if (s.ok()) {
+    EXPECT_EQ(lp::KktViolation(p, s, &solver), "");
+  }
+  return s;
 }
 
 // Random bounded LP with mixed row types and sign-mixed costs. Overload-style
@@ -65,36 +77,15 @@ TEST_P(LpPricingEquivalenceTest, PartialMatchesFullDantzigOnRandomLps) {
   uint64_t seed = static_cast<uint64_t>(9000 + GetParam());
   lp::Problem p = RandomBoundedLp(seed, /*n=*/60, /*m=*/25);
 
-  lp::Solution full = lp::Solve(p, WithMode(lp::PricingMode::kDantzig));
-  lp::Solution part = lp::Solve(p, WithMode(lp::PricingMode::kPartial));
+  // Alternate optimal vertices may differ in values; the objective and the
+  // KKT certificate of each are what the LP pins down.
+  lp::Solution full = SolveCertified(p, WithMode(lp::PricingMode::kDantzig));
+  lp::Solution part = SolveCertified(p, WithMode(lp::PricingMode::kPartial));
   ASSERT_EQ(full.status, part.status) << "seed " << seed;
   if (!full.ok()) return;  // both agree on non-optimal status
   EXPECT_NEAR(full.objective, part.objective,
               1e-6 * (1 + std::abs(full.objective)))
       << "seed " << seed;
-
-  // Both solutions must satisfy every row (alternate optimal vertices may
-  // differ in values; the objective and feasibility are what the LP pins
-  // down — bases are only comparable when the optimum is unique).
-  for (const lp::Solution* s : {&full, &part}) {
-    for (const lp::Row& row : p.rows()) {
-      double lhs = 0;
-      for (const auto& [v, c] : row.coeffs) {
-        lhs += c * s->values[static_cast<size_t>(v)];
-      }
-      switch (row.type) {
-        case lp::RowType::kLe:
-          EXPECT_LE(lhs, row.rhs + 1e-6);
-          break;
-        case lp::RowType::kGe:
-          EXPECT_GE(lhs, row.rhs - 1e-6);
-          break;
-        case lp::RowType::kEq:
-          EXPECT_NEAR(lhs, row.rhs, 1e-6);
-          break;
-      }
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpPricingEquivalenceTest,
@@ -105,11 +96,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpPricingEquivalenceTest,
 TEST(LpPricing, TinyCandidateListStillReachesOptimum) {
   for (int seed = 1; seed <= 10; ++seed) {
     lp::Problem p = RandomBoundedLp(static_cast<uint64_t>(400 + seed), 80, 30);
-    lp::Solution full = lp::Solve(p, WithMode(lp::PricingMode::kDantzig));
+    lp::Solution full = SolveCertified(p, WithMode(lp::PricingMode::kDantzig));
     lp::SolveOptions tight = WithMode(lp::PricingMode::kPartial);
     tight.pricing.candidate_list = 2;
     tight.pricing.sweep = 8;
-    lp::Solution part = lp::Solve(p, tight);
+    lp::Solution part = SolveCertified(p, tight);
     ASSERT_EQ(full.status, part.status) << "seed " << seed;
     if (!full.ok()) continue;
     EXPECT_NEAR(full.objective, part.objective,
@@ -145,13 +136,11 @@ TEST(LpPricing, PartialPricesFewerColumnsPerIterationAtScale) {
   EXPECT_LT(part_per_iter, full_per_iter);
 }
 
-// Revised-simplex representation parity across pricing modes: one randomized
-// mutation sequence (AddColumn / AddRow / AddToRow / SetRhs interleaved with
-// warm re-solves) driven through a kPartial and a kDantzig solver in
-// lockstep. Both maintain only sparse columns + B^-1 and FTRAN entering
-// columns on demand; different search orders over that representation must
-// agree with each other AND with a one-shot lp::Solve of the accumulated
-// problem at every checkpoint.
+// Pricing parity on warm mutation sequences: one randomized mutation
+// sequence (AddColumn / AddRow / AddToRow / SetRhs interleaved with warm
+// re-solves) driven through a kPartial and a kDantzig solver in lockstep.
+// At every checkpoint both must carry a KKT certificate for the accumulated
+// problem and agree with each other AND with a one-shot solve of it.
 class LpPricingMutationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
@@ -246,7 +235,9 @@ TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
     lp::Problem p;
     for (size_t j = 0; j < hi.size(); ++j) p.AddVariable(0, hi[j], obj[j]);
     for (const ShadowRow& row : rows) p.AddRow(row.type, row.rhs, row.coeffs);
-    lp::Solution cold = lp::Solve(p);
+    EXPECT_EQ(lp::KktViolation(p, sp, &part), "") << "partial, step " << step;
+    EXPECT_EQ(lp::KktViolation(p, sf, &full), "") << "full, step " << step;
+    lp::Solution cold = SolveCertified(p, {});
     ASSERT_TRUE(cold.ok()) << "cold, step " << step;
     EXPECT_NEAR(sp.objective, cold.objective,
                 1e-6 * (1 + std::abs(cold.objective)))

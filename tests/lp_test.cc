@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "lp/lp.h"
+#include "tests/kkt.h"
 #include "util/random.h"
 
 // --- operator-new hook ------------------------------------------------------
@@ -296,8 +298,10 @@ TEST_P(LpRandom2DTest, MatchesVertexEnumeration) {
     p.AddRow(RowType::kLe, rhs, {{x, a}, {y, b}});
     ref.cs.push_back({a, b, rhs});
   }
-  Solution s = Solve(p);
+  Solver solver(p);
+  Solution s = solver.Solve();
   ASSERT_TRUE(s.ok()) << ToString(s.status);
+  EXPECT_EQ(KktViolation(p, s, &solver), "");
   EXPECT_NEAR(s.objective, ref.Optimum(), 1e-5);
   // Returned point satisfies all rows.
   for (const auto& c : ref.cs) {
@@ -338,8 +342,10 @@ TEST_P(LpRandomFeasibleTest, OptimumBeatsKnownPointAndIsFeasible) {
     rhs[i] = lhs + rng.Uniform(0, 1);  // known point strictly feasible
     p.AddRow(RowType::kLe, rhs[i], coeffs);
   }
-  Solution s = Solve(p);
+  Solver solver(p);
+  Solution s = solver.Solve();
   ASSERT_TRUE(s.ok()) << ToString(s.status);
+  EXPECT_EQ(KktViolation(p, s, &solver), "");
   double known_obj = 0;
   for (size_t j = 0; j < n; ++j) known_obj += costs[j] * known[j];
   EXPECT_LE(s.objective, known_obj + 1e-6);
@@ -383,8 +389,10 @@ TEST_P(LpRandomEqualityTest, SplitVariablesSumToOne) {
     }
     p.AddRow(RowType::kLe, rng.Uniform(2.0, 4.0), row);
   }
-  Solution s = Solve(p);
+  Solver solver(p);
+  Solution s = solver.Solve();
   ASSERT_TRUE(s.ok()) << ToString(s.status);
+  EXPECT_EQ(KktViolation(p, s, &solver), "");
   for (size_t a = 0; a < groups; ++a) {
     double sum = 0;
     for (int v : gv[a]) sum += s.values[static_cast<size_t>(v)];
@@ -563,7 +571,7 @@ TEST_P(LpWarmRhsTest, RhsAndCoefficientDeltasMatchColdSolve) {
       a[static_cast<size_t>(i)][static_cast<size_t>(j)] = rng.Uniform(0, 2);
     }
   }
-  auto cold = [&]() {
+  auto problem = [&]() {
     Problem prob;
     std::vector<int> vars(n);
     for (int j = 0; j < n; ++j) {
@@ -577,8 +585,13 @@ TEST_P(LpWarmRhsTest, RhsAndCoefficientDeltasMatchColdSolve) {
       }
       prob.AddRow(RowType::kLe, rhs[static_cast<size_t>(i)], row);
     }
-    Solution s = Solve(prob);
-    EXPECT_TRUE(s.ok()) << ToString(s.status);
+    return prob;
+  };
+  auto cold = [&]() {
+    Problem prob = problem();
+    Solver fresh(prob);
+    Solution s = fresh.Solve();
+    EXPECT_EQ(KktViolation(prob, s, &fresh), "");
     return s.objective;
   };
 
@@ -594,6 +607,7 @@ TEST_P(LpWarmRhsTest, RhsAndCoefficientDeltasMatchColdSolve) {
   }
   Solution s0 = solver.Solve();
   ASSERT_TRUE(s0.ok());
+  EXPECT_EQ(KktViolation(problem(), s0, &solver), "");
   EXPECT_NEAR(s0.objective, cold(), 1e-6);
 
   // Tighten a couple of rows and perturb a few coefficients; re-solve warm.
@@ -608,6 +622,7 @@ TEST_P(LpWarmRhsTest, RhsAndCoefficientDeltasMatchColdSolve) {
     solver.AddToRow(rows[static_cast<size_t>(i2)], j2, delta);
     Solution s = solver.Solve();
     ASSERT_TRUE(s.ok()) << ToString(s.status);
+    EXPECT_EQ(KktViolation(problem(), s, &solver), "") << "step " << step;
     EXPECT_NEAR(s.objective, cold(), 1e-6) << "step " << step;
   }
 }
@@ -868,14 +883,14 @@ TEST(LpSolver, PathologicalScalesStayConsistentWithRefactorGuardDisabled) {
   }
 }
 
-// --- revised-simplex representation parity ---------------------------------
+// --- warm mutation sequences -------------------------------------------------
 
 // Randomized interleavings of every structural-delta entry point —
 // AddColumn / AddRow / AddToRow / SetRhs — with warm re-solves. After each
-// Solve the incremental solver (sparse columns + B^-1 only) must agree with
-// a one-shot lp::Solve of the accumulated problem on the objective, and its
-// returned point must be basis-feasible: every bound and every row satisfied
-// within tolerance. Instances keep x = 0 feasible throughout (kLe rows keep
+// Solve the incremental solver must carry a KKT certificate for the
+// accumulated problem (tests/kkt.h: primal feasibility, dual signs,
+// complementary slackness) and agree with a one-shot solve of it on the
+// objective. Instances keep x = 0 feasible throughout (kLe rows keep
 // rhs >= 0, kGe rows keep rhs <= 0, lower bounds at 0) so the parity target
 // is always optimal, never infeasible, and boxes keep it bounded.
 class LpMutationSequenceTest : public ::testing::TestWithParam<int> {};
@@ -927,28 +942,14 @@ TEST_P(LpMutationSequenceTest, WarmSolverMatchesOneShotAcrossMutations) {
     Problem p;
     for (size_t j = 0; j < hi.size(); ++j) p.AddVariable(0, hi[j], obj[j]);
     for (const ShadowRow& row : rows) p.AddRow(row.type, row.rhs, row.coeffs);
-    Solution cold = Solve(p);
+    EXPECT_EQ(KktViolation(p, warm, &solver), "") << "step " << step;
+    Solver fresh(p);
+    Solution cold = fresh.Solve();
     ASSERT_TRUE(cold.ok()) << ToString(cold.status) << " step " << step;
+    EXPECT_EQ(KktViolation(p, cold, &fresh), "") << "step " << step;
     EXPECT_NEAR(warm.objective, cold.objective,
                 1e-6 * (1 + std::abs(cold.objective)))
         << "step " << step;
-    // Basis feasibility of the warm point: bounds and rows.
-    for (size_t j = 0; j < hi.size(); ++j) {
-      EXPECT_GE(warm.values[j], -1e-6) << "step " << step << " var " << j;
-      EXPECT_LE(warm.values[j], hi[j] + 1e-6) << "step " << step << " var " << j;
-    }
-    for (size_t r = 0; r < rows.size(); ++r) {
-      double lhs = 0;
-      for (const auto& [v, c] : rows[r].coeffs) {
-        lhs += c * warm.values[static_cast<size_t>(v)];
-      }
-      double t = 1e-6 * (1 + std::abs(rows[r].rhs));
-      if (rows[r].type == RowType::kLe) {
-        EXPECT_LE(lhs, rows[r].rhs + t) << "step " << step << " row " << r;
-      } else {
-        EXPECT_GE(lhs, rows[r].rhs - t) << "step " << step << " row " << r;
-      }
-    }
   };
 
   for (int j = 0; j < 4; ++j) add_column();
@@ -993,6 +994,48 @@ TEST_P(LpMutationSequenceTest, WarmSolverMatchesOneShotAcrossMutations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpMutationSequenceTest, ::testing::Range(1, 21));
+
+// The certificate must be able to fail: min x0 + 2 x1 s.t. x0 + x1 >= 1,
+// x in [0, 4] has the unique optimum x = (1, 0) with row dual 1 and x1's
+// reduced cost 1. Each perturbation of the returned point or duals below
+// breaks one KKT condition.
+TEST(LpKkt, CertificateRejectsPerturbedValuesAndDuals) {
+  Problem p;
+  p.AddVariable(0, 4, 1.0);
+  p.AddVariable(0, 4, 2.0);
+  p.AddRow(RowType::kGe, 1.0, {{0, 1.0}, {1, 1.0}});
+  Solver solver(p);
+  Solution s = solver.Solve();
+  ASSERT_TRUE(s.ok());
+  std::vector<double> y = solver.RowDuals();
+  ASSERT_EQ(y.size(), 1u);
+  EXPECT_NEAR(y[0], 1.0, 1e-9);
+  ASSERT_EQ(KktViolation(p, s.values, y), "");
+
+  std::vector<double> x = s.values;
+  x[0] -= 0.1;  // row violated
+  EXPECT_NE(KktViolation(p, x, y).find("primal"), std::string::npos);
+  x = s.values;
+  x[0] -= 0.1;  // still feasible and tight, but x1 leaves its bound while
+  x[1] += 0.1;  // its reduced cost is 1
+  EXPECT_NE(KktViolation(p, x, y).find("reduced cost"), std::string::npos);
+  std::vector<double> yp = {-0.5};  // a >= row cannot carry a negative dual
+  EXPECT_NE(KktViolation(p, s.values, yp).find("dual"), std::string::npos);
+  yp = {1.5};  // interior x0 would need a zero reduced cost
+  EXPECT_NE(KktViolation(p, s.values, yp).find("reduced cost"),
+            std::string::npos);
+
+  // Complementary slackness: with rhs 0 the row is slack at the optimum
+  // x = 0, so any nonzero dual on it is rejected.
+  Problem slack;
+  slack.AddVariable(0, 4, 1.0);
+  slack.AddRow(RowType::kLe, 3.0, {{0, 1.0}});
+  Solver slack_solver(slack);
+  Solution z = slack_solver.Solve();
+  ASSERT_EQ(KktViolation(slack, z, &slack_solver), "");
+  EXPECT_NE(KktViolation(slack, z.values, {-0.5}).find("slackness"),
+            std::string::npos);
+}
 
 // The simplex inner loop must not allocate: FTRAN result, ratio-test scratch
 // and the pricing candidate list are all reused member buffers. After one

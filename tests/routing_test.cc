@@ -474,6 +474,33 @@ TEST(IterativeLp, IncrementalMatchesColdInMinMaxMode) {
   EXPECT_NEAR(warm.max_level, cold.max_level, 1e-6);
 }
 
+// lp_rounds counts the rounds the growth loop actually solved. A loop that
+// runs into the max_rounds cap used to report one round more than it ran,
+// and read fractions for the paths its last round grew but never solved.
+TEST(IterativeLp, LpRoundsCountsSolvesAtTheRoundCap) {
+  Graph g = TriDiamond();
+  std::vector<Aggregate> aggs{MakeAgg(0, 3, 12), MakeAgg(3, 0, 9),
+                              MakeAgg(1, 2, 4)};
+  IterativeOptions opts;
+  KspCache uncapped_cache(&g);
+  RoutingOutcome uncapped = IterativeLpRoute(g, aggs, &uncapped_cache, opts);
+  ASSERT_GT(uncapped.lp_rounds, 3);  // the fixture grows past both caps
+  for (int cap : {1, 3}) {
+    opts.max_rounds = cap;
+    KspCache cache(&g);
+    RoutingOutcome out = IterativeLpRoute(g, aggs, &cache, opts);
+    EXPECT_EQ(out.lp_rounds, cap);
+    EXPECT_EQ(out.lp_failures, 0);
+    // The last round grew paths it never solved; the placement must come
+    // from the solved ones only, each aggregate fully routed.
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      double routed = 0;
+      for (const PathAllocation& pa : out.allocations[a]) routed += pa.fraction;
+      EXPECT_NEAR(routed, 1.0, 1e-6) << "cap " << cap << " aggregate " << a;
+    }
+  }
+}
+
 // Re-entering through an LpReuseContext (the controller's headroom rounds)
 // with scaled demands must give the same answer as a cold call with those
 // demands, while keeping the grown path sets.

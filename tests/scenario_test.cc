@@ -4,11 +4,15 @@
 //    that stale paths are never handed to the LP;
 //  - LdrController as a persistent epoch loop (warm re-entry, delta hooks);
 //  - ScenarioEngine determinism (thread-count-independent, bitwise),
-//    warm-vs-cold epoch parity, and a failure/recovery integration run.
+//    warm-vs-cold epoch parity, a failure/recovery integration run, and
+//    commutativity of grouped events that land in the same epoch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "graph/ksp.h"
 #include "graph/shortest_path.h"
@@ -91,7 +95,7 @@ TEST(KspInvalidation, LinkDownEvictsExactlyCrossingPairs) {
   ASSERT_EQ(cache.size(), 2u);
 
   g.SetLinkDown(0, true);  // A->B fails
-  size_t evicted = cache.InvalidateLink(0);
+  size_t evicted = cache.InvalidateLinks({0});  // a one-member group
   EXPECT_EQ(evicted, 1u);  // exactly the (A,B) generator
   EXPECT_EQ(cache.size(), 1u);
   // The untouched pair keeps its warm generator object.
@@ -147,7 +151,7 @@ TEST(KspInvalidation, CandidateQueueCrossingEvictsTheGenerator) {
   g.SetLinkDown(e_to_b, true);
   // No *produced* (A,B) path crosses e->b, but the queued A-E-B candidate
   // does: the candidate scan must evict the generator anyway.
-  EXPECT_EQ(cache.InvalidateLink(e_to_b), 1u);
+  EXPECT_EQ(cache.InvalidateLinks({e_to_b}), 1u);
   EXPECT_EQ(cache.Get(2, 3), unrelated);  // survivor kept
   KspGenerator* fresh = cache.Get(0, 1);
   EXPECT_NE(fresh->GetId(2), kInvalidPathId);  // masked space: 3 paths...
@@ -193,10 +197,11 @@ TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
   // Fail A->B and B->A. Under warm restarts (the default) the LP is
   // repaired in place and the epoch re-enters warm via the dual simplex;
   // under LDR_LP_WARM=cold it rebuilds cold. Either way it must never hand
-  // a path crossing the failed links to the LP.
+  // a path crossing the failed links to the LP. Each direction is its own
+  // one-member event.
   for (LinkId l : {LinkId{0}, LinkId{1}}) {
     g.SetLinkDown(l, true);
-    controller.OnLinkDown(l);
+    controller.OnLinksDown({l});
   }
   EXPECT_GT(controller.ksp_evictions(), 0u);
   LdrControllerResult r3 = controller.RunEpoch(aggs, segment);
@@ -628,6 +633,128 @@ TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
   EXPECT_EQ(rd.dual_repair_epochs, WarmRestartOn() ? 2u : 0u);
   EXPECT_EQ(rb.dual_repair_epochs, 0u);
   EXPECT_TRUE(PlacementParity(rd, rb));
+}
+
+// A ring A-B-C-D-E-F with chords A-D, B-E, C-F: every pair keeps a route
+// through any one of the correlated outages below. Cable k's forward link
+// id is 2k: A-B=0, B-C=2, C-D=4, D-E=6, E-F=8, F-A=10, A-D=12, B-E=14,
+// C-F=16.
+Topology CommuteNet() {
+  Topology t;
+  t.name = "commute-net";
+  std::vector<NodeId> n;
+  const double lat[] = {10, 10, 20, 30, 30, 20};
+  const double lon[] = {10, 20, 25, 20, 10, 5};
+  for (int i = 0; i < 6; ++i) {
+    n.push_back(t.AddPop(std::string(1, static_cast<char>('A' + i)), lat[i],
+                         lon[i]));
+  }
+  for (int i = 0; i < 6; ++i) {
+    t.AddCable(n[static_cast<size_t>(i)], n[static_cast<size_t>((i + 1) % 6)],
+               40, 1.0 + 0.25 * i);
+  }
+  for (int i = 0; i < 3; ++i) {
+    t.AddCable(n[static_cast<size_t>(i)], n[static_cast<size_t>(i + 3)], 40,
+               2.5);
+  }
+  return t;
+}
+
+// Grouped events commute (after Bansal, Koskinen and Tripp's commutativity
+// conditions): correlated down events due in the same epoch — an SRLG cut,
+// a node failure and a maintenance drain whose groups overlap pairwise —
+// applied in every order give the same link masks, the same redundant and
+// dropped counts, and bitwise-identical placements every epoch; so do
+// their restores, which all land in one later epoch. Every permutation of
+// the event list is run, under the LDR controller and a scheme driver.
+// Fault injection is off: a dropped notification picks "the n-th event",
+// which is order-dependent by construction.
+TEST(ScenarioEngine, SameEpochGroupedEventsCommute) {
+  Topology t = CommuteNet();
+  Scenario base;
+  base.name = "commute";
+  base.epochs = 9;
+  // No aggregate starts or ends at C, the node that fails.
+  base.aggregates = {MakeAgg(0, 3, 12.0), MakeAgg(3, 0, 9.0),
+                     MakeAgg(1, 3, 15.0), MakeAgg(3, 5, 6.0),
+                     MakeAgg(5, 1, 9.0), MakeAgg(4, 0, 6.0)};
+  base.series_100ms =
+      ConstantScenarioTraffic(base.aggregates, base.epochs, base.epoch_sec);
+  // Down at epoch 3, up at epoch 6, for all three groups:
+  //   SRLG {A-B, B-C}        links 0,1,2,3
+  //   node C                 links 2,3,4,5,16,17  (shares B-C with the SRLG)
+  //   maintenance on C-D     links 4,5            (shares C-D with node C)
+  int srlg = base.AddSrlg("ab-bc-conduit", {0, 2});
+  base.AddSrlgOutage(srlg, 3, 6);
+  base.AddNodeOutage(2, 3, 6);
+  ScenarioEvent mw;
+  mw.type = ScenarioEvent::Type::kMaintenance;
+  mw.epoch = 4;  // drains at 3, restores at 4 + 2 = 6
+  mw.link = 4;
+  mw.duration_epochs = 2;
+  base.events.push_back(mw);
+
+  struct Run {
+    std::vector<char> mask_after_down;  // per link, after epoch 3
+    std::vector<char> mask_at_end;
+    size_t redundant = 0;
+    size_t dropped = 0;
+    std::vector<uint64_t> hashes;
+  };
+  auto run = [&](const std::vector<size_t>& order, const char* scheme) {
+    Scenario s = base;
+    s.events.clear();
+    for (size_t i : order) s.events.push_back(base.events[i]);
+    ScenarioEngineOptions opts;
+    opts.scheme_id = scheme;
+    Run out;
+    Scenario head = s;
+    head.epochs = 4;  // stop right after the down epoch
+    ScenarioEngine head_engine(t, head, opts);
+    head_engine.Run();
+    ScenarioEngine engine(t, s, opts);
+    ScenarioReport report = engine.Run();
+    for (size_t l = 0; l < t.graph.LinkCount(); ++l) {
+      LinkId id = static_cast<LinkId>(l);
+      out.mask_after_down.push_back(head_engine.graph().IsLinkDown(id));
+      out.mask_at_end.push_back(engine.graph().IsLinkDown(id));
+    }
+    out.redundant = report.redundant_events;
+    out.dropped = report.dropped_events;
+    for (const ScenarioEpochReport& er : report.epochs) {
+      EXPECT_TRUE(er.placement_valid) << "epoch " << er.epoch;
+      out.hashes.push_back(er.allocation_hash);
+    }
+    return out;
+  };
+
+  for (const char* scheme : {"", "SP"}) {
+    std::vector<size_t> order(base.events.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    const Run reference = run(order, scheme);
+    // The fixture exercises what it claims: the down epoch masks the three
+    // groups' union (8 of 12 members), the overlaps are reported redundant
+    // (B-C and C-D, both directions, on the way down and up), and the
+    // restores bring everything back.
+    EXPECT_EQ(std::count(reference.mask_after_down.begin(),
+                         reference.mask_after_down.end(), 1),
+              8);
+    EXPECT_EQ(std::count(reference.mask_at_end.begin(),
+                         reference.mask_at_end.end(), 1),
+              0);
+    EXPECT_EQ(reference.redundant, 8u);
+    size_t permutations = 0;
+    while (std::next_permutation(order.begin(), order.end())) {
+      ++permutations;
+      Run r = run(order, scheme);
+      EXPECT_EQ(r.mask_after_down, reference.mask_after_down) << scheme;
+      EXPECT_EQ(r.mask_at_end, reference.mask_at_end) << scheme;
+      EXPECT_EQ(r.redundant, reference.redundant) << scheme;
+      EXPECT_EQ(r.dropped, reference.dropped) << scheme;
+      EXPECT_EQ(r.hashes, reference.hashes) << scheme;
+    }
+    EXPECT_EQ(permutations, 119u);  // 5! orders of the five events
+  }
 }
 
 TEST(ScenarioEngine, SchemeDriversSurviveFailures) {

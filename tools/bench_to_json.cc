@@ -8,7 +8,7 @@
 //             slow corpus-wide sections (iterative_loop, thread_scaling,
 //             path_store, lp_pricing's corpus slice) skipped and emitted as
 //             zeros with "smoke": true at the top. All correctness markers —
-//             lp_pricing/lp_revised objective_parity, lp_lu basis_parity,
+//             lp_pricing/lp_revised objective_parity, lp_lu kkt_certificate,
 //             scenario placement_parity, degradation recovery_parity — are
 //             still computed for real, so a perf refactor that breaks parity
 //             fails CI even in smoke mode.
@@ -26,31 +26,24 @@
 //                     corpus produced (each an owning deep-copied Path before
 //                     the arena), unique_paths how many distinct paths were
 //                     actually stored; hit rate = 1 - unique/refs
-//   lp_revised        revised-simplex win tracking (PR 5, rebaselined PR 7):
-//                     per-pivot cost and resident solver memory on the
-//                     lp_resolve_large warm round and the shape_partial cold
-//                     solve. The baseline is no longer a frozen constant: the
-//                     same experiments re-run under the kDenseInverse basis
-//                     knob in the same process, so dense_ms/dense_per_pivot
-//                     are measured on this container at emit time.
-//                     basis_bytes is the sparse L/U + update file the solver
-//                     actually keeps (explicit m×m B^-1 for the dense run);
-//                     dense_tableau_bytes is what the PR 4 working tableau
-//                     held for the same LP ((n+m)·m doubles).
+//   lp_revised        revised-simplex tracking: per-pivot cost and resident
+//                     solver memory on the lp_resolve_large warm round and
+//                     the shape_partial cold solve. basis_bytes is the
+//                     sparse L/U + update file the solver actually keeps;
+//                     dense_tableau_bytes is what a working tableau would
+//                     hold for the same LP ((n+m)·m doubles).
 //                     objective_parity re-checks each warm/incremental solve
 //                     against a cold one-shot rebuild.
-//   lp_lu             the PR 7 basis-size sweep: routing-shaped LPs generated
-//                     at increasing link counts, each solved cold under both
-//                     basis representations. Per point: wall-clock, pivots,
-//                     per-pivot ms and resident basis bytes for dense-inverse
-//                     vs sparse LU, plus the LU factor telemetry (lu_nnz,
-//                     fill_ratio, eta_count, refactorizations). The point of
-//                     the sweep is that the LU per-pivot cost and bytes grow
-//                     sub-quadratically in m while the dense inverse does not
-//                     — the asymptotic win is measured, not asserted.
-//                     basis_parity (gated by ci.sh --bench-smoke) requires
-//                     both representations to reach the same objective at
-//                     every sweep point.
+//   lp_lu             the basis-size sweep: routing-shaped LPs generated at
+//                     increasing link counts, each solved cold. Per point:
+//                     wall-clock, pivots, per-pivot ms and resident basis
+//                     bytes, plus the LU factor telemetry (lu_nnz,
+//                     fill_ratio, eta_count, refactorizations) — how the
+//                     per-pivot cost and bytes grow with m is measured, not
+//                     asserted. kkt_certificate (gated by ci.sh
+//                     --bench-smoke) requires every solve of the sweep to
+//                     carry a KKT optimality certificate from the
+//                     independent checker in tests/kkt.h.
 //   lp_pricing        full-Dantzig vs partial (candidate-list) pricing A/B:
 //                     routing-shaped LPs solved cold both ways, plus the
 //                     Fig. 13 loop over a warm-cache corpus slice, recording
@@ -114,6 +107,7 @@
 #include "sim/corpus_runner.h"
 #include "sim/scenario_engine.h"
 #include "sim/workload.h"
+#include "tests/kkt.h"
 #include "topology/generators.h"
 #include "util/random.h"
 
@@ -337,8 +331,8 @@ struct RevisedStats {
   long iters = 0;             // summed simplex iterations
   long pivots = 0;            // summed basis-changing pivots
   long ftran_nnz = 0;         // summed FTRAN input nonzeros
-  size_t basis_bytes = 0;     // resident B^-1 bytes (last measured solver)
-  size_t dense_tableau_bytes = 0;  // (n+m)·m doubles the PR 4 tableau held
+  size_t basis_bytes = 0;     // resident L/U + file bytes (last solver)
+  size_t dense_tableau_bytes = 0;  // (n+m)·m doubles a working tableau holds
   bool objective_parity = true;
   double per_pivot_ms() const {
     return pivots > 0 ? total_ms / static_cast<double>(pivots) : 0;
@@ -347,17 +341,12 @@ struct RevisedStats {
 
 // The lp_resolve_large experiment (one Fig. 13 growth round re-solved warm),
 // instrumented: pivots, FTRAN volume, and the resident factorization bytes.
-// `basis` selects the representation — the dense-inverse run of the same
-// experiment is the section's measured baseline.
-RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
-                                 lp::BasisMode basis) {
+RevisedStats BenchRevisedResolve(int aggregates, int links, int reps) {
   RevisedStats out;
-  lp::SolveOptions so;
-  so.basis.mode = basis;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(7 + static_cast<uint64_t>(r),
                                              aggregates, links);
-    bench::WarmLp warm = bench::BuildSolverBase(spec, so);
+    bench::WarmLp warm = bench::BuildSolverBase(spec);
     lp::Solution s0 = warm.solver.Solve();
     if (!s0.ok()) {
       out.objective_parity = false;  // a failed solve must not drop out
@@ -380,7 +369,7 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
     size_t m = warm.solver.RowCount();
     out.dense_tableau_bytes = (n + m) * m * sizeof(double);
     lp::Solution sc =
-        lp::Solve(bench::BuildProblem(spec, /*with_growth=*/true), so);
+        lp::Solve(bench::BuildProblem(spec, /*with_growth=*/true));
     if (!sc.ok() || std::abs(sw.objective - sc.objective) >
                         1e-5 * (1 + std::abs(sc.objective))) {
       out.objective_parity = false;
@@ -391,17 +380,14 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps,
 
 // The shape_partial experiment (cold routing-shaped LP, partial pricing),
 // instrumented the same way.
-RevisedStats BenchRevisedShapes(int aggregates, int links, int reps,
-                                lp::BasisMode basis) {
+RevisedStats BenchRevisedShapes(int aggregates, int links, int reps) {
   RevisedStats out;
-  lp::SolveOptions so;
-  so.basis.mode = basis;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(21 + static_cast<uint64_t>(r),
                                              aggregates, links);
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
     double t0 = NowMs();
-    lp::Solution s = lp::Solve(p, so);
+    lp::Solution s = lp::Solve(p);
     out.total_ms += NowMs() - t0;
     if (!s.ok()) {
       out.objective_parity = false;
@@ -421,24 +407,21 @@ RevisedStats BenchRevisedShapes(int aggregates, int links, int reps,
 
 // --- lp_lu ------------------------------------------------------------------
 
-// One sweep point: the same generated routing-shaped LP solved cold under
-// both basis representations.
+// One sweep point: generated routing-shaped LPs of one size, solved cold,
+// each optimum checked against the KKT certificate.
 struct LuSweepPoint {
   int groups = 0;
   int links = 0;
   size_t rows = 0;  // m of the solved LP
-  double dense_ms = 0, lu_ms = 0;
-  long dense_pivots = 0, lu_pivots = 0;
-  size_t dense_basis_bytes = 0, lu_basis_bytes = 0;
+  double lu_ms = 0;
+  long lu_pivots = 0;
+  size_t lu_basis_bytes = 0;
   long lu_nnz = 0;
   double fill_ratio = 0;
   int eta_count = 0;
   int refactorizations = 0;
   int pivot_recoveries = 0;
-  bool parity = false;
-  double dense_per_pivot_ms() const {
-    return dense_pivots > 0 ? dense_ms / static_cast<double>(dense_pivots) : 0;
-  }
+  bool kkt_certificate = true;
   double lu_per_pivot_ms() const {
     return lu_pivots > 0 ? lu_ms / static_cast<double>(lu_pivots) : 0;
   }
@@ -448,40 +431,28 @@ LuSweepPoint BenchLuSweepPoint(int groups, int links, int reps) {
   LuSweepPoint out;
   out.groups = groups;
   out.links = links;
-  std::vector<double> dense_times, lu_times;
-  out.parity = true;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(401 + static_cast<uint64_t>(r),
                                              groups, links);
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
     out.rows = p.RowCount();
 
-    lp::SolveOptions dense_so;
-    dense_so.basis.mode = lp::BasisMode::kDenseInverse;
     double t0 = NowMs();
-    lp::Solution sd = lp::Solve(p, dense_so);
-    dense_times.push_back(NowMs() - t0);
+    lp::Solver solver(p);
+    lp::Solution sl = solver.Solve();
+    // Wall-clock is summed over reps, like the pivot counts, so the
+    // per-pivot quotients stay comparable across points with different rep
+    // counts.
+    out.lu_ms += NowMs() - t0;
 
-    lp::SolveOptions lu_so;
-    lu_so.basis.mode = lp::BasisMode::kSparseLU;
-    t0 = NowMs();
-    lp::Solution sl = lp::Solve(p, lu_so);
-    lu_times.push_back(NowMs() - t0);
-
-    if (!sd.ok() || !sl.ok() ||
-        std::abs(sd.objective - sl.objective) >
-            1e-5 * (1 + std::abs(sd.objective))) {
-      out.parity = false;
-      std::fprintf(stderr,
-                   "bench_to_json: lp_lu parity mismatch at m=%zu "
-                   "(dense %g, lu %g)\n",
-                   out.rows, sd.ok() ? sd.objective : std::nan(""),
-                   sl.ok() ? sl.objective : std::nan(""));
+    std::string violation = lp::KktViolation(p, sl, &solver);
+    if (!violation.empty()) {
+      out.kkt_certificate = false;
+      std::fprintf(stderr, "bench_to_json: lp_lu KKT failure at m=%zu: %s\n",
+                   out.rows, violation.c_str());
       continue;
     }
-    out.dense_pivots += sd.pivots;
     out.lu_pivots += sl.pivots;
-    out.dense_basis_bytes = sd.basis_bytes;
     out.lu_basis_bytes = sl.basis_bytes;
     out.lu_nnz = sl.lu_nnz;
     out.fill_ratio = sl.fill_ratio;
@@ -489,10 +460,6 @@ LuSweepPoint BenchLuSweepPoint(int groups, int links, int reps) {
     out.refactorizations = sl.refactorizations;
     out.pivot_recoveries += sl.pivot_recoveries;
   }
-  // Wall-clock is summed over reps, like the pivot counts, so the per-pivot
-  // quotients stay comparable across points with different rep counts.
-  for (double t : dense_times) out.dense_ms += t;
-  for (double t : lu_times) out.lu_ms += t;
   return out;
 }
 
@@ -861,20 +828,10 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "bench_to_json: lp_revised...\n");
-  RevisedStats revised_resolve =
-      BenchRevisedResolve(150, 75, smoke ? 1 : 3, lp::BasisMode::kSparseLU);
-  RevisedStats revised_shapes =
-      BenchRevisedShapes(120, 60, smoke ? 2 : 5, lp::BasisMode::kSparseLU);
-  // The measured self-baseline: identical experiments under the dense-inverse
-  // knob, in this process, replacing the frozen PR 4 constants.
-  RevisedStats revised_resolve_dense = BenchRevisedResolve(
-      150, 75, smoke ? 1 : 3, lp::BasisMode::kDenseInverse);
-  RevisedStats revised_shapes_dense = BenchRevisedShapes(
-      120, 60, smoke ? 2 : 5, lp::BasisMode::kDenseInverse);
+  RevisedStats revised_resolve = BenchRevisedResolve(150, 75, smoke ? 1 : 3);
+  RevisedStats revised_shapes = BenchRevisedShapes(120, 60, smoke ? 2 : 5);
   bool revised_parity =
-      revised_resolve.objective_parity && revised_shapes.objective_parity &&
-      revised_resolve_dense.objective_parity &&
-      revised_shapes_dense.objective_parity;
+      revised_resolve.objective_parity && revised_shapes.objective_parity;
   if (!revised_parity) {
     std::fprintf(stderr, "bench_to_json: lp_revised objective mismatch\n");
   }
@@ -885,8 +842,8 @@ int main(int argc, char** argv) {
   lu_sweep.push_back(BenchLuSweepPoint(100, 50, smoke ? 1 : 3));
   lu_sweep.push_back(BenchLuSweepPoint(200, 100, smoke ? 1 : 2));
   lu_sweep.push_back(BenchLuSweepPoint(400, 200, 1));
-  bool basis_parity = true;
-  for (const LuSweepPoint& pt : lu_sweep) basis_parity &= pt.parity;
+  bool kkt_certificate = true;
+  for (const LuSweepPoint& pt : lu_sweep) kkt_certificate &= pt.kkt_certificate;
 
   std::fprintf(stderr, "bench_to_json: lp_pricing...\n");
   PricingRun shape_full =
@@ -1000,34 +957,19 @@ int main(int argc, char** argv) {
                scenario.placement_parity ? "true" : "false",
                static_cast<unsigned long long>(scenario.ksp_evictions),
                single_core ? ", \"invalid_single_core\": true" : "");
-  // The baseline is the dense-inverse run of the same experiment, measured
-  // in this process — not a frozen constant from a previous PR's container.
-  auto emit_revised = [&](const char* name, const RevisedStats& rs,
-                          const RevisedStats& dense) {
+  auto emit_revised = [&](const char* name, const RevisedStats& rs) {
     double per_solve = rs.reps > 0 ? rs.total_ms / rs.reps : 0;
-    double dense_per_solve = dense.reps > 0 ? dense.total_ms / dense.reps : 0;
     std::fprintf(
         f,
         "    \"%s\": {\"ms\": %.3f, \"iterations\": %ld, \"pivots\": %ld, "
-        "\"per_pivot_ms\": %.5f, \"dense_ms\": %.3f, \"dense_per_pivot_ms\": "
-        "%.5f, \"speedup\": %.2f, \"ftran_nnz\": %ld, \"basis_bytes\": %zu, "
-        "\"dense_basis_bytes\": %zu, \"dense_tableau_bytes\": %zu, "
-        "\"memory_ratio\": %.2f, "
-        "\"time_improved\": %s, \"memory_improved\": %s},\n",
-        name, per_solve, rs.iters, rs.pivots, rs.per_pivot_ms(),
-        dense_per_solve, dense.per_pivot_ms(),
-        per_solve > 0 ? dense_per_solve / per_solve : 0, rs.ftran_nnz,
-        rs.basis_bytes, dense.basis_bytes, rs.dense_tableau_bytes,
-        rs.basis_bytes > 0
-            ? static_cast<double>(dense.basis_bytes) /
-                  static_cast<double>(rs.basis_bytes)
-            : 0,
-        per_solve < dense_per_solve ? "true" : "false",
-        rs.basis_bytes < dense.basis_bytes ? "true" : "false");
+        "\"per_pivot_ms\": %.5f, \"ftran_nnz\": %ld, \"basis_bytes\": %zu, "
+        "\"dense_tableau_bytes\": %zu},\n",
+        name, per_solve, rs.iters, rs.pivots, rs.per_pivot_ms(), rs.ftran_nnz,
+        rs.basis_bytes, rs.dense_tableau_bytes);
   };
   std::fprintf(f, "  \"lp_revised\": {\n");
-  emit_revised("lp_resolve_large", revised_resolve, revised_resolve_dense);
-  emit_revised("shape_partial", revised_shapes, revised_shapes_dense);
+  emit_revised("lp_resolve_large", revised_resolve);
+  emit_revised("shape_partial", revised_shapes);
   std::fprintf(f, "    \"objective_parity\": %s\n  },\n",
                revised_parity ? "true" : "false");
   std::fprintf(f, "  \"lp_lu\": {\n    \"sweep\": [\n");
@@ -1036,22 +978,19 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "      {\"groups\": %d, \"links\": %d, \"rows\": %zu, "
-        "\"dense_ms\": %.3f, \"lu_ms\": %.3f, "
-        "\"dense_per_pivot_ms\": %.5f, \"lu_per_pivot_ms\": %.5f, "
-        "\"dense_basis_bytes\": %zu, \"lu_basis_bytes\": %zu, "
+        "\"lu_ms\": %.3f, \"lu_per_pivot_ms\": %.5f, "
+        "\"lu_basis_bytes\": %zu, "
         "\"lu_nnz\": %ld, \"fill_ratio\": %.2f, \"eta_count\": %d, "
         "\"refactorizations\": %d, \"pivot_recoveries\": %d, "
-        "\"speedup\": %.2f, \"parity\": %s}%s\n",
-        pt.groups, pt.links, pt.rows, pt.dense_ms, pt.lu_ms,
-        pt.dense_per_pivot_ms(), pt.lu_per_pivot_ms(), pt.dense_basis_bytes,
+        "\"kkt_certificate\": %s}%s\n",
+        pt.groups, pt.links, pt.rows, pt.lu_ms, pt.lu_per_pivot_ms(),
         pt.lu_basis_bytes, pt.lu_nnz, pt.fill_ratio, pt.eta_count,
         pt.refactorizations, pt.pivot_recoveries,
-        pt.lu_ms > 0 ? pt.dense_ms / pt.lu_ms : 0,
-        pt.parity ? "true" : "false",
+        pt.kkt_certificate ? "true" : "false",
         i + 1 < lu_sweep.size() ? "," : "");
   }
-  std::fprintf(f, "    ],\n    \"basis_parity\": %s\n  },\n",
-               basis_parity ? "true" : "false");
+  std::fprintf(f, "    ],\n    \"kkt_certificate\": %s\n  },\n",
+               kkt_certificate ? "true" : "false");
   auto emit_pricing = [&](const char* name, const PricingRun& pr, bool comma) {
     std::fprintf(f,
                  "    \"%s\": {\"ms\": %.3f, \"columns_priced\": %ld, "
@@ -1151,10 +1090,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "lp_resolve    warm %.3f ms  cold %.3f ms  speedup %.1fx\n"
-      "lp_revised    resolve_large %.3f ms (dense %.3f)  shape_partial %.3f ms "
-      "(dense %.3f)  basis %zu B vs dense %zu B  parity %s\n"
-      "lp_lu         largest m=%zu  dense %.1f ms / %zu B  lu %.1f ms / %zu B  "
-      "speedup %.1fx  fill %.2f  parity %s\n"
+      "lp_revised    resolve_large %.3f ms  shape_partial %.3f ms  "
+      "basis %zu B  parity %s\n"
+      "lp_lu         largest m=%zu  lu %.1f ms / %zu B  fill %.2f  kkt %s\n"
       "iterative     warm %.3f ms  cold %.3f ms  speedup %.1fx\n"
       "threads 1->4  %.1f ms -> %.1f ms  speedup %.2fx\n"
       "path_store    %llu allocation refs -> %llu unique paths  "
@@ -1168,23 +1106,12 @@ int main(int argc, char** argv) {
       resolve_small.warm_ms, resolve_small.cold_ms, resolve_small.speedup(),
       revised_resolve.reps > 0 ? revised_resolve.total_ms / revised_resolve.reps
                                : 0.0,
-      revised_resolve_dense.reps > 0
-          ? revised_resolve_dense.total_ms / revised_resolve_dense.reps
-          : 0.0,
       revised_shapes.reps > 0 ? revised_shapes.total_ms / revised_shapes.reps
                               : 0.0,
-      revised_shapes_dense.reps > 0
-          ? revised_shapes_dense.total_ms / revised_shapes_dense.reps
-          : 0.0,
-      revised_shapes.basis_bytes, revised_shapes_dense.basis_bytes,
-      revised_parity ? "yes" : "NO",
-      lu_sweep.back().rows, lu_sweep.back().dense_ms,
-      lu_sweep.back().dense_basis_bytes, lu_sweep.back().lu_ms,
-      lu_sweep.back().lu_basis_bytes,
-      lu_sweep.back().lu_ms > 0
-          ? lu_sweep.back().dense_ms / lu_sweep.back().lu_ms
-          : 0.0,
-      lu_sweep.back().fill_ratio, basis_parity ? "yes" : "NO",
+      revised_shapes.basis_bytes, revised_parity ? "yes" : "NO",
+      lu_sweep.back().rows, lu_sweep.back().lu_ms,
+      lu_sweep.back().lu_basis_bytes, lu_sweep.back().fill_ratio,
+      kkt_certificate ? "yes" : "NO",
       loop_large.warm_ms, loop_large.cold_ms, loop_large.speedup(), t1, t4,
       t4 > 0 ? t1 / t4 : 0,
       static_cast<unsigned long long>(allocation_refs),
