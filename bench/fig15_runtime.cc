@@ -52,7 +52,7 @@ int main() {
     // Warm again with full Dantzig pricing: the LP-pricing A/B.
     {
       IterativeOptions opts;
-      opts.lp.pricing.mode = lp::PricingMode::kDantzig;
+      opts.lp.solve.pricing.mode = lp::PricingMode::kDantzig;
       RoutingOutcome out = IterativeLpRoute(t.graph, aggs, &cache, opts);
       fullprice_cdf.Add(out.solve_ms);
     }

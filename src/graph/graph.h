@@ -208,12 +208,9 @@ class Graph {
   // ReverseLink — topology evolution must not re-add a masked cable).
   bool HasLink(NodeId src, NodeId dst) const;
 
-  // Mutators used by topology evolution experiments (§8 / Fig. 20).
+  // Mutator used by topology evolution experiments (§8 / Fig. 20).
   void SetCapacity(LinkId id, double capacity_gbps) {
     links_[static_cast<size_t>(id)].capacity_gbps = capacity_gbps;
-  }
-  void SetDelay(LinkId id, double delay_ms) {
-    links_[static_cast<size_t>(id)].delay_ms = delay_ms;
   }
 
   const std::vector<Link>& links() const { return links_; }

@@ -214,16 +214,4 @@ KspGenerator* KspCache::Get(NodeId src, NodeId dst) {
   return it->second.get();
 }
 
-std::vector<Path> KShortestPaths(const Graph& g, NodeId src, NodeId dst,
-                                 size_t k, const ExclusionSet& excl) {
-  KspGenerator gen(&g, src, dst, excl);
-  std::vector<Path> out;
-  for (size_t i = 0; i < k; ++i) {
-    const Path* p = gen.Get(i);
-    if (p == nullptr) break;
-    out.push_back(*p);
-  }
-  return out;
-}
-
 }  // namespace ldr

@@ -166,10 +166,6 @@ class KspCache {
       generators_;
 };
 
-// Convenience: first k shortest simple paths (possibly fewer).
-std::vector<Path> KShortestPaths(const Graph& g, NodeId src, NodeId dst,
-                                 size_t k, const ExclusionSet& excl = {});
-
 }  // namespace ldr
 
 #endif  // LDR_GRAPH_KSP_H_

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 
 #include "util/failpoint.h"
 
@@ -84,9 +83,7 @@ void SumDuplicates(std::vector<std::pair<int, double>>* coeffs) {
 // duals, ftran_, or the factorization.
 class Solver::Impl {
  public:
-  explicit Impl(const SolveOptions& opt) : opt_(opt) {
-    warm_restart_ = ResolveWarmRestart(opt.warm_restart);
-  }
+  explicit Impl(const SolveOptions& opt) : opt_(opt) {}
 
   int AddVariable(double lo, double hi, double obj) {
     return AddColumn(lo, hi, obj, {});
@@ -322,7 +319,7 @@ class Solver::Impl {
 
     // Reject inconsistent bounds up-front.
     for (size_t j = 0; j < n_; ++j) {
-      if (lo_[j] > hi_[j] + opt_.tol) {
+      if (lo_[j] > hi_[j] + kTol) {
         sol.status = Status::kInfeasible;
         return sol;
       }
@@ -386,7 +383,7 @@ class Solver::Impl {
     // (dual feasibility lost, numerical breakdown, stall) falls through to
     // the primal phase-1 loop below, whose Bland path is the anti-cycling
     // authority.
-    if (warm_restart_ && ever_optimal_ && HasInfeasibleBasic()) {
+    if (opt_.warm_restart && ever_optimal_ && HasInfeasibleBasic()) {
       // Fault site: the warm basis reports dual feasibility lost, forcing
       // the primal phase-1 fallback path without constructing a genuinely
       // dual-infeasible basis.
@@ -509,8 +506,13 @@ class Solver::Impl {
   }
 
  private:
+  // Primal/dual feasibility and optimality tolerance.
+  static constexpr double kTol = 1e-7;
   static constexpr int kBlandThreshold = 60;
   static constexpr long kMinAutoRefactorInterval = 256;
+  // Update-file entry cap floor: the file is folded into a fresh
+  // factorization once it holds max(this, 8 * nnz(L+U)) entries.
+  static constexpr long kMinFileEntries = 1024;
   static constexpr double kMinPivot = 1e-12;
   // Ratio-test tie handling: the most any basic variable may be pushed past
   // its bound (in value, not step length) to let a larger pivot win a tie.
@@ -738,7 +740,7 @@ class Solver::Impl {
   bool BasicViolated(size_t row) const {
     int b = basis_[row];
     double lo = LoOf(b), hi = HiOf(b);
-    double t = opt_.tol * (1.0 + std::abs(xb_[row]));
+    double t = kTol * (1.0 + std::abs(xb_[row]));
     return xb_[row] < lo - t || xb_[row] > hi + t;
   }
 
@@ -758,7 +760,7 @@ class Solver::Impl {
     for (size_t i = 0; i < m_; ++i) {
       int b = basis_[i];
       double lo = LoOf(b), hi = HiOf(b);
-      double t = opt_.tol * (1.0 + std::abs(xb_[i]));
+      double t = kTol * (1.0 + std::abs(xb_[i]));
       double v = 0.0;
       if (xb_[i] < lo - t) {
         v = lo - xb_[i];
@@ -799,7 +801,7 @@ class Solver::Impl {
       int ref = RefAt(p);
       if (BasicRowOf(ref) >= 0) continue;
       double d = ReducedCost(/*phase1=*/false, ref);
-      if (EnteringScore(ref, d) > opt_.tol) return false;
+      if (EnteringScore(ref, d) > kTol) return false;
     }
     return true;
   }
@@ -933,7 +935,7 @@ class Solver::Impl {
         int ref = RefAt(p);
         if (IsBasic(ref)) continue;
         double d = ReducedCost(phase1, ref);
-        if (EnteringScore(ref, d) > opt_.tol) {
+        if (EnteringScore(ref, d) > kTol) {
           *entering = ref;
           *d_enter = d;
           return true;
@@ -943,7 +945,7 @@ class Solver::Impl {
     }
     if (opt_.pricing.mode == PricingMode::kDantzig) {
       bool found = false;
-      double best = opt_.tol;
+      double best = kTol;
       for (size_t p = 0; p < total; ++p) {
         int ref = RefAt(p);
         if (IsBasic(ref)) continue;
@@ -961,13 +963,13 @@ class Solver::Impl {
 
     // Partial pricing. 1: re-price the surviving candidates.
     bool found = false;
-    double best = opt_.tol;
+    double best = kTol;
     size_t w = 0;
     for (int ref : cand_) {
       if (IsBasic(ref)) continue;  // entered the basis since; drop
       double d = ReducedCost(phase1, ref);
       double score = EnteringScore(ref, d);
-      if (score <= opt_.tol) continue;  // no longer improving; drop
+      if (score <= kTol) continue;  // no longer improving; drop
       cand_[w++] = ref;
       if (score > best) {
         best = score;
@@ -993,7 +995,7 @@ class Solver::Impl {
         if (IsBasic(ref)) continue;
         double d = ReducedCost(phase1, ref);
         double score = EnteringScore(ref, d);
-        if (score > opt_.tol) fresh_.push_back({score, ref, d});
+        if (score > kTol) fresh_.push_back({score, ref, d});
       }
       scanned += chunk;
       if (!fresh_.empty()) break;
@@ -1031,6 +1033,70 @@ class Solver::Impl {
     return true;
   }
 
+  // Shared head of Step and DualStep, run between pivots. Deadline check:
+  // the basis is untouched, so reporting kStuck here (mapped to kDeadline by
+  // SolveImpl via deadline_hit_) leaves the solver consistent and
+  // warm-resumable. Update-file bound: once the file outgrows its op/entry
+  // caps, fold it into a fresh factorization before pivoting further — this
+  // is what keeps both replay cost and resident memory bounded over a long
+  // solve. refactor_interval < 0 disables it along with the drift guard
+  // (the file then grows with the pivot count but stays exact). Returns the
+  // step's result when it ends here; otherwise counts the iteration.
+  std::optional<StepResult> BeforePivot() {
+    if (DeadlineExceeded()) {
+      deadline_hit_ = true;
+      return StepResult::kStuck;
+    }
+    if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
+      return Refactored();
+    }
+    ++iter_;
+    return std::nullopt;
+  }
+
+  // Re-establishes the factorization from the exact sparse columns; the
+  // caller re-prices against it (kRecovered) unless the recorded basis
+  // stays singular (kStuck).
+  StepResult Refactored() {
+    factor_valid_ = false;
+    Refactorize();
+    return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+  }
+
+  // A pivot the numerics refused (non-finite FTRAN, numerically zero pivot
+  // element): counted, then recovered by refactorization instead of
+  // poisoning the basis.
+  StepResult RecoverPivot() {
+    ++pivot_recoveries_;
+    return Refactored();
+  }
+
+  // False when the FTRAN-ed column in ftran_ holds a non-finite entry.
+  bool FtranFinite() const {
+    for (size_t i = 0; i < m_; ++i) {
+      if (!std::isfinite(ftran_[i])) return false;
+    }
+    return true;
+  }
+
+  // Basis swap after a pivot on row r: the variable basic there leaves to
+  // `leave_bound` (resting at its lower bound when that is the one it hit,
+  // or when it is fixed), and `entering` becomes basic in row r at
+  // `entering_value`.
+  void SwapBasis(size_t r, int entering, double entering_value,
+                 double leave_bound) {
+    int leaving = basis_[r];
+    StateOf(leaving) = (leave_bound == LoOf(leaving)) ? VarState::kAtLower
+                                                      : VarState::kAtUpper;
+    if (LoOf(leaving) == HiOf(leaving)) StateOf(leaving) = VarState::kAtLower;
+    if (leaving >= 0) value_[static_cast<size_t>(leaving)] = leave_bound;
+    BasicRowOf(leaving) = -1;
+    xb_[r] = entering_value;
+    basis_[r] = entering;
+    StateOf(entering) = VarState::kBasic;
+    BasicRowOf(entering) = static_cast<int>(r);
+  }
+
   // Product-form pivot on row r with the FTRAN-ed entering column held in
   // ftran_ (Forrest–Tomlin style): append one eta op holding the column's
   // nonzeros. O(nnz(ftran_)) — nothing else in the factorization moves; the
@@ -1061,24 +1127,7 @@ class Solver::Impl {
 
   StepResult Step(int entering, double d_enter, bool phase1,
                   int* degenerate_run) {
-    // Deadline check between pivots: the basis is untouched, so reporting
-    // kStuck here (mapped to kDeadline by SolveImpl via deadline_hit_)
-    // leaves the solver consistent and warm-resumable.
-    if (DeadlineExceeded()) {
-      deadline_hit_ = true;
-      return StepResult::kStuck;
-    }
-    // Update-file bound: once the file outgrows its op/entry caps, fold
-    // it into a fresh factorization before pivoting further — this is what
-    // keeps both replay cost and resident memory bounded over a long solve.
-    // refactor_interval < 0 disables it along with the drift guard (the
-    // file then grows with the pivot count but stays exact).
-    if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
-    }
-    ++iter_;
+    if (std::optional<StepResult> early = BeforePivot()) return *early;
     VarState est = StateOf(entering);
     double dir;
     switch (est) {
@@ -1112,14 +1161,7 @@ class Solver::Impl {
     // it into xb_. Re-establish the factorization from the exact sparse
     // columns and let the caller re-price — the same recovery path as a
     // numerically-zero pivot.
-    for (size_t i = 0; i < m_; ++i) {
-      if (!std::isfinite(ftran_[i])) {
-        ++pivot_recoveries_;
-        factor_valid_ = false;
-        Refactorize();
-        return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
-      }
-    }
+    if (!FtranFinite()) return RecoverPivot();
     const double* ecol = ftran_.data();
     double elo = LoOf(entering), ehi = HiOf(entering);
 
@@ -1234,10 +1276,7 @@ class Solver::Impl {
       // by. Refactorize from the exact sparse columns and let the caller
       // re-price against the fresh factorization instead of poisoning the
       // basis.
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
+      return RecoverPivot();
     }
 
     if (t_max <= 1e-12) {
@@ -1267,24 +1306,9 @@ class Solver::Impl {
     // Pivot: entering becomes basic in leave_row; leaving variable goes to
     // the bound it hit.
     size_t r = static_cast<size_t>(leave_row);
-    int leaving = basis_[r];
-    if (!RawPivot(r)) {
-      // Unreachable given the pre-check above, but never corrupt state.
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
-    }
-
-    StateOf(leaving) = (leave_bound == LoOf(leaving)) ? VarState::kAtLower
-                                                      : VarState::kAtUpper;
-    if (LoOf(leaving) == HiOf(leaving)) StateOf(leaving) = VarState::kAtLower;
-    if (leaving >= 0) value_[static_cast<size_t>(leaving)] = leave_bound;
-    BasicRowOf(leaving) = -1;
-    xb_[r] = new_q_value;
-    basis_[r] = entering;
-    StateOf(entering) = VarState::kBasic;
-    BasicRowOf(entering) = static_cast<int>(r);
+    // Unreachable given the pre-check above, but never corrupt state.
+    if (!RawPivot(r)) return RecoverPivot();
+    SwapBasis(r, entering, new_q_value, leave_bound);
 
     // Dual maintenance: a pivot at row r with entering reduced cost d shifts
     // the duals by d * (row r of the *new* B^-1) — for y1 the blocking row's
@@ -1324,20 +1348,7 @@ class Solver::Impl {
   // bound. Dual feasibility of the basis is the caller's invariant; any
   // kStuck/kRecovered exit leaves the primal phase-1 loop as the authority.
   StepResult DualStep(size_t r) {
-    // Deadline check between pivots, mirroring Step: the basis is
-    // untouched, so the solver stays consistent and warm-resumable.
-    if (DeadlineExceeded()) {
-      deadline_hit_ = true;
-      return StepResult::kStuck;
-    }
-    // Update-file bound, as in Step: fold an outgrown file into a fresh
-    // factorization before pivoting further.
-    if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
-    }
-    ++iter_;
+    if (std::optional<StepResult> early = BeforePivot()) return *early;
     int leaving = basis_[r];
     double blo = LoOf(leaving), bhi = HiOf(leaving);
     bool below = xb_[r] < blo;
@@ -1439,22 +1450,10 @@ class Solver::Impl {
     int e = enter->ref;
     double d_e = enter->d;
     Ftran(e);
-    for (size_t i = 0; i < m_; ++i) {
-      if (!std::isfinite(ftran_[i])) {
-        // Poisoned B^-1 — same recovery path as Step.
-        ++pivot_recoveries_;
-        factor_valid_ = false;
-        Refactorize();
-        return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
-      }
-    }
+    // Poisoned B^-1 or a numerically zero pivot: same recovery as Step.
+    if (!FtranFinite()) return RecoverPivot();
     double apiv = ftran_[r];
-    if (!(std::abs(apiv) > kMinPivot)) {
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
-    }
+    if (!(std::abs(apiv) > kMinPivot)) return RecoverPivot();
     // The entering variable moves by `move` from its resting value so that
     // xb_[r] lands exactly on the violated bound.
     double move = (xb_[r] - leave_bound) / apiv;
@@ -1464,20 +1463,8 @@ class Solver::Impl {
       if (a == 0) continue;
       xb_[i] -= a * move;
     }
-    if (!RawPivot(r)) {
-      ++pivot_recoveries_;
-      factor_valid_ = false;
-      Refactorize();
-      return refactor_singular_ ? StepResult::kStuck : StepResult::kRecovered;
-    }
-    StateOf(leaving) = below ? VarState::kAtLower : VarState::kAtUpper;
-    if (LoOf(leaving) == HiOf(leaving)) StateOf(leaving) = VarState::kAtLower;
-    if (leaving >= 0) value_[static_cast<size_t>(leaving)] = leave_bound;
-    BasicRowOf(leaving) = -1;
-    xb_[r] = new_e_value;
-    basis_[r] = e;
-    StateOf(e) = VarState::kBasic;
-    BasicRowOf(e) = static_cast<int>(r);
+    if (!RawPivot(r)) return RecoverPivot();
+    SwapBasis(r, e, new_e_value, leave_bound);
     ++dual_pivots_;
 
     // Same per-pivot dual maintenance as Step: the entering reduced cost
@@ -1496,9 +1483,7 @@ class Solver::Impl {
     long ops_cap = opt_.basis.max_file_ops > 0
                        ? opt_.basis.max_file_ops
                        : std::max<long>(64, static_cast<long>(m_) / 2);
-    long ent_cap = opt_.basis.max_file_entries > 0
-                       ? opt_.basis.max_file_entries
-                       : std::max<long>(1024, 8 * lu_nnz_);
+    long ent_cap = std::max<long>(kMinFileEntries, 8 * lu_nnz_);
     return static_cast<long>(file_.size()) >= ops_cap ||
            static_cast<long>(file_ent_.size()) >= ent_cap;
   }
@@ -1931,11 +1916,10 @@ class Solver::Impl {
   int bound_flips_ = 0;
   bool warm_restart_used_ = false;
 
-  // Warm-restart state: warm_restart_ is the env-resolved SolveOptions
-  // knob; ever_optimal_ records that a previous SolveImpl reached kOptimal,
-  // which is what makes the current basis a candidate dual-feasible warm
-  // start (a cold first solve always takes the primal path).
-  bool warm_restart_ = false;
+  // Warm-restart state: ever_optimal_ records that a previous SolveImpl
+  // reached kOptimal, which is what makes the current basis a candidate
+  // dual-feasible warm start (a cold first solve always takes the primal
+  // path).
   bool ever_optimal_ = false;
 
   // Scratch buffers reused across iterations — the simplex inner loop
@@ -2060,19 +2044,6 @@ std::vector<double> Solver::RowDuals() { return impl_->RowDuals(); }
 Solution Solve(const Problem& problem, const SolveOptions& options) {
   Solver solver(problem, options);
   return solver.Solve();
-}
-
-// LDR_LP_WARM=cold|warm overrides the configured warm-restart mode — the CI
-// hook that runs the whole suite against the cold-rebuild baseline without a
-// rebuild. Shared by the solver's dual-entry gate
-// and the routing layer's keep-vs-drop decision on topology events.
-bool ResolveWarmRestart(bool configured) {
-  const char* e = std::getenv("LDR_LP_WARM");
-  if (e != nullptr) {
-    if (std::strcmp(e, "cold") == 0) return false;
-    if (std::strcmp(e, "warm") == 0) return true;
-  }
-  return configured;
 }
 
 }  // namespace ldr::lp

@@ -126,15 +126,13 @@ struct PricingOptions {
 
 // Update-file bounds (see the storage contract above): mid-solve
 // refactorization triggers, both disabled along with the drift guard when
-// refactor_interval < 0. 0 means automatic: max(64, rows / 2) ops /
-// max(1024, 8 * nnz(L+U)) entries.
+// refactor_interval < 0. The op cap's 0 means automatic: max(64, rows / 2);
+// the entry cap is always max(1024, 8 * nnz(L+U)).
 struct BasisOptions {
   int max_file_ops = 0;
-  long max_file_entries = 0;
 };
 
 struct SolveOptions {
-  double tol = 1e-7;
   // 0 means automatic: 200 + 40 * (rows + variables).
   int max_iters = 0;
   PricingOptions pricing;
@@ -163,9 +161,7 @@ struct SolveOptions {
   // instead of paying primal phase 1 + phase 2. Dual feasibility is
   // verified before entry (one pricing sweep) and the solver falls back to
   // the primal path — with its Bland anti-cycling guard — the moment the
-  // dual loop loses feasibility or progress. The `LDR_LP_WARM` environment
-  // variable ("cold" / "warm"), when set, overrides this flag (the
-  // cold-rebuild A/B hook).
+  // dual loop loses feasibility or progress.
   bool warm_restart = false;
 };
 
@@ -314,13 +310,6 @@ class Solver {
 };
 
 Solution Solve(const Problem& problem, const SolveOptions& options = {});
-
-// Effective warm-restart mode: the `LDR_LP_WARM` environment variable
-// ("cold" disables, "warm" enables), when set, overrides `configured`.
-// Shared by the solver and by the routing layer's keep-vs-drop decision on
-// topology deltas, so one env knob flips the whole stack to the
-// cold-rebuild A/B baseline.
-bool ResolveWarmRestart(bool configured);
 
 }  // namespace ldr::lp
 

@@ -7,15 +7,6 @@
 
 namespace ldr {
 
-std::vector<double> PredictDemands(
-    const std::vector<std::vector<double>>& history_100ms,
-    const LdrControllerOptions& opts) {
-  // One-shot = the persistent step on fresh predictors; one implementation,
-  // so the wrapper's bit-for-bit equivalence cannot drift.
-  std::vector<MeanRatePredictor> fresh;
-  return AdvancePredictors(&fresh, history_100ms, opts);
-}
-
 std::vector<double> AdvancePredictors(
     std::vector<MeanRatePredictor>* predictors,
     const std::vector<std::vector<double>>& segment_100ms,
@@ -43,12 +34,11 @@ LdrController::LdrController(const Graph* graph, KspCache* cache,
 // dropped on a topology delta — it is marked dirty and repaired in place on
 // the next epoch (dead-path variables fixed to zero, capacity rows
 // re-synced), with the solver re-entering via dual simplex off the
-// still-dual-feasible basis. LDR_LP_WARM=cold (or warm_restart=false in the
-// routing options) restores the drop-and-rebuild behavior as the A/B
-// baseline. KSP-cache handling is unchanged in both modes.
+// still-dual-feasible basis. warm_restart=false in the routing LP's solver
+// options restores the drop-and-rebuild behavior as the A/B baseline.
+// KSP-cache handling is unchanged in both modes.
 void LdrController::MarkLpStale() {
-  if (lp::ResolveWarmRestart(opts_.routing.lp.warm_restart) &&
-      reuse_.lp != nullptr) {
+  if (opts_.routing.lp.solve.warm_restart && reuse_.lp != nullptr) {
     reuse_.lp->MarkTopologyDirty();
   } else {
     DropWarmState();
@@ -260,8 +250,8 @@ LdrControllerResult RunLdrController(
     const LdrControllerOptions& opts) {
   // One-epoch wrapper: a fresh controller fed the entire history as a
   // single segment reproduces the original one-shot behavior exactly (the
-  // fresh predictors see the same per-minute means PredictDemands computes,
-  // and the LP context starts cold).
+  // fresh predictors see every per-minute mean of the history, and the LP
+  // context starts cold).
   LdrController controller(&g, cache, opts);
   return controller.RunEpoch(aggregates, history_100ms);
 }

@@ -54,7 +54,7 @@ struct LdrControllerResult {
   double solve_ms_total = 0;
   // True when this epoch re-entered the previous epoch's live LP with
   // demand deltas instead of rebuilding it (always false for the one-epoch
-  // RunLdrController wrapper; under LDR_LP_WARM=cold also false for the
+  // RunLdrController wrapper; with warm_restart off also false for the
   // first epoch after a topology delta).
   bool warm_epoch = false;
   // True when this epoch's warm re-entry repaired the live LP in place
@@ -67,18 +67,11 @@ struct LdrControllerResult {
   FallbackRung fallback = FallbackRung::kNone;
 };
 
-// Algorithm 1 demand prediction for every aggregate: per-minute means of
-// the measured series replayed through a MeanRatePredictor. Exposed so
-// callers replaying many controller epochs can hoist it.
-std::vector<double> PredictDemands(
-    const std::vector<std::vector<double>>& history_100ms,
-    const LdrControllerOptions& opts);
-
-// The persistent form of the same step: feeds one epoch's measured segment
-// into long-lived per-aggregate predictors (resetting them if the aggregate
-// count changed) and returns the demand estimates. Shared by
-// LdrController::RunEpoch and the scenario engine's baseline drivers, so
-// every driver in a scenario sees identical demand inputs.
+// Algorithm 1 demand prediction: feeds one epoch's measured segment (its
+// per-minute means) into long-lived per-aggregate predictors (resetting
+// them if the aggregate count changed) and returns the demand estimates.
+// Shared by LdrController::RunEpoch and the scenario engine's baseline
+// drivers, so every driver in a scenario sees identical demand inputs.
 std::vector<double> AdvancePredictors(
     std::vector<MeanRatePredictor>* predictors,
     const std::vector<std::vector<double>>& segment_100ms,
@@ -91,8 +84,8 @@ std::vector<double> AdvancePredictors(
 // engine owns one of these and threads topology deltas through the
 // OnLinksDown / OnLinksUp / OnCapacityChange hooks, which invalidate exactly
 // as much of that state as the delta requires (PR 9: under warm restarts —
-// the default; LDR_LP_WARM=cold is the A/B baseline — the LP is marked
-// dirty and repaired in place instead of dropped):
+// the default; routing.lp.solve.warm_restart = false is the A/B baseline —
+// the LP is marked dirty and repaired in place instead of dropped):
 //
 //   demand change      nothing — RunEpoch pushes demand deltas warm
 //   capacity change    LP marked dirty (capacity-row coefficients re-synced

@@ -11,6 +11,20 @@ namespace ldr {
 
 namespace {
 
+// Fig. 12's weights: M1, the RTT-aware tie-break, is small so it only
+// breaks ties between placements of equal total delay; M2 makes congestion
+// avoidance dominate every delay term.
+constexpr double kM1 = 1e-3;
+constexpr double kM2 = 1e6;
+// Fig. 13 loop constants: the cap on each aggregate's grown path list; the
+// MinMax stopping rule (keep growing until omax fails to improve by
+// kImproveEps for kPatience consecutive rounds); and the overload tolerance
+// deciding "the traffic fits".
+constexpr size_t kMaxPathsPerAggregate = 24;
+constexpr double kImproveEps = 1e-6;
+constexpr int kPatience = 2;
+constexpr double kFitEps = 1e-4;
+
 double NowMs() {
   using namespace std::chrono;
   return duration_cast<duration<double, std::milli>>(
@@ -26,15 +40,6 @@ double ClassWeight(const std::vector<double>& class_weights,
   if (class_weights.empty()) return 1.0;
   size_t c = static_cast<size_t>(std::max(0, traffic_class));
   return class_weights[std::min(c, class_weights.size() - 1)];
-}
-
-lp::SolveOptions SolverOptionsFor(const RoutingLpOptions& opts) {
-  lp::SolveOptions so;
-  so.pricing = opts.pricing;
-  so.max_iters = opts.max_iters;
-  so.deadline_ms = opts.deadline_ms;
-  so.warm_restart = opts.warm_restart;
-  return so;
 }
 
 }  // namespace
@@ -55,7 +60,7 @@ IncrementalRoutingLp::IncrementalRoutingLp(
       g_(&store.graph()),
       opts_(opts),
       aggs_(aggregates),
-      solver_(SolverOptionsFor(opts)) {
+      solver_(opts.solve) {
   cap_scale_ = 1.0 - opts_.headroom;
   size_t num_links = g_->LinkCount();
   npaths_.assign(aggs_.size(), 0);
@@ -153,8 +158,8 @@ RoutingLpResult IncrementalRoutingLp::Solve(
     }
     if (weight_denom_ <= 0) weight_denom_ = 1;
     omax_var_ = opts_.minmax
-                    ? solver_.AddVariable(0, lp::kInfinity, opts_.m2)  // U
-                    : solver_.AddVariable(1, lp::kInfinity, opts_.m2);  // Omax
+                    ? solver_.AddVariable(0, lp::kInfinity, kM2)  // U
+                    : solver_.AddVariable(1, lp::kInfinity, kM2);  // Omax
     init_ = true;
   }
 
@@ -186,7 +191,7 @@ RoutingLpResult IncrementalRoutingLp::Solve(
       size_t first_new = prev >= 2 ? prev : 0;
       for (size_t pi = first_new; pi < cnt; ++pi) {
         double dp = store_->DelayMs(paths[a][pi]);
-        double coeff = Weight(a) * dp * (1.0 + opts_.m1 / s_a);
+        double coeff = Weight(a) * dp * (1.0 + kM1 / s_a);
         std::vector<std::pair<int, double>> col_coeffs;
         for (LinkId l : store_->Links(paths[a][pi])) {
           size_t li = static_cast<size_t>(l);
@@ -231,8 +236,7 @@ RoutingLpResult IncrementalRoutingLp::Solve(
   result.warm_restart = sol.warm_restart;
   if (!sol.ok()) {
     // kIterLimit/kDeadline carry no usable values — never extract fractions
-    // from them; callers walk the fallback ladder on !solved.
-    result.solved = false;
+    // from them; callers walk the fallback ladder on !ok().
     return result;
   }
 
@@ -273,7 +277,6 @@ RoutingLpResult IncrementalRoutingLp::Solve(
     result.link_level[l] = level;
     result.omax = std::max(result.omax, level);
   }
-  result.solved = true;
   return result;
 }
 
@@ -470,7 +473,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   std::vector<std::vector<PathId>> best_paths;
   double best_delay = lp::kInfinity;
   double best_minmax_omax = lp::kInfinity;
-  int patience_left = opts.patience;
+  int patience_left = kPatience;
   // After the first feasible LDR solution, a couple of extra rounds grow
   // path sets across *saturated* links too: the Fig. 13 stop-at-feasible
   // rule can miss placements that move one aggregate slightly to free a
@@ -489,7 +492,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     ++outcome.lp_rounds;
     res = ilp->Solve(paths);
     accumulate(res);
-    if (!res.solved) {
+    if (!res.ok()) {
       ++outcome.lp_failures;
       // Degradation ladder, rung 1: most in-place solve failures are
       // factorization drift. Force an exact refactorization of the live
@@ -497,7 +500,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
       ilp->ForceRefactorize();
       RoutingLpResult retry = ilp->Solve(paths);
       accumulate(retry);
-      if (retry.solved) {
+      if (retry.ok()) {
         res = retry;
         outcome.fallback =
             std::max(outcome.fallback, FallbackRung::kRetryRefactor);
@@ -505,14 +508,14 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
         ++outcome.lp_failures;
       }
     }
-    if (!res.solved) {
+    if (!res.ok()) {
       // Rung 2: rebuild the LP cold — fresh solver, exact columns, same
       // grown path sets — and install it so later rounds (and the next
       // epoch) run against the healthy instance.
       auto rebuilt = build();
       RoutingLpResult cold = rebuilt->Solve(paths);
       accumulate(cold);
-      if (cold.solved) {
+      if (cold.ok()) {
         res = cold;
         outcome.fallback =
             std::max(outcome.fallback, FallbackRung::kColdRebuild);
@@ -521,10 +524,10 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
         ++outcome.lp_failures;
       }
     }
-    if (!res.solved) break;
+    if (!res.ok()) break;
 
     bool feasible_now =
-        !opts.lp.minmax && res.omax <= 1.0 + opts.fit_eps;
+        !opts.lp.minmax && res.omax <= 1.0 + kFitEps;
     if (feasible_now) {
       double d = weighted_delay(res, paths);
       if (d < best_delay - 1e-9) {
@@ -538,9 +541,9 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     if (!opts.lp.minmax) {
       if (feasible_now && polish_left-- <= 0) break;
     } else {
-      if (res.omax < best_minmax_omax - opts.improve_eps) {
+      if (res.omax < best_minmax_omax - kImproveEps) {
         best_minmax_omax = res.omax;
-        patience_left = opts.patience;
+        patience_left = kPatience;
       } else {
         if (--patience_left <= 0) break;
       }
@@ -559,7 +562,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     }
     if (!any_hot) break;
     size_t grown = GrowPathSets(store, aggregates, res.fractions, hot, cache,
-                                opts.max_paths_per_aggregate, &paths);
+                                kMaxPathsPerAggregate, &paths);
     if (grown == 0) break;  // exhausted: congestion unavoidable
     if (!opts.incremental) install(build());
   }
@@ -567,7 +570,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   // Persist the grown (pre-restore) path sets for the next warm re-entry;
   // a failed solve poisons the solver state, so drop it instead.
   if (reuse != nullptr) {
-    if (res.solved) {
+    if (res.ok()) {
       reuse->paths = paths;
     } else {
       reuse->lp.reset();
@@ -581,7 +584,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     paths = best_paths;
   }
 
-  if (res.solved) {
+  if (res.ok()) {
     // A loop stopped by the round cap right after growing has paths the
     // last solve never saw; growth is append-only, so the solved ones are
     // the leading res.fractions[a].size() entries.
@@ -596,7 +599,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     // Same acceptance threshold in both LP modes: omax is max utilization
     // under minmax and max overload under LDR, and 1 + fit_eps is the fit
     // boundary for either scale.
-    outcome.feasible = res.omax <= 1.0 + opts.fit_eps;
+    outcome.feasible = res.omax <= 1.0 + kFitEps;
   } else {
     // Degradation ladder, rung 4 (emergency): every aggregate rides its
     // shortest path. max_level reports the *actual* load of that placement

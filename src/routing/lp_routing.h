@@ -34,45 +34,33 @@
 namespace ldr {
 
 struct RoutingLpOptions {
+  RoutingLpOptions() { solve.warm_restart = true; }
+
   // Fraction of every link's capacity reserved (the §4 headroom dial).
   double headroom = 0.0;
   // MinMax mode: minimize max utilization first, delay as tie-break.
   bool minmax = false;
-  // The RTT-aware tie-break weight (Fig. 12's M1). Small so it only breaks
-  // ties between placements of equal total delay.
-  double m1 = 1e-3;
-  // Congestion-avoidance dominance weight (Fig. 12's M2).
-  double m2 = 1e6;
   // §8 differentiated classes: multiplier applied to the delay weight of
   // aggregates in each traffic class (class c uses class_weights[c], or the
   // last entry when c is out of range). With {10, 1}, class-0 traffic wins
   // contended short paths over class-1 traffic. Empty = all classes equal.
   std::vector<double> class_weights;
-  // Entering-variable pricing policy handed to the underlying lp::Solver
-  // (partial candidate-list pricing by default; kDantzig full sweeps are the
-  // A/B baseline the benches compare against).
-  lp::PricingOptions pricing;
-  // Per-solve budgets forwarded to lp::SolveOptions — the controller's
-  // epoch decision guard. max_iters 0 keeps the solver's automatic cap;
-  // deadline_ms is a wall-clock budget per LP solve (negative disables,
-  // 0 returns lp::Status::kDeadline promptly). A budget-exhausted solve
-  // comes back !solved and the caller walks the fallback ladder.
-  int max_iters = 0;
-  double deadline_ms = -1;
-  // Warm restarts across topology events (forwarded to
-  // lp::SolveOptions::warm_restart): the controller keeps the incremental LP
+  // Options of the underlying lp::Solver: pricing policy, per-solve budgets
+  // (max_iters, deadline_ms — the controller's epoch decision guard; a
+  // budget-exhausted solve comes back !ok() and the caller walks the
+  // fallback ladder) and warm restarts across topology events. The routing
+  // default turns warm_restart on: the controller keeps the incremental LP
   // alive through LinkDown/LinkUp/CapacityScale, repairs it in place, and
   // the solver re-enters via dual simplex when the warm basis is
-  // primal-infeasible-but-dual-feasible. Default on at the routing layer;
-  // LDR_LP_WARM=cold is the env A/B override (see lp::ResolveWarmRestart).
-  bool warm_restart = true;
+  // primal-infeasible-but-dual-feasible. Off, topology events drop the LP
+  // for a cold rebuild (the baseline arm).
+  lp::SolveOptions solve;
 };
 
 // Result of one LP solve over explicit path sets.
 struct RoutingLpResult {
-  bool solved = false;
-  // The lp::Solver verdict behind `solved` — kIterLimit/kDeadline must
-  // never be consumed as optimal; `solved` is true only for kOptimal.
+  // The lp::Solver verdict — kIterLimit/kDeadline must never be consumed
+  // as optimal; fractions and levels are filled only when ok().
   lp::Status status = lp::Status::kIterLimit;
   // fractions[a][p] for the paths passed in; aggregates with one path get
   // the implicit fraction 1.
@@ -108,6 +96,8 @@ struct RoutingLpResult {
   int dual_pivots = 0;
   int bound_flips = 0;
   bool warm_restart = false;
+
+  bool ok() const { return status == lp::Status::kOptimal; }
 };
 
 // The Fig. 12 LP builder: keeps one lp::Solver alive across Fig. 13 rounds.
@@ -191,17 +181,10 @@ struct LpReuseContext {
 struct IterativeOptions {
   RoutingLpOptions lp;
   int max_rounds = 40;
-  size_t max_paths_per_aggregate = 24;
   // Paths seeded per aggregate before the first solve (MinMaxK10 uses 10).
   size_t initial_paths = 1;
   // Disable growth for fixed-path-set schemes (MinMaxK10).
   bool grow = true;
-  // MinMax mode keeps growing until omax fails to improve by this for
-  // `patience` consecutive rounds.
-  double improve_eps = 1e-6;
-  int patience = 2;
-  // Overload tolerance deciding "the traffic fits".
-  double fit_eps = 1e-4;
   // Keep one warm-started IncrementalRoutingLp across rounds (default);
   // false builds a fresh one every round (and never re-enters a reuse
   // context warm) — the cold baseline the micro_iterative bench and the

@@ -269,14 +269,17 @@ bool ScenarioEngine::EventValid(const ScenarioEvent& ev) const {
   // ScenarioEvent or an unguarded ReverseLink() miss would otherwise index
   // the mask array at SIZE_MAX), or a grouped event whose expansion yields
   // no links at all (an out-of-range SRLG index, an SRLG of only bogus
-  // member ids, an isolated or unknown node).
+  // member ids, an isolated or unknown node), or a surge / capacity factor
+  // that is not a finite positive number (a zero-capacity link never counts
+  // as congested, so a 0 factor would hide load instead of modelling it).
   if (ev.epoch < 0 || ev.epoch >= scenario_.epochs) return false;
+  const bool factor_ok = std::isfinite(ev.factor) && ev.factor > 0;
   switch (ev.type) {
     case ScenarioEvent::Type::kDemandSurge:
       // A surge must actually surge something: positive window, and a
       // target that is either the documented -1 ("every aggregate") or a
       // real index.
-      return ev.duration_epochs > 0 && ev.aggregate >= -1 &&
+      return factor_ok && ev.duration_epochs > 0 && ev.aggregate >= -1 &&
              (ev.aggregate < 0 ||
               static_cast<size_t>(ev.aggregate) < scenario_.aggregates.size());
     case ScenarioEvent::Type::kSrlgDown:
@@ -293,9 +296,11 @@ bool ScenarioEngine::EventValid(const ScenarioEvent& ev) const {
       // The window must have extent; the drain epoch clamps to 0 on its own.
       return ev.duration_epochs > 0 && ev.link >= 0 &&
              static_cast<size_t>(ev.link) < graph_.LinkCount();
+    case ScenarioEvent::Type::kCapacityScale:
+      return factor_ok && ev.link >= 0 &&
+             static_cast<size_t>(ev.link) < graph_.LinkCount();
     case ScenarioEvent::Type::kLinkDown:
     case ScenarioEvent::Type::kLinkUp:
-    case ScenarioEvent::Type::kCapacityScale:
       return ev.link >= 0 &&
              static_cast<size_t>(ev.link) < graph_.LinkCount();
   }

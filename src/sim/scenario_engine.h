@@ -232,7 +232,7 @@ struct ScenarioReport {
   std::vector<ScenarioEventReport> events;
   // Warm / dual-repaired / cold epoch split. Cold = LP rebuilt from
   // scratch: the first epoch, the canonicalization epoch after a repair,
-  // and (under LDR_LP_WARM=cold) every epoch after a topology delta — or
+  // and (with warm_restart off) every epoch after a topology delta — or
   // all epochs when incremental is off. Dual-repaired = the LP was fixed in
   // place after a topology event (PR 9).
   size_t warm_epochs = 0;
@@ -252,7 +252,8 @@ struct ScenarioReport {
   // Scenario-input validation (PR 6): events skipped as redundant (LinkDown
   // on an already-masked link / LinkUp on a link that is up), dropped by
   // the scenario.drop_event failpoint, or rejected by EventValid (bad link
-  // id, epoch outside the timeline, non-positive surge factor).
+  // id, epoch outside the timeline, non-finite or non-positive surge or
+  // capacity factor).
   size_t redundant_events = 0;
   size_t dropped_events = 0;
   size_t invalid_events = 0;

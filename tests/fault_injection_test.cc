@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -266,7 +267,7 @@ TEST_F(FaultInjectionTest, ControllerZeroDeadlineWalksLadderPromptly) {
   Topology t = FailoverNet();
   KspCache cache(&t.graph);
   LdrControllerOptions opts;
-  opts.routing.lp.deadline_ms = 0;  // every LP solve returns kDeadline
+  opts.routing.lp.solve.deadline_ms = 0;  // every LP solve returns kDeadline
   LdrController controller(&t.graph, &cache, opts);
 
   std::vector<Aggregate> aggs = SmallAggregates();
@@ -455,16 +456,31 @@ TEST_F(FaultInjectionTest, ScenarioEngineCountsInvalidAndRedundantEvents) {
   surge.epoch = 1;
   surge.duration_epochs = 0;           // invalid: surges nothing
   s.events.push_back(surge);
+  // Invalid: a surge or capacity factor that is not a finite positive
+  // number (a zero-capacity link would never count as congested).
+  surge.duration_epochs = 2;
+  ScenarioEvent scale;
+  scale.type = ScenarioEvent::Type::kCapacityScale;
+  scale.epoch = 4;
+  scale.link = 0;
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    surge.factor = bad;
+    s.events.push_back(surge);
+    scale.factor = bad;
+    s.events.push_back(scale);
+  }
 
   ScenarioEngine engine(t, s);
   ScenarioReport report = engine.Run();
 
-  EXPECT_EQ(report.invalid_events, 3u);
+  EXPECT_EQ(report.invalid_events, 9u);
   EXPECT_EQ(report.redundant_events, 2u);
   EXPECT_EQ(report.dropped_events, 0u);
-  // The rejected events changed nothing: the flap applied cleanly and the
-  // run ends with the link restored.
+  // The rejected events changed nothing: the flap applied cleanly, the run
+  // ends with the link restored, and its capacity is untouched.
   EXPECT_FALSE(engine.graph().IsLinkDown(0));
+  EXPECT_EQ(engine.graph().link(0).capacity_gbps,
+            t.graph.link(0).capacity_gbps);
   // No fault windows -> no ladder activity, every placement valid.
   for (const auto& er : report.epochs) {
     EXPECT_FALSE(er.fault_epoch);
@@ -580,10 +596,10 @@ TEST_F(FaultInjectionTest, FaultWindowDegradesThenReconverges) {
 // lost and must fall back to primal phase 1 *inside* the solver — invisible
 // to the degradation ladder (the repair still succeeds), every placement
 // valid, and the run reconverging bitwise with the fault-free one outside
-// the per-event canonicalization windows.
+// the per-event canonicalization windows. Runs under both warm_restart
+// settings: with it off, events drop the LP and rebuild cold, so the site
+// is never reached.
 TEST_F(FaultInjectionTest, DualInfeasibleFallbackCampaign) {
-  const char* env = std::getenv("LDR_LP_WARM");
-  const bool warm = env == nullptr || std::string(env) != "cold";
   Topology t = FailoverNet();
   Scenario s;
   s.name = "dual-loss";
@@ -599,39 +615,43 @@ TEST_F(FaultInjectionTest, DualInfeasibleFallbackCampaign) {
   fw.until_epoch = 7;  // covers both the LinkDown and LinkUp repairs
   faulted.faults.push_back(fw);
 
-  ScenarioReport clean = ScenarioEngine(t, s).Run();
-  ScenarioReport degraded = ScenarioEngine(t, faulted).Run();
-  long hits = Failpoint::HitCount("lp.dual_infeasible");
-  EXPECT_FALSE(Failpoint::IsActive("lp.dual_infeasible"));
+  for (bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm_restart on" : "warm_restart off");
+    ScenarioEngineOptions opts;
+    opts.controller.routing.lp.solve.warm_restart = warm;
+    ScenarioReport clean = ScenarioEngine(t, s, opts).Run();
+    ScenarioReport degraded = ScenarioEngine(t, faulted, opts).Run();
+    long hits = Failpoint::HitCount("lp.dual_infeasible");
+    EXPECT_FALSE(Failpoint::IsActive("lp.dual_infeasible"));
 
-  // The site sits inside the warm-entry gate: hit exactly when repaired
-  // epochs would have entered the dual loop (never under LDR_LP_WARM=cold,
-  // where events drop the LP and rebuild cold).
-  EXPECT_EQ(hits > 0, warm);
+    // The site sits inside the warm-entry gate: hit exactly when repaired
+    // epochs would have entered the dual loop.
+    EXPECT_EQ(hits > 0, warm);
 
-  ASSERT_EQ(clean.epochs.size(), degraded.epochs.size());
-  for (const auto& er : degraded.epochs) {
-    SCOPED_TRACE(er.epoch);
-    EXPECT_TRUE(er.placement_valid);
-    // The forced fallback happens inside Solve(); the ladder never fires.
-    EXPECT_EQ(er.fallback, FallbackRung::kNone);
-  }
-  EXPECT_EQ(degraded.clean_fallback_epochs, 0u);
-  // Both runs classify the event epochs identically: the repair decision is
-  // made before the solver's internal dual-vs-primal choice.
-  for (size_t e = 0; e < clean.epochs.size(); ++e) {
-    EXPECT_EQ(degraded.epochs[e].dual_repair, clean.epochs[e].dual_repair)
-        << "epoch " << e;
-  }
-  // Bitwise parity outside the repaired epochs themselves (3 and 6): a
-  // primal-repaired epoch may land on a different optimal vertex than the
-  // dual-repaired one, but the canonicalization rebuild one epoch later
-  // realigns both runs.
-  for (size_t e = 0; e < clean.epochs.size(); ++e) {
-    if (e == 3 || e == 6) continue;
-    EXPECT_EQ(degraded.epochs[e].allocation_hash,
-              clean.epochs[e].allocation_hash)
-        << "epoch " << e;
+    ASSERT_EQ(clean.epochs.size(), degraded.epochs.size());
+    for (const auto& er : degraded.epochs) {
+      SCOPED_TRACE(er.epoch);
+      EXPECT_TRUE(er.placement_valid);
+      // The forced fallback happens inside Solve(); the ladder never fires.
+      EXPECT_EQ(er.fallback, FallbackRung::kNone);
+    }
+    EXPECT_EQ(degraded.clean_fallback_epochs, 0u);
+    // Both runs classify the event epochs identically: the repair decision
+    // is made before the solver's internal dual-vs-primal choice.
+    for (size_t e = 0; e < clean.epochs.size(); ++e) {
+      EXPECT_EQ(degraded.epochs[e].dual_repair, clean.epochs[e].dual_repair)
+          << "epoch " << e;
+    }
+    // Bitwise parity outside the repaired epochs themselves (3 and 6): a
+    // primal-repaired epoch may land on a different optimal vertex than the
+    // dual-repaired one, but the canonicalization rebuild one epoch later
+    // realigns both runs.
+    for (size_t e = 0; e < clean.epochs.size(); ++e) {
+      if (e == 3 || e == 6) continue;
+      EXPECT_EQ(degraded.epochs[e].allocation_hash,
+                clean.epochs[e].allocation_hash)
+          << "epoch " << e;
+    }
   }
 }
 

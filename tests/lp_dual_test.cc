@@ -12,15 +12,12 @@
 //    solves under both pricing modes, every optimum KKT-certified;
 //  - the lp.dual_infeasible failpoint forcing the primal fallback.
 //
-// The file honors LDR_LP_WARM exactly like the solver does: under the CI
-// cold re-registration (ctest lp_dual_test_cold_warm) every dual-entry
-// expectation flips to "stayed on the primal path" — parity assertions are
-// mode-independent and run unchanged.
+// The failpoint and parity suites run under both warm_restart settings:
+// with it off every repair must stay on the primal path, and the parity
+// assertions hold unchanged.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -32,14 +29,6 @@
 
 namespace ldr::lp {
 namespace {
-
-// Mirrors ResolveWarmRestart: the env var, when set, overrides `configured`.
-bool DualWarmEnabled(bool configured) {
-  const char* e = std::getenv("LDR_LP_WARM");
-  if (e != nullptr && std::strcmp(e, "cold") == 0) return false;
-  if (e != nullptr && std::strcmp(e, "warm") == 0) return true;
-  return configured;
-}
 
 SolveOptions WithWarm(bool warm) {
   SolveOptions so;
@@ -76,10 +65,8 @@ TEST(LpDualEntry, ConfiguredOffStaysOnThePrimalPath) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_EQ(s1.warm_restart, DualWarmEnabled(false));
-  if (!DualWarmEnabled(false)) {
-    EXPECT_EQ(s1.dual_pivots, 0);
-  }
+  EXPECT_FALSE(s1.warm_restart);
+  EXPECT_EQ(s1.dual_pivots, 0);
 }
 
 TEST(LpDualEntry, ColdFirstSolveNeverEntersDual) {
@@ -112,10 +99,8 @@ TEST(LpDualEntry, RhsRepairEntersDualAndRecoversOptimality) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_EQ(s1.warm_restart, DualWarmEnabled(true));
-  if (DualWarmEnabled(true)) {
-    EXPECT_GT(s1.dual_pivots, 0);
-  }
+  EXPECT_TRUE(s1.warm_restart);
+  EXPECT_GT(s1.dual_pivots, 0);
 }
 
 TEST(LpDualEntry, LostDualFeasibilityFallsBackToPrimal) {
@@ -168,7 +153,7 @@ TEST(LpDualRatio, SymmetricTieIsADegenerateDualStep) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_EQ(s1.warm_restart, DualWarmEnabled(true));
+  EXPECT_TRUE(s1.warm_restart);
 }
 
 TEST(LpDualRatio, ScaledTieStaysOptimalUnderBothPricingModes) {
@@ -208,32 +193,36 @@ TEST(LpDualRatio, BoundFlipTelemetryAccumulates) {
 // --- lp.dual_infeasible failpoint -------------------------------------------
 
 TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
-  TinyLp t = MakeTiny(WithWarm(true));
-  ASSERT_TRUE(t.solver.Solve().ok());
-  t.solver.SetRhs(t.row, 5.0);
-  util::Failpoint::Activate("lp.dual_infeasible");
-  Solution faulted = t.solver.Solve();
-  long hits = util::Failpoint::HitCount("lp.dual_infeasible");
-  util::Failpoint::DeactivateAll();
-  // The fault only suppresses the dual entry — the primal path must still
-  // deliver the optimum.
-  ASSERT_TRUE(faulted.ok());
-  EXPECT_NEAR(faulted.objective, 5.0, 1e-6);
-  EXPECT_FALSE(faulted.warm_restart);
-  EXPECT_EQ(faulted.dual_pivots, 0);
-  // The site sits inside the warm-entry gate: hit exactly when the dual
-  // restart would have engaged.
-  EXPECT_EQ(hits > 0, DualWarmEnabled(true));
+  for (bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm_restart on" : "warm_restart off");
+    TinyLp t = MakeTiny(WithWarm(warm));
+    ASSERT_TRUE(t.solver.Solve().ok());
+    t.solver.SetRhs(t.row, 5.0);
+    util::Failpoint::Activate("lp.dual_infeasible");
+    Solution faulted = t.solver.Solve();
+    long hits = util::Failpoint::HitCount("lp.dual_infeasible");
+    util::Failpoint::DeactivateAll();
+    // The fault only suppresses the dual entry — the primal path must still
+    // deliver the optimum.
+    ASSERT_TRUE(faulted.ok());
+    EXPECT_NEAR(faulted.objective, 5.0, 1e-6);
+    EXPECT_FALSE(faulted.warm_restart);
+    EXPECT_EQ(faulted.dual_pivots, 0);
+    // The site sits inside the warm-entry gate: hit exactly when the dual
+    // restart would have engaged.
+    EXPECT_EQ(hits > 0, warm);
 
-  // With the failpoint cleared the next repair enters dual again. Relaxing
-  // the rhs back to 2 drives the basic variable (carrying 1 of the 5) below
-  // its lower bound — an actual primal infeasibility, unlike a small rhs
-  // increase the basic variable could absorb within bounds.
-  t.solver.SetRhs(t.row, 2.0);
-  Solution clean = t.solver.Solve();
-  ASSERT_TRUE(clean.ok());
-  EXPECT_NEAR(clean.objective, 2.0, 1e-6);
-  EXPECT_EQ(clean.warm_restart, DualWarmEnabled(true));
+    // With the failpoint cleared the next repair enters dual again (when
+    // warm_restart is on). Relaxing the rhs back to 2 drives the basic
+    // variable (carrying 1 of the 5) below its lower bound — an actual
+    // primal infeasibility, unlike a small rhs increase the basic variable
+    // could absorb within bounds.
+    t.solver.SetRhs(t.row, 2.0);
+    Solution clean = t.solver.Solve();
+    ASSERT_TRUE(clean.ok());
+    EXPECT_NEAR(clean.objective, 2.0, 1e-6);
+    EXPECT_EQ(clean.warm_restart, warm);
+  }
 }
 
 // --- randomized perturbation parity -----------------------------------------
@@ -263,84 +252,88 @@ Problem Repaired(const bench::RoutingLpSpec& spec,
 // Routing-shaped LPs under randomized rhs perturbations and dead-path
 // fix/unfix cycles: after every repair the dual-restarted solver must carry
 // a KKT certificate for the accumulated state and land on the same
-// objective as a from-scratch cold solve of it — under both pricing modes.
+// objective as a from-scratch cold solve of it — under both pricing modes,
+// and with warm_restart off (every repair then runs primal phase 1).
 class LpDualPerturbParityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
   const uint64_t seed = static_cast<uint64_t>(91000 + GetParam());
-  for (PricingMode pricing : {PricingMode::kPartial, PricingMode::kDantzig}) {
-    Rng rng(seed);
-    auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
-    SolveOptions warm_so = WithWarm(true);
-    warm_so.pricing.mode = pricing;
-    bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
-    Solution s0 = warm.solver.Solve();
-    ASSERT_TRUE(s0.ok());
-    EXPECT_FALSE(s0.warm_restart);
+  for (bool warm_restart : {true, false}) {
+    for (PricingMode pricing : {PricingMode::kPartial, PricingMode::kDantzig}) {
+      SCOPED_TRACE(warm_restart ? "warm_restart on" : "warm_restart off");
+      Rng rng(seed);
+      auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
+      SolveOptions warm_so = WithWarm(warm_restart);
+      warm_so.pricing.mode = pricing;
+      bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
+      Solution s0 = warm.solver.Solve();
+      ASSERT_TRUE(s0.ok());
+      EXPECT_FALSE(s0.warm_restart);
 
-    // Cumulative mutation state, replayed into each cold reference.
-    // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
-    std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
-    std::vector<char> fixed(spec.base.size(), 0);
-    std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
-    long dual_pivots_total = 0;
+      // Cumulative mutation state, replayed into each cold reference.
+      // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
+      std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
+      std::vector<char> fixed(spec.base.size(), 0);
+      std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
+      long dual_pivots_total = 0;
 
-    for (int step = 0; step < 12; ++step) {
-      if (rng.NextIndex(2) == 0) {
-        // Capacity-style repair: move a link row's rhs.
-        size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
-        link_rhs[l] = rng.Uniform(-1.5, 1.5);
-        warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
+      for (int step = 0; step < 12; ++step) {
+        if (rng.NextIndex(2) == 0) {
+          // Capacity-style repair: move a link row's rhs.
+          size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
+          link_rhs[l] = rng.Uniform(-1.5, 1.5);
+          warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
+        } else {
+          // Dead-path repair: fix a path column to 0 (at most two of a
+          // group's three paths, so the unit-sum row stays satisfiable) or
+          // revive a previously fixed one.
+          size_t k = rng.NextIndex(spec.base.size());
+          size_t g = static_cast<size_t>(spec.base[k].group);
+          int var = 1 + static_cast<int>(k);
+          if (fixed[k] == 0 && fixed_in_group[g] < 2) {
+            warm.solver.FixVariable(var, 0.0);
+            fixed[k] = 1;
+            ++fixed_in_group[g];
+          } else if (fixed[k] != 0) {
+            warm.solver.SetBounds(var, 0.0, 1.0);
+            fixed[k] = 0;
+            --fixed_in_group[g];
+          }
+        }
+
+        Solution sw = warm.solver.Solve();
+        ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
+        Problem p = Repaired(spec, warm.link_rows, link_rhs, fixed);
+        EXPECT_EQ(KktViolation(p, sw, &warm.solver), "") << "step " << step;
+        dual_pivots_total += sw.dual_pivots;
+        if (sw.dual_pivots > 0) {
+          EXPECT_TRUE(sw.warm_restart);
+        }
+
+        bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
+        for (size_t l = 0; l < link_rhs.size(); ++l) {
+          fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
+        }
+        for (size_t k = 0; k < fixed.size(); ++k) {
+          if (fixed[k] != 0) {
+            fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
+          }
+        }
+        Solution sc = fresh.solver.Solve();
+        ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
+        EXPECT_EQ(KktViolation(p, sc, &fresh.solver), "") << "step " << step;
+        EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
+        EXPECT_NEAR(sw.objective, sc.objective,
+                    1e-6 * (1 + std::abs(sc.objective)))
+            << "step " << step;
+      }
+      if (warm_restart) {
+        // The perturbation mix reliably leaves primal-infeasible warm bases;
+        // at least one repair must have gone through the dual loop.
+        EXPECT_GT(dual_pivots_total, 0);
       } else {
-        // Dead-path repair: fix a path column to 0 (at most two of a
-        // group's three paths, so the unit-sum row stays satisfiable) or
-        // revive a previously fixed one.
-        size_t k = rng.NextIndex(spec.base.size());
-        size_t g = static_cast<size_t>(spec.base[k].group);
-        int var = 1 + static_cast<int>(k);
-        if (fixed[k] == 0 && fixed_in_group[g] < 2) {
-          warm.solver.FixVariable(var, 0.0);
-          fixed[k] = 1;
-          ++fixed_in_group[g];
-        } else if (fixed[k] != 0) {
-          warm.solver.SetBounds(var, 0.0, 1.0);
-          fixed[k] = 0;
-          --fixed_in_group[g];
-        }
+        EXPECT_EQ(dual_pivots_total, 0);
       }
-
-      Solution sw = warm.solver.Solve();
-      ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
-      Problem p = Repaired(spec, warm.link_rows, link_rhs, fixed);
-      EXPECT_EQ(KktViolation(p, sw, &warm.solver), "") << "step " << step;
-      dual_pivots_total += sw.dual_pivots;
-      if (sw.dual_pivots > 0) {
-        EXPECT_TRUE(sw.warm_restart);
-      }
-
-      bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
-      for (size_t l = 0; l < link_rhs.size(); ++l) {
-        fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
-      }
-      for (size_t k = 0; k < fixed.size(); ++k) {
-        if (fixed[k] != 0) {
-          fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
-        }
-      }
-      Solution sc = fresh.solver.Solve();
-      ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
-      EXPECT_EQ(KktViolation(p, sc, &fresh.solver), "") << "step " << step;
-      EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
-      EXPECT_NEAR(sw.objective, sc.objective,
-                  1e-6 * (1 + std::abs(sc.objective)))
-          << "step " << step;
-    }
-    if (DualWarmEnabled(true)) {
-      // The perturbation mix reliably leaves primal-infeasible warm bases;
-      // at least one repair must have gone through the dual loop.
-      EXPECT_GT(dual_pivots_total, 0);
-    } else {
-      EXPECT_EQ(dual_pivots_total, 0);
     }
   }
 }

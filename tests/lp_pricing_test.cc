@@ -267,9 +267,9 @@ TEST(LpPricing, ZooCorpusSliceParityAndFewerColumns) {
     std::vector<Aggregate> aggs = MakeScaledWorkloads(t, &cache, wopts)[0];
 
     IterativeOptions full_opts;
-    full_opts.lp.pricing.mode = lp::PricingMode::kDantzig;
+    full_opts.lp.solve.pricing.mode = lp::PricingMode::kDantzig;
     IterativeOptions part_opts;
-    part_opts.lp.pricing.mode = lp::PricingMode::kPartial;
+    part_opts.lp.solve.pricing.mode = lp::PricingMode::kPartial;
     RoutingOutcome full = IterativeLpRoute(g, aggs, &cache, full_opts);
     RoutingOutcome part = IterativeLpRoute(g, aggs, &cache, part_opts);
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -65,13 +64,12 @@ Scenario FailureScenario(const Graph& g, int epochs = 10, int down_at = 3,
   return s;
 }
 
-// Mirrors lp::ResolveWarmRestart's env override for the routing-layer
-// default (warm_restart = true): the `*_cold_warm` ctest re-registrations
-// run this binary under LDR_LP_WARM=cold, where topology events drop the
-// warm LP instead of repairing it in place.
-bool WarmRestartOn() {
-  const char* e = std::getenv("LDR_LP_WARM");
-  return e == nullptr || std::strcmp(e, "cold") != 0;
+// Engine options for one warm_restart setting. The routing default is on;
+// off, topology events drop the warm LP instead of repairing it in place.
+ScenarioEngineOptions WithWarmRestart(bool warm) {
+  ScenarioEngineOptions opts;
+  opts.controller.routing.lp.solve.warm_restart = warm;
+  return opts;
 }
 
 bool AnyAllocationCrosses(const RoutingOutcome& outcome, LinkId link) {
@@ -176,6 +174,59 @@ TEST(KspInvalidation, PopTimeGuardCoversUninvalidatedMasks) {
 }
 
 TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
+  for (bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm_restart on" : "warm_restart off");
+    Topology t = FailoverNet();
+    Graph& g = t.graph;
+    KspCache cache(&g);
+    LdrController controller(&g, &cache,
+                             WithWarmRestart(warm).controller);
+    std::vector<Aggregate> aggs{MakeAgg(0, 1, 3.0), MakeAgg(1, 0, 2.0)};
+    std::vector<std::vector<double>> segment{
+        std::vector<double>(600, 3.0), std::vector<double>(600, 2.0)};
+
+    LdrControllerResult r1 = controller.RunEpoch(aggs, segment);
+    EXPECT_FALSE(r1.warm_epoch);
+    EXPECT_TRUE(r1.multiplex_ok);
+    // Comfortable direct link: the placement uses it.
+    EXPECT_TRUE(AnyAllocationCrosses(r1.outcome, 0));
+
+    // Second epoch, no deltas: warm re-entry, same placement.
+    LdrControllerResult r2 = controller.RunEpoch(aggs, segment);
+    EXPECT_TRUE(r2.warm_epoch);
+
+    // Fail A->B and B->A. Under warm restarts the LP is repaired in place
+    // and the epoch re-enters warm via the dual simplex; without them it
+    // rebuilds cold. Either way it must never hand a path crossing the
+    // failed links to the LP. Each direction is its own one-member event.
+    for (LinkId l : {LinkId{0}, LinkId{1}}) {
+      g.SetLinkDown(l, true);
+      controller.OnLinksDown({l});
+    }
+    EXPECT_GT(controller.ksp_evictions(), 0u);
+    LdrControllerResult r3 = controller.RunEpoch(aggs, segment);
+    EXPECT_EQ(r3.warm_epoch, warm);
+    EXPECT_EQ(r3.topology_repaired, warm);
+    EXPECT_TRUE(r3.multiplex_ok);
+    EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 0));
+    EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 1));
+    // After a repaired epoch the controller canonicalizes with one cold
+    // rebuild (the parity contract); under the cold baseline the
+    // post-event epoch re-enters warm as before. One epoch later both modes
+    // are warm.
+    LdrControllerResult r4 = controller.RunEpoch(aggs, segment);
+    EXPECT_EQ(r4.warm_epoch, !warm);
+    EXPECT_FALSE(r4.topology_repaired);
+    LdrControllerResult r5 = controller.RunEpoch(aggs, segment);
+    EXPECT_TRUE(r5.warm_epoch);
+  }
+}
+
+// The warm-restart setting lives in the controller's options alone: a
+// process environment that once selected the cold baseline must not turn
+// off the default in-place repair.
+TEST(Controller, WarmRestartIgnoresTheEnvironment) {
+  setenv("LDR_LP_WARM", "cold", 1);
   Topology t = FailoverNet();
   Graph& g = t.graph;
   KspCache cache(&g);
@@ -183,41 +234,19 @@ TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
   std::vector<Aggregate> aggs{MakeAgg(0, 1, 3.0), MakeAgg(1, 0, 2.0)};
   std::vector<std::vector<double>> segment{
       std::vector<double>(600, 3.0), std::vector<double>(600, 2.0)};
-
-  LdrControllerResult r1 = controller.RunEpoch(aggs, segment);
-  EXPECT_FALSE(r1.warm_epoch);
-  EXPECT_TRUE(r1.multiplex_ok);
-  // Comfortable direct link: the placement uses it.
-  EXPECT_TRUE(AnyAllocationCrosses(r1.outcome, 0));
-
-  // Second epoch, no deltas: warm re-entry, same placement.
-  LdrControllerResult r2 = controller.RunEpoch(aggs, segment);
-  EXPECT_TRUE(r2.warm_epoch);
-
-  // Fail A->B and B->A. Under warm restarts (the default) the LP is
-  // repaired in place and the epoch re-enters warm via the dual simplex;
-  // under LDR_LP_WARM=cold it rebuilds cold. Either way it must never hand
-  // a path crossing the failed links to the LP. Each direction is its own
-  // one-member event.
-  for (LinkId l : {LinkId{0}, LinkId{1}}) {
-    g.SetLinkDown(l, true);
-    controller.OnLinksDown({l});
-  }
-  EXPECT_GT(controller.ksp_evictions(), 0u);
-  LdrControllerResult r3 = controller.RunEpoch(aggs, segment);
-  EXPECT_EQ(r3.warm_epoch, WarmRestartOn());
-  EXPECT_EQ(r3.topology_repaired, WarmRestartOn());
-  EXPECT_TRUE(r3.multiplex_ok);
-  EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 0));
-  EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 1));
-  // After a repaired epoch the controller canonicalizes with one cold
-  // rebuild (the parity contract); under the cold baseline the post-event
-  // epoch re-enters warm as before. One epoch later both modes are warm.
-  LdrControllerResult r4 = controller.RunEpoch(aggs, segment);
-  EXPECT_EQ(r4.warm_epoch, !WarmRestartOn());
-  EXPECT_FALSE(r4.topology_repaired);
-  LdrControllerResult r5 = controller.RunEpoch(aggs, segment);
-  EXPECT_TRUE(r5.warm_epoch);
+  controller.RunEpoch(aggs, segment);
+  g.SetLinksDown({0, 1}, true);
+  controller.OnLinksDown({0, 1});
+  LdrControllerResult down = controller.RunEpoch(aggs, segment);
+  controller.RunEpoch(aggs, segment);  // canonicalization rebuild
+  g.SetLinksDown({0, 1}, false);
+  controller.OnLinksUp({0, 1});
+  LdrControllerResult up = controller.RunEpoch(aggs, segment);
+  unsetenv("LDR_LP_WARM");
+  EXPECT_TRUE(down.topology_repaired);
+  EXPECT_TRUE(up.topology_repaired);
+  EXPECT_TRUE(down.multiplex_ok);
+  EXPECT_TRUE(up.multiplex_ok);
 }
 
 void ExpectReportsIdentical(const ScenarioReport& x, const ScenarioReport& y) {
@@ -300,7 +329,7 @@ TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
   Topology t = FailoverNet();
   ScenarioEngineOptions dual;
   ScenarioEngineOptions baseline;
-  baseline.controller.routing.lp.warm_restart = false;
+  baseline.controller.routing.lp.solve.warm_restart = false;
   ScenarioReport rd = ScenarioEngine(t, FailureScenario(t.graph), dual).Run();
   ScenarioReport rb =
       ScenarioEngine(t, FailureScenario(t.graph), baseline).Run();
@@ -314,9 +343,8 @@ TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
         << "epoch " << e;
   }
   // The A/B actually ran what it claims: the default engine repaired both
-  // events in place (unless LDR_LP_WARM=cold overrides it), the baseline
-  // never did.
-  EXPECT_EQ(rd.dual_repair_epochs, WarmRestartOn() ? 2u : 0u);
+  // events in place, the baseline never did.
+  EXPECT_EQ(rd.dual_repair_epochs, 2u);
   EXPECT_EQ(rb.dual_repair_epochs, 0u);
   for (const ScenarioEpochReport& er : rd.epochs) {
     EXPECT_TRUE(er.multiplex_ok) << "epoch " << er.epoch;
@@ -326,58 +354,61 @@ TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
 TEST(ScenarioEngine, FailureRecoveryTimeline) {
   Topology t = FailoverNet();
   Scenario s = FailureScenario(t.graph, /*epochs=*/10, /*down_at=*/3, /*up_at=*/6);
-  ScenarioEngine engine(t, s);
-  ScenarioReport report = engine.Run();
-  ASSERT_EQ(report.epochs.size(), 10u);
+  for (bool wr : {true, false}) {
+    SCOPED_TRACE(wr ? "warm_restart on" : "warm_restart off");
+    ScenarioEngine engine(t, s, WithWarmRestart(wr));
+    ScenarioReport report = engine.Run();
+    ASSERT_EQ(report.epochs.size(), 10u);
 
-  // Epoch 0 cold. Under warm restarts the event epochs (3, 6) are
-  // dual-repaired and the canonicalization epochs after them (4, 7) rebuild
-  // cold; under LDR_LP_WARM=cold the event epochs are the only other cold
-  // ones. Everything else re-enters warm.
-  const bool wr = WarmRestartOn();
-  for (const ScenarioEpochReport& er : report.epochs) {
-    bool expect_repair = wr && (er.epoch == 3 || er.epoch == 6);
-    bool expect_warm = er.epoch != 0 && er.epoch != 3 && er.epoch != 6 &&
-                       !(wr && (er.epoch == 4 || er.epoch == 7));
-    EXPECT_EQ(er.warm, expect_warm) << "epoch " << er.epoch;
-    EXPECT_EQ(er.dual_repair, expect_repair) << "epoch " << er.epoch;
-    EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
-    // The detour has room: every epoch must keep a clean placement.
-    EXPECT_TRUE(er.multiplex_ok) << "epoch " << er.epoch;
-    EXPECT_EQ(er.congested_fraction, 0.0) << "epoch " << er.epoch;
+    // Epoch 0 cold. Under warm restarts the event epochs (3, 6) are
+    // dual-repaired and the canonicalization epochs after them (4, 7)
+    // rebuild cold; without them the event epochs are the only other cold
+    // ones. Everything else re-enters warm.
+    for (const ScenarioEpochReport& er : report.epochs) {
+      bool expect_repair = wr && (er.epoch == 3 || er.epoch == 6);
+      bool expect_warm = er.epoch != 0 && er.epoch != 3 && er.epoch != 6 &&
+                         !(wr && (er.epoch == 4 || er.epoch == 7));
+      EXPECT_EQ(er.warm, expect_warm) << "epoch " << er.epoch;
+      EXPECT_EQ(er.dual_repair, expect_repair) << "epoch " << er.epoch;
+      EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
+      // The detour has room: every epoch must keep a clean placement.
+      EXPECT_TRUE(er.multiplex_ok) << "epoch " << er.epoch;
+      EXPECT_EQ(er.congested_fraction, 0.0) << "epoch " << er.epoch;
+    }
+
+    // Reconvergence: every event recovered within the controller's round
+    // budget worth of epochs (here: immediately).
+    ASSERT_EQ(report.events.size(), 4u);
+    for (const ScenarioEventReport& evr : report.events) {
+      ASSERT_GE(evr.reconverge_epochs, 0);
+      EXPECT_LE(evr.reconverge_epochs, LdrControllerOptions{}.max_rounds);
+      // Reconverged events report the wall clock spent reacting (>= 0, not
+      // the -1 never-reconverged sentinel).
+      EXPECT_GE(evr.reconverge_ms, 0.0);
+    }
+    EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
+
+    // Route churn: zero on event-free epochs, nonzero exactly when the
+    // placement had to move (failure) and when it moved back (recovery).
+    EXPECT_EQ(report.EventFreeChurnMax(), 0.0);
+    EXPECT_GT(report.epochs[3].route_churn, 0.0);
+    if (wr) {
+      // The repaired LinkUp epoch keeps the (still valid) detour placement
+      // — the in-place LP's path set cannot contain the restored direct
+      // path; the canonicalization rebuild one epoch later moves traffic
+      // back.
+      EXPECT_GT(report.epochs[7].route_churn, 0.0);
+    } else {
+      EXPECT_GT(report.epochs[6].route_churn, 0.0);
+    }
+
+    // The failure evicted the (A,B)/(B,A) generators through the reverse
+    // index.
+    EXPECT_GT(report.ksp_evictions, 0u);
+
+    // Mask restored at the end of the scenario.
+    EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
   }
-
-  // Reconvergence: every event recovered within the controller's round
-  // budget worth of epochs (here: immediately).
-  ASSERT_EQ(report.events.size(), 4u);
-  for (const ScenarioEventReport& evr : report.events) {
-    ASSERT_GE(evr.reconverge_epochs, 0);
-    EXPECT_LE(evr.reconverge_epochs, LdrControllerOptions{}.max_rounds);
-    // Reconverged events report the wall clock spent reacting (>= 0, not
-    // the -1 never-reconverged sentinel).
-    EXPECT_GE(evr.reconverge_ms, 0.0);
-  }
-  EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
-
-  // Route churn: zero on event-free epochs, nonzero exactly when the
-  // placement had to move (failure) and when it moved back (recovery).
-  EXPECT_EQ(report.EventFreeChurnMax(), 0.0);
-  EXPECT_GT(report.epochs[3].route_churn, 0.0);
-  if (wr) {
-    // The repaired LinkUp epoch keeps the (still valid) detour placement —
-    // the in-place LP's path set cannot contain the restored direct path;
-    // the canonicalization rebuild one epoch later moves traffic back.
-    EXPECT_GT(report.epochs[7].route_churn, 0.0);
-  } else {
-    EXPECT_GT(report.epochs[6].route_churn, 0.0);
-  }
-
-  // The failure evicted the (A,B)/(B,A) generators through the reverse
-  // index.
-  EXPECT_GT(report.ksp_evictions, 0u);
-
-  // Mask restored at the end of the scenario.
-  EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
 }
 
 TEST(ScenarioEngine, DemandSurgeStaysWarmAndRaisesDemand) {
@@ -456,28 +487,30 @@ TEST(ScenarioEngine, SrlgOutageMasksAllMembersAtomically) {
   int srlg = s.AddSrlg("detour-conduit", {2, 4});  // A-C and C-B cables
   s.AddSrlgOutage(srlg, 3, 6);
 
-  ScenarioEngine engine(t, s);
-  ScenarioReport report = engine.Run();
-  ASSERT_EQ(report.epochs.size(), 10u);
-  const bool wr = WarmRestartOn();
-  for (const ScenarioEpochReport& er : report.epochs) {
-    EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
-    // One grouped delta: exactly the event epochs are dual-repaired.
-    EXPECT_EQ(er.dual_repair, wr && (er.epoch == 3 || er.epoch == 6));
-    EXPECT_TRUE(er.placement_valid) << "epoch " << er.epoch;
-    // The direct cable has room for both aggregates.
-    EXPECT_EQ(er.congested_fraction, 0.0) << "epoch " << er.epoch;
+  for (bool wr : {true, false}) {
+    SCOPED_TRACE(wr ? "warm_restart on" : "warm_restart off");
+    ScenarioEngine engine(t, s, WithWarmRestart(wr));
+    ScenarioReport report = engine.Run();
+    ASSERT_EQ(report.epochs.size(), 10u);
+    for (const ScenarioEpochReport& er : report.epochs) {
+      EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
+      // One grouped delta: exactly the event epochs are dual-repaired.
+      EXPECT_EQ(er.dual_repair, wr && (er.epoch == 3 || er.epoch == 6));
+      EXPECT_TRUE(er.placement_valid) << "epoch " << er.epoch;
+      // The direct cable has room for both aggregates.
+      EXPECT_EQ(er.congested_fraction, 0.0) << "epoch " << er.epoch;
+    }
+    EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
+    // Down + up, each applied once, each reconverged.
+    ASSERT_EQ(report.events.size(), 2u);
+    EXPECT_EQ(report.events[0].event.type, ScenarioEvent::Type::kSrlgDown);
+    EXPECT_EQ(report.events[1].event.type, ScenarioEvent::Type::kSrlgUp);
+    for (const ScenarioEventReport& evr : report.events) {
+      EXPECT_GE(evr.reconverge_epochs, 0);
+    }
+    EXPECT_EQ(report.redundant_events, 0u);
+    EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
   }
-  EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
-  // Down + up, each applied once, each reconverged.
-  ASSERT_EQ(report.events.size(), 2u);
-  EXPECT_EQ(report.events[0].event.type, ScenarioEvent::Type::kSrlgDown);
-  EXPECT_EQ(report.events[1].event.type, ScenarioEvent::Type::kSrlgUp);
-  for (const ScenarioEventReport& evr : report.events) {
-    EXPECT_GE(evr.reconverge_epochs, 0);
-  }
-  EXPECT_EQ(report.redundant_events, 0u);
-  EXPECT_EQ(engine.graph().DownLinkCount(), 0u);
 }
 
 TEST(ScenarioEngine, NodeOutageAppliesLiveSubsetOfIncidentLinks) {
@@ -601,8 +634,7 @@ TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
   // The DualRepairedEpochsReconvergeToColdHashes contract for a GROUPED
   // delta: an SRLG cut repaired in place via one dual warm restart must
   // place bitwise like the warm_restart=false baseline outside the 2-epoch
-  // [event, event+1] canonicalization windows. The *_cold_warm ctest
-  // re-registration runs this under LDR_LP_WARM=cold as well.
+  // [event, event+1] canonicalization windows.
   Topology t = FailoverNet();
   auto make_scenario = [&]() {
     Scenario s;
@@ -618,7 +650,7 @@ TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
   };
   ScenarioEngineOptions dual;
   ScenarioEngineOptions baseline;
-  baseline.controller.routing.lp.warm_restart = false;
+  baseline.controller.routing.lp.solve.warm_restart = false;
   ScenarioReport rd = ScenarioEngine(t, make_scenario(), dual).Run();
   ScenarioReport rb = ScenarioEngine(t, make_scenario(), baseline).Run();
   ASSERT_EQ(rd.epochs.size(), rb.epochs.size());
@@ -630,7 +662,7 @@ TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
     EXPECT_EQ(rd.epochs[e].allocation_hash, rb.epochs[e].allocation_hash)
         << "epoch " << e;
   }
-  EXPECT_EQ(rd.dual_repair_epochs, WarmRestartOn() ? 2u : 0u);
+  EXPECT_EQ(rd.dual_repair_epochs, 2u);
   EXPECT_EQ(rb.dual_repair_epochs, 0u);
   EXPECT_TRUE(PlacementParity(rd, rb));
 }

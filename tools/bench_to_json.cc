@@ -311,7 +311,7 @@ PricingRun BenchPricingCorpus(CorpusPricingFixture* f, lp::PricingMode mode) {
   double t0 = NowMs();
   for (size_t i = 0; i < f->tops.size(); ++i) {
     IterativeOptions opts;
-    opts.lp.pricing.mode = mode;
+    opts.lp.solve.pricing.mode = mode;
     RoutingOutcome o = IterativeLpRoute(f->tops[i]->graph, f->workloads[i],
                                         f->caches[i].get(), opts);
     out.columns += o.lp_columns_priced;
@@ -760,7 +760,7 @@ LpDualBench BenchLpDual() {
   ScenarioReport dual =
       ScenarioEngine(fixture.zoo, fixture.scenario, dual_opts).Run();
   ScenarioEngineOptions cold_opts;
-  cold_opts.controller.routing.lp.warm_restart = false;
+  cold_opts.controller.routing.lp.solve.warm_restart = false;
   ScenarioReport cold =
       ScenarioEngine(fixture.zoo, fixture.scenario, cold_opts).Run();
 
