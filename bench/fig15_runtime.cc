@@ -15,13 +15,10 @@
 int main() {
   using namespace ldr;
   std::printf("# Fig 15: optimization runtime CDFs on LLPD > 0.5 networks\n");
-  std::printf("# rows: ldr|ldr-cold|ldr-fullprice|link-based  <ms>  <cdf>\n");
-  std::printf(
-      "# ldr uses partial (candidate-list) LP pricing, the default; "
-      "ldr-fullprice re-runs warm with full Dantzig sweeps as the A/B\n");
+  std::printf("# rows: ldr|ldr-cold|link-based  <ms>  <cdf>\n");
   std::vector<Topology> corpus = BenchCorpus();
   bool full = BenchFullScale();
-  EmpiricalCdf warm_cdf, cold_cdf, fullprice_cdf, link_cdf;
+  EmpiricalCdf warm_cdf, cold_cdf, link_cdf;
   int idx = 0;
   for (const Topology& t : corpus) {
     ++idx;
@@ -49,13 +46,6 @@ int main() {
       RoutingOutcome out = IterativeLpRoute(t.graph, aggs, &cache, opts);
       warm_cdf.Add(out.solve_ms);
     }
-    // Warm again with full Dantzig pricing: the LP-pricing A/B.
-    {
-      IterativeOptions opts;
-      opts.lp.solve.pricing.mode = lp::PricingMode::kDantzig;
-      RoutingOutcome out = IterativeLpRoute(t.graph, aggs, &cache, opts);
-      fullprice_cdf.Add(out.solve_ms);
-    }
     // Link-based formulation.
     {
       LinkBasedResult r = SolveLinkBased(t.graph, aggs);
@@ -66,11 +56,9 @@ int main() {
   }
   PrintCdf("ldr", warm_cdf, 50);
   PrintCdf("ldr-cold", cold_cdf, 50);
-  PrintCdf("ldr-fullprice", fullprice_cdf, 50);
   PrintCdf("link-based", link_cdf, 50);
   PrintSeriesRow("median-ms:ldr", 0, warm_cdf.ValueAt(0.5));
   PrintSeriesRow("median-ms:ldr-cold", 0, cold_cdf.ValueAt(0.5));
-  PrintSeriesRow("median-ms:ldr-fullprice", 0, fullprice_cdf.ValueAt(0.5));
   PrintSeriesRow("median-ms:link-based", 0, link_cdf.ValueAt(0.5));
   return 0;
 }

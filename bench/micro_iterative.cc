@@ -1,11 +1,10 @@
 // Microbenchmarks for the full Fig. 13 iterative path-growth loop
 // (google-benchmark): IterativeLpRoute on routing-shaped workloads over
-// synthetic mesh topologies, warm (incremental solver carried across
-// rounds) vs cold (every round rebuilds the LP from scratch), plus the
-// controller-style warm re-entry through an LpReuseContext. The KSP cache is
-// pre-warmed outside the timed region so the numbers isolate LP work — the
-// paper's point is that KSP dominates and is cacheable, and these benches
-// track the part that is left.
+// synthetic mesh topologies (one warm solver carried across rounds), plus
+// the controller-style re-entry with and without an LpReuseContext. The KSP
+// cache is pre-warmed outside the timed region so the numbers isolate LP
+// work — the paper's point is that KSP dominates and is cacheable, and
+// these benches track the part that is left.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -45,13 +44,12 @@ struct IterativeFixture {
   }
 };
 
-void RunIterative(benchmark::State& state, bool incremental) {
+void BM_IterativeWarm(benchmark::State& state) {
   int side = static_cast<int>(state.range(0));
   // High load forces several growth rounds — the regime the warm start is
-  // for (at trivial load the loop exits after one solve either way).
+  // for (at trivial load the loop exits after one solve).
   IterativeFixture fx(side, side, 0.9);
   IterativeOptions opts;
-  opts.incremental = incremental;
   for (auto _ : state) {
     RoutingOutcome out =
         IterativeLpRoute(fx.topology.graph, fx.aggregates, &fx.cache, opts);
@@ -60,11 +58,7 @@ void RunIterative(benchmark::State& state, bool incremental) {
   }
 }
 
-void BM_IterativeWarm(benchmark::State& state) { RunIterative(state, true); }
 BENCHMARK(BM_IterativeWarm)->Arg(4)->Arg(5)->Arg(6);
-
-void BM_IterativeCold(benchmark::State& state) { RunIterative(state, false); }
-BENCHMARK(BM_IterativeCold)->Arg(4)->Arg(5)->Arg(6);
 
 // Controller-style warm re-entry: demands drift a few percent and the
 // optimization re-runs. With an LpReuseContext the grown path sets and the

@@ -79,20 +79,13 @@ BENCHMARK(BM_LpRoutingShape)->Arg(50)->Arg(150)->Arg(400);
 // problem from scratch and solves it from the slack basis. Same LP content
 // both ways (see bench/lp_shapes.h); the ratio is the payoff of the
 // incremental core.
-
-// Arg(0) is the aggregate count; Arg(1) selects pricing: 0 = partial
-// (candidate list, the default), 1 = full Dantzig sweeps — the cold-vs-warm
-// and full-vs-partial A/B grid in one benchmark family.
 void BM_LpResolveWarm(benchmark::State& state) {
   int aggregates = static_cast<int>(state.range(0));
   int links = aggregates / 2;
-  SolveOptions so;
-  so.pricing.mode =
-      state.range(1) == 0 ? PricingMode::kPartial : PricingMode::kDantzig;
   for (auto _ : state) {
     state.PauseTiming();
     auto spec = ldr::bench::RoutingLpSpec::Random(7, aggregates, links);
-    ldr::bench::WarmLp warm = ldr::bench::BuildSolverBase(spec, so);
+    ldr::bench::WarmLp warm = ldr::bench::BuildSolverBase(spec);
     Solution base = warm.solver.Solve();  // untimed: basis the round inherits
     state.ResumeTiming();
     ldr::bench::AppendGrowth(spec, &warm);
@@ -101,38 +94,7 @@ void BM_LpResolveWarm(benchmark::State& state) {
     benchmark::DoNotOptimize(base.objective);
   }
 }
-BENCHMARK(BM_LpResolveWarm)
-    ->Args({50, 0})
-    ->Args({150, 0})
-    ->Args({400, 0})
-    ->Args({50, 1})
-    ->Args({150, 1})
-    ->Args({400, 1});
-
-// Cold solves of the same routing shape under both pricing modes: the pure
-// pricing A/B, without warm-start effects.
-void BM_LpPricingCold(benchmark::State& state) {
-  int aggregates = static_cast<int>(state.range(0));
-  int links = aggregates / 2;
-  SolveOptions so;
-  so.pricing.mode =
-      state.range(1) == 0 ? PricingMode::kPartial : PricingMode::kDantzig;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto spec = ldr::bench::RoutingLpSpec::Random(7, aggregates, links);
-    Problem p = ldr::bench::BuildProblem(spec, /*with_growth=*/true);
-    state.ResumeTiming();
-    Solution s = Solve(p, so);
-    benchmark::DoNotOptimize(s.objective);
-  }
-}
-BENCHMARK(BM_LpPricingCold)
-    ->Args({50, 0})
-    ->Args({150, 0})
-    ->Args({400, 0})
-    ->Args({50, 1})
-    ->Args({150, 1})
-    ->Args({400, 1});
+BENCHMARK(BM_LpResolveWarm)->Arg(50)->Arg(150)->Arg(400);
 
 // AddColumn alone (no re-solve): one Fig. 13 growth round appended into a
 // solved warm solver. Under revised-simplex storage there is no tableau

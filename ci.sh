@@ -26,12 +26,13 @@
 #                over src/ and tools/. Skipped with a notice when clang-tidy
 #                is not installed: the container bakes in GCC only, and
 #                installing packages is out of scope for CI.
-#   --bench-smoke  after the tests, run the micro_lp warm-resolve bench once
-#                and bench_to_json in --smoke mode, failing if any
-#                correctness marker in the emitted JSON — lp_pricing /
-#                lp_revised objective_parity, lp_lu kkt_certificate (every
-#                solve of the basis-size sweep carries a KKT optimality
-#                certificate from the independent checker), scenario
+#   --bench-smoke  after the tests, run the micro_lp warm-resolve bench
+#                (BM_LpResolveWarm/50) once and bench_to_json in --smoke
+#                mode, failing if any correctness marker in the emitted JSON
+#                — lp_revised objective_parity, lp_lu / lp_pricing
+#                kkt_certificate (every solve of the basis-size sweep and
+#                of the pricing shapes carries a KKT optimality certificate
+#                from the independent checker), scenario
 #                placement_parity, degradation recovery_parity, lp_dual
 #                warm_restart_parity (dual warm restart vs cold-rebuild
 #                placements reconverge within 2 epochs of each event),
@@ -182,7 +183,7 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # Bench smoke: the solver microbench must run, and the JSON correctness
   # markers must all be true. bench_to_json --smoke skips the slow corpus
   # sections but computes every parity flag for real.
-  "$BUILD_DIR/micro_lp" --benchmark_filter='BM_LpResolveWarm/50/0' \
+  "$BUILD_DIR/micro_lp" --benchmark_filter='BM_LpResolveWarm/50' \
       --benchmark_min_time=0.05 >&2
   SMOKE_JSON=$(mktemp)
   trap 'rm -f "$PROBE_1" "$PROBE_4" "$SMOKE_JSON"' EXIT

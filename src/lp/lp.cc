@@ -921,12 +921,11 @@ class Solver::Impl {
   //   bland     first eligible ref in fixed structural-then-slack order (the
   //             anti-cycling rule needs the global first, so it always does a
   //             full ordered scan).
-  //   kDantzig  full sweep every iteration, best score wins.
-  //   kPartial  re-price the candidate list (each O(nnz)); when it runs dry,
-  //             refresh it with rotating partial sweeps, escalating window by
-  //             window until something improves. Only a sweep that wraps the
-  //             entire column space finding nothing declares optimality —
-  //             exactly the certificate a full Dantzig sweep produces.
+  //   otherwise re-price the candidate list (each O(nnz)); when it runs
+  //             dry, refresh it with rotating partial sweeps, escalating
+  //             window by window until something improves. Only a sweep that
+  //             wraps the entire column space finding nothing declares
+  //             optimality — exactly the certificate a full sweep produces.
   bool ChooseEntering(bool phase1, bool bland, int* entering, double* d_enter) {
     const size_t total = n_ + m_;
     if (total == 0) return false;
@@ -943,25 +942,7 @@ class Solver::Impl {
       }
       return false;
     }
-    if (opt_.pricing.mode == PricingMode::kDantzig) {
-      bool found = false;
-      double best = kTol;
-      for (size_t p = 0; p < total; ++p) {
-        int ref = RefAt(p);
-        if (IsBasic(ref)) continue;
-        double d = ReducedCost(phase1, ref);
-        double score = EnteringScore(ref, d);
-        if (score > best) {
-          best = score;
-          *entering = ref;
-          *d_enter = d;
-          found = true;
-        }
-      }
-      return found;
-    }
-
-    // Partial pricing. 1: re-price the surviving candidates.
+    // 1: re-price the surviving candidates.
     bool found = false;
     double best = kTol;
     size_t w = 0;

@@ -12,9 +12,9 @@
 //
 // Bounds may be infinite on either side. Phase 1 uses the composite
 // (artificial-free) objective — the sum of bound violations of basic
-// variables — and phase 2 the real objective; both use Dantzig pricing with
-// a Bland's-rule fallback after a run of degenerate pivots, which guarantees
-// termination.
+// variables — and phase 2 the real objective; both use candidate-list
+// pricing (see PricingOptions) with a Bland's-rule fallback after a run of
+// degenerate pivots, which guarantees termination.
 //
 // Two entry points:
 //
@@ -100,23 +100,15 @@ class Problem {
   std::vector<Row> rows_;
 };
 
-// Entering-variable pricing policy. Reduced costs are always computed from
+// Entering-variable pricing. Reduced costs are always computed from
 // incrementally maintained dual values y = c_B^T B^-1 (phase 2) or the
 // phase-1 subgradient duals, priced lazily against the *sparse original*
-// column as c_j - y^T A_j — never against the dense tableau column. The mode
-// controls how many columns get priced per iteration:
-//
-//   kPartial  (default) a bounded candidate list is re-priced each iteration;
-//             when it runs dry, rotating partial sweeps refresh it, escalating
-//             to a full sweep only to prove optimality. Prices O(list * nnz)
-//             columns per iteration instead of all n + m.
-//   kDantzig  classic full pricing: every nonbasic column priced every
-//             iteration (the A/B baseline; still dual-based, so it shares the
-//             same numerics as kPartial).
-enum class PricingMode { kPartial, kDantzig };
-
+// column as c_j - y^T A_j — never against the dense tableau column. A
+// bounded candidate list is re-priced each iteration; when it runs dry,
+// rotating partial sweeps refresh it, escalating to a full sweep only to
+// prove optimality. That prices O(list * nnz) columns per iteration instead
+// of all n + m.
 struct PricingOptions {
-  PricingMode mode = PricingMode::kPartial;
   // Candidate-list capacity. 0 means automatic: clamp(n/16, 8, 64).
   int candidate_list = 0;
   // Columns scanned per partial refresh sweep before checking whether the
@@ -173,7 +165,7 @@ struct Solution {
   // Pricing telemetry: nonbasic columns whose reduced cost was evaluated
   // over the whole solve (candidate re-pricing + refresh sweeps + optimality
   // sweeps). columns_priced / iterations is the per-iteration pricing load
-  // the partial mode exists to shrink.
+  // the candidate list exists to shrink below the n + m a full sweep prices.
   long columns_priced = 0;
   // Pivots that hit a numerically-zero pivot element and recovered by forced
   // refactorization instead of corrupting the basis.

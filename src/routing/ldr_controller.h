@@ -146,8 +146,6 @@ class LdrController {
   // Generators evicted by OnLinksDown calls so far (telemetry).
   size_t ksp_evictions() const { return ksp_evictions_; }
 
-  const LdrControllerOptions& options() const { return opts_; }
-
  private:
   // Shared tail of every topology hook: mark the live LP dirty for in-place
   // repair (warm restarts) or drop it for a cold rebuild (the A/B baseline).

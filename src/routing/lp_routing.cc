@@ -6,6 +6,7 @@
 #include <set>
 
 #include "lp/lp.h"
+#include "routing/placement.h"
 
 namespace ldr {
 
@@ -361,8 +362,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   outcome.allocations.resize(aggregates.size());
 
   std::vector<std::vector<PathId>> paths;
-  // The LP the rounds solve, owned by the reuse slot when the caller keeps
-  // one. incremental=false installs a freshly built one every round.
+  // The LP the rounds solve; the reuse slot owns it when the caller has one.
   std::unique_ptr<IncrementalRoutingLp> local_lp;
   IncrementalRoutingLp* ilp = nullptr;
   auto install = [&](std::unique_ptr<IncrementalRoutingLp> lp) {
@@ -372,8 +372,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   auto build = [&] {
     return std::make_unique<IncrementalRoutingLp>(store, aggregates, opts.lp);
   };
-  bool warm_entry = opts.incremental && reuse != nullptr &&
-                    reuse->lp != nullptr &&
+  bool warm_entry = reuse != nullptr && reuse->lp != nullptr &&
                     reuse->paths.size() == aggregates.size();
   if (warm_entry && reuse->lp->topology_dirty()) {
     // Topology-event re-entry: the repair fixes every dead-path variable to
@@ -564,7 +563,6 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     size_t grown = GrowPathSets(store, aggregates, res.fractions, hot, cache,
                                 kMaxPathsPerAggregate, &paths);
     if (grown == 0) break;  // exhausted: congestion unavoidable
-    if (!opts.incremental) install(build());
   }
 
   // Persist the grown (pre-restore) path sets for the next warm re-entry;
@@ -602,16 +600,19 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     outcome.feasible = res.omax <= 1.0 + kFitEps;
   } else {
     // Degradation ladder, rung 4 (emergency): every aggregate rides its
-    // shortest path. max_level reports the *actual* load of that placement
-    // — a failed solve must not leak the default 0 into callers that divide
-    // by it (MinMaxUtilization scales whole traffic matrices off this).
+    // current shortest path — KSP rank 0 under today's mask, not the first
+    // path a repaired warm entry carried over, which may cross the failed
+    // link. max_level reports the *actual* load of that placement — a
+    // failed solve must not leak the default 0 into callers that divide by
+    // it (MinMaxUtilization scales whole traffic matrices off this).
     outcome.fallback = FallbackRung::kShortestPath;
+    outcome.allocations = ShortestPathPlacement(aggregates, cache);
     std::vector<double> load(g.LinkCount(), 0.0);
     for (size_t a = 0; a < aggregates.size(); ++a) {
-      if (paths[a].empty()) continue;
-      outcome.allocations[a].push_back({paths[a][0], 1.0});
-      for (LinkId l : store.Links(paths[a][0])) {
-        load[static_cast<size_t>(l)] += aggregates[a].demand_gbps;
+      for (const PathAllocation& pa : outcome.allocations[a]) {
+        for (LinkId l : store.Links(pa.path)) {
+          load[static_cast<size_t>(l)] += aggregates[a].demand_gbps;
+        }
       }
     }
     double cap_scale = 1.0 - opts.lp.headroom;

@@ -45,8 +45,8 @@ struct RoutingLpOptions {
   // last entry when c is out of range). With {10, 1}, class-0 traffic wins
   // contended short paths over class-1 traffic. Empty = all classes equal.
   std::vector<double> class_weights;
-  // Options of the underlying lp::Solver: pricing policy, per-solve budgets
-  // (max_iters, deadline_ms — the controller's epoch decision guard; a
+  // Options of the underlying lp::Solver: pricing list sizes, per-solve
+  // budgets (max_iters, deadline_ms — the controller's epoch decision guard; a
   // budget-exhausted solve comes back !ok() and the caller walks the
   // fallback ladder) and warm restarts across topology events. The routing
   // default turns warm_restart on: the controller keeps the incremental LP
@@ -185,15 +185,10 @@ struct IterativeOptions {
   size_t initial_paths = 1;
   // Disable growth for fixed-path-set schemes (MinMaxK10).
   bool grow = true;
-  // Keep one warm-started IncrementalRoutingLp across rounds (default);
-  // false builds a fresh one every round (and never re-enters a reuse
-  // context warm) — the cold baseline the micro_iterative bench and the
-  // warm/cold parity tests compare against. The degradation ladder's
-  // refactorize and rebuild rungs apply in both modes.
-  bool incremental = true;
 };
 
-// The Fig. 13 loop. Uses (and fills) the KspCache. With `reuse`, the LP and
+// The Fig. 13 loop: one IncrementalRoutingLp, re-solved warm after every
+// growth round. Uses (and fills) the KspCache. With `reuse`, the LP and
 // grown path sets persist across calls (see LpReuseContext); a null reuse
 // keeps the call self-contained.
 RoutingOutcome IterativeLpRoute(const Graph& g,

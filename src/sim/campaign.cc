@@ -31,6 +31,13 @@ uint64_t HashName(const std::string& s) {
 // Bounded resample attempts per event slot before it is skipped.
 constexpr int kRetries = 24;
 
+// Event slots sampled per campaign, before survivability rejections.
+constexpr int kSrlgOutages = 1;         // conduit cuts (kSrlgCables each)
+constexpr int kSrlgCables = 2;          // cables sharing each conduit
+constexpr int kNodeOutages = 1;         // transit-node failures
+constexpr int kMaintenanceWindows = 2;  // scheduled cable maintenances
+constexpr int kLinkFlaps = 1;           // plain single-cable flaps
+
 // Tracks the accepted timeline during sampling: per-epoch mask unions for
 // the reachability test, and per-cable ownership windows for the
 // no-shared-cable-while-overlapping rule (grouped restores are
@@ -188,14 +195,14 @@ Scenario GenerateCampaign(const Topology& topology, uint64_t seed,
     return (rev != kInvalidLink && rev < l) ? rev : l;
   };
 
-  // SRLG conduit cuts: srlg_cables distinct cables failing as one event.
-  for (int i = 0; i < opts.srlg_outages; ++i) {
+  // SRLG conduit cuts: kSrlgCables distinct cables failing as one event.
+  for (int i = 0; i < kSrlgOutages; ++i) {
     for (int attempt = 0; attempt < kRetries; ++attempt) {
       std::vector<LinkId> cables;
-      for (int c = 0; c < opts.srlg_cables; ++c) cables.push_back(draw_cable());
+      for (int c = 0; c < kSrlgCables; ++c) cables.push_back(draw_cable());
       std::sort(cables.begin(), cables.end());
       cables.erase(std::unique(cables.begin(), cables.end()), cables.end());
-      if (cables.size() != static_cast<size_t>(opts.srlg_cables)) continue;
+      if (cables.size() != static_cast<size_t>(kSrlgCables)) continue;
       int down = 0, up = 0;
       draw_window(&down, &up);
       std::vector<LinkId> links = ExpandCables(g, cables);
@@ -210,7 +217,7 @@ Scenario GenerateCampaign(const Topology& topology, uint64_t seed,
   // Transit-node outages: never an aggregate endpoint (masking all its
   // incident links would disconnect that pair by construction — the
   // reachability test would reject every window anyway).
-  for (int i = 0; i < opts.node_outages; ++i) {
+  for (int i = 0; i < kNodeOutages; ++i) {
     for (int attempt = 0; attempt < kRetries; ++attempt) {
       NodeId node = static_cast<NodeId>(rng.NextIndex(g.NodeCount()));
       if (sampler.IsEndpoint(node)) continue;
@@ -227,7 +234,7 @@ Scenario GenerateCampaign(const Topology& topology, uint64_t seed,
 
   // Scheduled maintenance: the mask actually lands one epoch before the
   // nominal window (the drain epoch), so the claimed interval starts there.
-  for (int i = 0; i < opts.maintenance_windows; ++i) {
+  for (int i = 0; i < kMaintenanceWindows; ++i) {
     for (int attempt = 0; attempt < kRetries; ++attempt) {
       LinkId cable = draw_cable();
       int start = 0, end = 0;
@@ -246,7 +253,7 @@ Scenario GenerateCampaign(const Topology& topology, uint64_t seed,
   }
 
   // Plain cable flaps (the pre-existing singleton event shape).
-  for (int i = 0; i < opts.link_flaps; ++i) {
+  for (int i = 0; i < kLinkFlaps; ++i) {
     for (int attempt = 0; attempt < kRetries; ++attempt) {
       LinkId cable = draw_cable();
       int down = 0, up = 0;

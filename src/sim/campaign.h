@@ -38,12 +38,7 @@ struct CampaignOptions {
   // Workload MinMax target utilization; 0.5 leaves the headroom correlated
   // failures are meant to eat into.
   double utilization = 0.5;
-  int srlg_outages = 1;        // conduit cuts sampled (srlg_cables each)
-  int srlg_cables = 2;         // cables sharing each sampled conduit
-  int node_outages = 1;        // transit-node failures sampled
-  int maintenance_windows = 2; // scheduled cable maintenances
-  int link_flaps = 1;          // plain single-cable flaps
-  int fault_windows = 0;       // optimizer fault windows (soak arms these)
+  int fault_windows = 0;  // optimizer fault windows (soak arms these)
   // Workload thinning: keeps campaigns lean enough for corpus-wide sweeps.
   double workload_min_fraction = 1e-2;
 };

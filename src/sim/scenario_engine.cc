@@ -368,7 +368,7 @@ void ScenarioEngine::ApplyMask(const std::vector<LinkId>& links, bool down) {
 
 size_t ScenarioEngine::UpdateAdaptiveDemand(const ReplayResult& replay,
                                             const RoutingOutcome& outcome) {
-  const AdaptiveDemandOptions& ad = opts_.adaptive;
+  using AD = AdaptiveDemandOptions;
   const PathStore& store = *outcome.store;
   size_t backoffs = 0;
   size_t n = std::min(demand_scale_.size(), outcome.allocations.size());
@@ -384,13 +384,13 @@ size_t ScenarioEngine::UpdateAdaptiveDemand(const ReplayResult& replay,
       }
     }
     double& scale = demand_scale_[a];
-    if (queue_ms > ad.queue_threshold_ms) {
+    if (queue_ms > AD::kQueueThresholdMs) {
       // Multiplicative decrease, with CUBIC's fast-convergence tweak: a
       // backoff from below the previous w_max shrinks the remembered
       // target, so repeated congestion hunts downward.
       cubic_wmax_[a] =
-          scale < cubic_wmax_[a] ? scale * (2.0 - ad.beta) / 2.0 : scale;
-      scale = std::max(ad.floor, scale * ad.beta);
+          scale < cubic_wmax_[a] ? scale * (2.0 - AD::kBeta) / 2.0 : scale;
+      scale = std::max(AD::kFloor, scale * AD::kBeta);
       cubic_epochs_[a] = 0;
       ++backoffs;
     } else if (scale < 1.0) {
@@ -399,9 +399,9 @@ size_t ScenarioEngine::UpdateAdaptiveDemand(const ReplayResult& replay,
       // part of the curve from moving the scale backwards.
       ++cubic_epochs_[a];
       double t = static_cast<double>(cubic_epochs_[a]);
-      double k = std::cbrt(cubic_wmax_[a] * (1.0 - ad.beta) / ad.cubic_c);
-      double w = ad.cubic_c * (t - k) * (t - k) * (t - k) + cubic_wmax_[a];
-      scale = std::min(1.0, std::max(scale, std::max(ad.floor, w)));
+      double k = std::cbrt(cubic_wmax_[a] * (1.0 - AD::kBeta) / AD::kCubicC);
+      double w = AD::kCubicC * (t - k) * (t - k) * (t - k) + cubic_wmax_[a];
+      scale = std::min(1.0, std::max(scale, std::max(AD::kFloor, w)));
     }
   }
   return backoffs;

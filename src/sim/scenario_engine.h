@@ -298,8 +298,8 @@ bool PlacementParity(const ScenarioReport& a, const ScenarioReport& b);
 // Closed-loop demand model (PR 10): aggregates react to the *realized*
 // queueing the replay measures, instead of following the fixed timeline.
 // CUBIC-shaped (the TCP congestion-avoidance curve): an aggregate whose
-// paths saw queueing beyond `queue_threshold_ms` last epoch multiplicatively
-// backs its sending scale off by `beta` (remembering the scale that
+// paths saw queueing beyond kQueueThresholdMs last epoch multiplicatively
+// backs its sending scale off by kBeta (remembering the scale that
 // congested as w_max), then probes back along the cubic curve
 // w(t) = c * (t - K)^3 + w_max with K = cbrt(w_max * (1 - beta) / c) —
 // concave recovery toward w_max, then convex probing beyond it, capped at
@@ -308,11 +308,12 @@ bool PlacementParity(const ScenarioReport& a, const ScenarioReport& b);
 // untouched. Fully deterministic — the scale update is a pure function of
 // the epoch's replay, so campaign replays stay bitwise-identical.
 struct AdaptiveDemandOptions {
+  static constexpr double kBeta = 0.7;     // multiplicative backoff factor
+  static constexpr double kCubicC = 0.05;  // scale / epoch^3 aggressiveness
+  static constexpr double kQueueThresholdMs = 1;  // congestion signal
+  static constexpr double kFloor = 0.1;    // scale never drops below this
+
   bool enabled = false;
-  double beta = 0.7;              // multiplicative backoff factor
-  double cubic_c = 0.05;          // curve aggressiveness (scale / epoch^3)
-  double queue_threshold_ms = 1;  // realized queueing that signals congestion
-  double floor = 0.1;             // scale never drops below this
 };
 
 struct ScenarioEngineOptions {

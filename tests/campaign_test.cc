@@ -102,7 +102,7 @@ TEST(CampaignTest, EveryEpochInstallsValidPlacement) {
         EXPECT_EQ(r.epochs, static_cast<size_t>(CampaignOptions().epochs));
         EXPECT_GE(r.availability, 0.0);
         EXPECT_LE(r.availability, 1.0);
-        EXPECT_GE(r.min_demand_scale, AdaptiveDemandOptions().floor - 1e-12);
+        EXPECT_GE(r.min_demand_scale, AdaptiveDemandOptions::kFloor - 1e-12);
         EXPECT_LE(r.min_demand_scale, 1.0);
         // Every applied event got a reconvergence measurement slot.
         EXPECT_EQ(r.reconverge_epochs.size(), r.events_applied);
@@ -145,7 +145,7 @@ TEST(CampaignTest, AdaptiveDemandBacksOffAndProbesBack) {
   for (size_t e = 0; e < report.epochs.size(); ++e) {
     const ScenarioEpochReport& er = report.epochs[e];
     if (er.backoff_aggregates > 0) ++backoff_epochs;
-    EXPECT_GE(er.demand_scale_min, opts.adaptive.floor - 1e-12)
+    EXPECT_GE(er.demand_scale_min, AdaptiveDemandOptions::kFloor - 1e-12)
         << "epoch " << e;
     EXPECT_LE(er.demand_scale_min, 1.0 + 1e-12) << "epoch " << e;
     if (er.demand_scale_min < min_scale) {
@@ -155,7 +155,7 @@ TEST(CampaignTest, AdaptiveDemandBacksOffAndProbesBack) {
   }
   // Sustained 1.6x overload forces at least one multiplicative backoff...
   EXPECT_GT(backoff_epochs, 0u);
-  EXPECT_LE(min_scale, opts.adaptive.beta + 1e-9);
+  EXPECT_LE(min_scale, AdaptiveDemandOptions::kBeta + 1e-9);
   // ...and once backed off below capacity (5/8 = 0.625 < beta fits), the
   // cubic probes the scale back up from the trough.
   double max_after_min = 0;

@@ -28,6 +28,7 @@
 #include "graph/ksp.h"
 #include "lp/lp.h"
 #include "routing/ldr_controller.h"
+#include "routing/lp_routing.h"
 #include "routing/placement.h"
 #include "sim/scenario_engine.h"
 #include "sim/workload.h"
@@ -374,6 +375,48 @@ TEST_F(FaultInjectionTest, LadderRungFourWithoutHistoryRungThreeWithIt) {
                        r2.outcome.allocations[a][i].fraction);
     }
   }
+}
+
+TEST_F(FaultInjectionTest, RungFourAfterRepairedWarmEntryAvoidsMaskedLink) {
+  // A warm LpReuseContext carries the A->D aggregate's pre-event path sets
+  // into a repaired entry, led by A-B-D. With A->B masked and every solve
+  // failing, the loop's own rung-4 placement must ride today's shortest
+  // path (A-C-D), and its max_level must be that path's load.
+  Graph g;
+  NodeId a = g.AddNode("A"), b = g.AddNode("B"), c = g.AddNode("C"),
+         d = g.AddNode("D"), e = g.AddNode("E");
+  LinkId ab = g.AddBidiLink(a, b, 1, 10);
+  g.AddBidiLink(b, d, 1, 10);
+  g.AddBidiLink(a, c, 2, 10);
+  g.AddBidiLink(c, d, 2, 10);
+  g.AddBidiLink(a, e, 4, 10);
+  g.AddBidiLink(e, d, 4, 10);
+  KspCache cache(&g);
+  Aggregate agg;
+  agg.src = a;
+  agg.dst = d;
+  agg.demand_gbps = 12;
+  agg.flow_count = 120;
+  std::vector<Aggregate> aggs{agg};
+  IterativeOptions opts;
+  LpReuseContext reuse;
+  IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+  ASSERT_NE(reuse.lp, nullptr);
+
+  g.SetLinkDown(ab, true);
+  cache.InvalidateLinks({ab});
+  reuse.lp->MarkTopologyDirty();
+  Failpoint::Activate("lp.iter_limit");
+  RoutingOutcome out = IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+
+  EXPECT_EQ(out.fallback, FallbackRung::kShortestPath);
+  PlacementCheck check = ValidatePlacement(g, *cache.store(), out.allocations);
+  EXPECT_TRUE(check.valid);
+  EXPECT_EQ(check.masked_path_entries, 0u);
+  ASSERT_EQ(out.allocations[0].size(), 1u);
+  EXPECT_EQ(out.allocations[0][0].path, cache.Get(a, d)->GetId(0));
+  EXPECT_DOUBLE_EQ(cache.store()->DelayMs(out.allocations[0][0].path), 4.0);
+  EXPECT_NEAR(out.max_level, 1.2, 1e-12);
 }
 
 TEST_F(FaultInjectionTest, ShortestPathPlacementSurvivesKspOutage) {

@@ -9,7 +9,7 @@
 //    feasibility lost / genuinely infeasible repair);
 //  - dual ratio-test ties and degenerate (zero-length) dual steps;
 //  - randomized bound/rhs-perturbation parity against from-scratch cold
-//    solves under both pricing modes, every optimum KKT-certified;
+//    solves, every optimum KKT-certified;
 //  - the lp.dual_infeasible failpoint forcing the primal fallback.
 //
 // The failpoint and parity suites run under both warm_restart settings:
@@ -156,25 +156,28 @@ TEST(LpDualRatio, SymmetricTieIsADegenerateDualStep) {
   EXPECT_TRUE(s1.warm_restart);
 }
 
-TEST(LpDualRatio, ScaledTieStaysOptimalUnderBothPricingModes) {
+TEST(LpDualRatio, ScaledTieStaysOptimal) {
   // Costs proportional to the constraint coefficients (1/1 vs 2/2) tie the
   // dual ratios d/|alpha| at different |alpha| magnitudes — the Harris
   // second pass must pick a pivot from the tied set without losing
-  // optimality, whichever pricing mode maintained the duals.
-  for (PricingMode pricing : {PricingMode::kPartial, PricingMode::kDantzig}) {
-    SolveOptions so = WithWarm(true);
-    so.pricing.mode = pricing;
-    Solver solver(so);
-    int x0 = solver.AddColumn(0, 3, 1.0, {});
-    int x1 = solver.AddColumn(0, 3, 2.0, {});
-    int row = solver.AddRow(RowType::kGe, 2.0, {{x0, 1.0}, {x1, 2.0}});
-    ASSERT_TRUE(solver.Solve().ok());
-    solver.SetRhs(row, 7.0);
-    Solution s1 = solver.Solve();
-    ASSERT_TRUE(s1.ok());
-    // x0 = 3 and 2 x1 = 4 (or any tied mix) all cost rhs: obj = 7.
-    EXPECT_NEAR(s1.objective, 7.0, 1e-6);
-  }
+  // optimality.
+  auto tie = [](double rhs) {
+    Problem p;
+    int x0 = p.AddVariable(0, 3, 1.0);
+    int x1 = p.AddVariable(0, 3, 2.0);
+    p.AddRow(RowType::kGe, rhs, {{x0, 1.0}, {x1, 2.0}});
+    return p;
+  };
+  Solver solver(tie(2.0), WithWarm(true));
+  Solution s0 = solver.Solve();
+  ASSERT_TRUE(s0.ok());
+  EXPECT_EQ(KktViolation(tie(2.0), s0, &solver), "");
+  solver.SetRhs(0, 7.0);
+  Solution s1 = solver.Solve();
+  ASSERT_TRUE(s1.ok());
+  // x0 = 3 and 2 x1 = 4 (or any tied mix) all cost rhs: obj = 7.
+  EXPECT_NEAR(s1.objective, 7.0, 1e-6);
+  EXPECT_EQ(KktViolation(tie(7.0), s1, &solver), "");
 }
 
 TEST(LpDualRatio, BoundFlipTelemetryAccumulates) {
@@ -252,88 +255,85 @@ Problem Repaired(const bench::RoutingLpSpec& spec,
 // Routing-shaped LPs under randomized rhs perturbations and dead-path
 // fix/unfix cycles: after every repair the dual-restarted solver must carry
 // a KKT certificate for the accumulated state and land on the same
-// objective as a from-scratch cold solve of it — under both pricing modes,
-// and with warm_restart off (every repair then runs primal phase 1).
+// objective as a from-scratch cold solve of it — also with warm_restart off
+// (every repair then runs primal phase 1).
 class LpDualPerturbParityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
   const uint64_t seed = static_cast<uint64_t>(91000 + GetParam());
   for (bool warm_restart : {true, false}) {
-    for (PricingMode pricing : {PricingMode::kPartial, PricingMode::kDantzig}) {
-      SCOPED_TRACE(warm_restart ? "warm_restart on" : "warm_restart off");
-      Rng rng(seed);
-      auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
-      SolveOptions warm_so = WithWarm(warm_restart);
-      warm_so.pricing.mode = pricing;
-      bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
-      Solution s0 = warm.solver.Solve();
-      ASSERT_TRUE(s0.ok());
-      EXPECT_FALSE(s0.warm_restart);
+    SCOPED_TRACE(warm_restart ? "warm_restart on" : "warm_restart off");
+    Rng rng(seed);
+    auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
+    SolveOptions warm_so = WithWarm(warm_restart);
+    bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
+    Solution s0 = warm.solver.Solve();
+    ASSERT_TRUE(s0.ok());
+    EXPECT_FALSE(s0.warm_restart);
 
-      // Cumulative mutation state, replayed into each cold reference.
-      // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
-      std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
-      std::vector<char> fixed(spec.base.size(), 0);
-      std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
-      long dual_pivots_total = 0;
+    // Cumulative mutation state, replayed into each cold reference.
+    // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
+    std::vector<double> link_rhs(static_cast<size_t>(spec.links), 0.0);
+    std::vector<char> fixed(spec.base.size(), 0);
+    std::vector<int> fixed_in_group(static_cast<size_t>(spec.groups), 0);
+    long dual_pivots_total = 0;
 
-      for (int step = 0; step < 12; ++step) {
-        if (rng.NextIndex(2) == 0) {
-          // Capacity-style repair: move a link row's rhs.
-          size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
-          link_rhs[l] = rng.Uniform(-1.5, 1.5);
-          warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
-        } else {
-          // Dead-path repair: fix a path column to 0 (at most two of a
-          // group's three paths, so the unit-sum row stays satisfiable) or
-          // revive a previously fixed one.
-          size_t k = rng.NextIndex(spec.base.size());
-          size_t g = static_cast<size_t>(spec.base[k].group);
-          int var = 1 + static_cast<int>(k);
-          if (fixed[k] == 0 && fixed_in_group[g] < 2) {
-            warm.solver.FixVariable(var, 0.0);
-            fixed[k] = 1;
-            ++fixed_in_group[g];
-          } else if (fixed[k] != 0) {
-            warm.solver.SetBounds(var, 0.0, 1.0);
-            fixed[k] = 0;
-            --fixed_in_group[g];
-          }
-        }
-
-        Solution sw = warm.solver.Solve();
-        ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
-        Problem p = Repaired(spec, warm.link_rows, link_rhs, fixed);
-        EXPECT_EQ(KktViolation(p, sw, &warm.solver), "") << "step " << step;
-        dual_pivots_total += sw.dual_pivots;
-        if (sw.dual_pivots > 0) {
-          EXPECT_TRUE(sw.warm_restart);
-        }
-
-        bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
-        for (size_t l = 0; l < link_rhs.size(); ++l) {
-          fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
-        }
-        for (size_t k = 0; k < fixed.size(); ++k) {
-          if (fixed[k] != 0) {
-            fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
-          }
-        }
-        Solution sc = fresh.solver.Solve();
-        ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
-        EXPECT_EQ(KktViolation(p, sc, &fresh.solver), "") << "step " << step;
-        EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
-        EXPECT_NEAR(sw.objective, sc.objective,
-                    1e-6 * (1 + std::abs(sc.objective)))
-            << "step " << step;
-      }
-      if (warm_restart) {
-        // The perturbation mix reliably leaves primal-infeasible warm bases;
-        // at least one repair must have gone through the dual loop.
-        EXPECT_GT(dual_pivots_total, 0);
+    for (int step = 0; step < 12; ++step) {
+      if (rng.NextIndex(2) == 0) {
+        // Capacity-style repair: move a link row's rhs.
+        size_t l = rng.NextIndex(static_cast<uint64_t>(spec.links));
+        link_rhs[l] = rng.Uniform(-1.5, 1.5);
+        warm.solver.SetRhs(warm.link_rows[l], link_rhs[l]);
       } else {
-        EXPECT_EQ(dual_pivots_total, 0);
+        // Dead-path repair: fix a path column to 0 (at most two of a
+        // group's three paths, so the unit-sum row stays satisfiable) or
+        // revive a previously fixed one.
+        size_t k = rng.NextIndex(spec.base.size());
+        size_t g = static_cast<size_t>(spec.base[k].group);
+        int var = 1 + static_cast<int>(k);
+        if (fixed[k] == 0 && fixed_in_group[g] < 2) {
+          warm.solver.FixVariable(var, 0.0);
+          fixed[k] = 1;
+          ++fixed_in_group[g];
+        } else if (fixed[k] != 0) {
+          warm.solver.SetBounds(var, 0.0, 1.0);
+          fixed[k] = 0;
+          --fixed_in_group[g];
+        }
       }
+
+      Solution sw = warm.solver.Solve();
+      ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
+      Problem p = Repaired(spec, warm.link_rows, link_rhs, fixed);
+      EXPECT_EQ(KktViolation(p, sw, &warm.solver), "") << "step " << step;
+      dual_pivots_total += sw.dual_pivots;
+      if (sw.dual_pivots > 0) {
+        EXPECT_TRUE(sw.warm_restart);
+      }
+
+      bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
+      for (size_t l = 0; l < link_rhs.size(); ++l) {
+        fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
+      }
+      for (size_t k = 0; k < fixed.size(); ++k) {
+        if (fixed[k] != 0) {
+          fresh.solver.FixVariable(1 + static_cast<int>(k), 0.0);
+        }
+      }
+      Solution sc = fresh.solver.Solve();
+      ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
+      EXPECT_EQ(KktViolation(p, sc, &fresh.solver), "") << "step " << step;
+      EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
+      EXPECT_NEAR(sw.objective, sc.objective,
+                  1e-6 * (1 + std::abs(sc.objective)))
+          << "step " << step;
+    }
+    if (warm_restart) {
+      // The perturbation mix reliably leaves primal-infeasible warm bases;
+      // at least one repair must have gone through the dual loop.
+      EXPECT_GT(dual_pivots_total, 0);
+    } else {
+      EXPECT_EQ(dual_pivots_total, 0);
     }
   }
 }

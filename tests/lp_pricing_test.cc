@@ -1,10 +1,10 @@
-// Pricing-equivalence property tests: partial (candidate-list) pricing and
-// full Dantzig pricing are different *search orders* over the same simplex —
-// they must reach the same optimum. Random bounded LPs and the zoo-corpus
-// Fig. 13 loop are solved both ways and compared, and every optimal solve of
-// the randomized LPs carries a KKT certificate (tests/kkt.h); the partial
-// mode must also actually do what it exists for, pricing fewer columns per
-// iteration than a full sweep on LPs of routing scale.
+// Candidate-list pricing property tests, checked against oracles that
+// share no code with the pricing schedule: every optimal solve carries a
+// KKT certificate (tests/kkt.h); warm mutation sequences agree with one-shot
+// solves of the accumulated problem; the Fig. 13 loop agrees with a fresh
+// cold build of the LP over the path sets it grew. Pricing must also do what
+// it exists for: price fewer columns per iteration than a full sweep, which
+// prices every nonbasic column.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,18 +15,13 @@
 #include "lp/lp.h"
 #include "routing/lp_routing.h"
 #include "sim/workload.h"
+#include "tests/cold_build.h"
 #include "tests/kkt.h"
 #include "topology/zoo_corpus.h"
 #include "util/random.h"
 
 namespace ldr {
 namespace {
-
-lp::SolveOptions WithMode(lp::PricingMode mode) {
-  lp::SolveOptions so;
-  so.pricing.mode = mode;
-  return so;
-}
 
 // One-shot solve of `p` that also checks the KKT certificate when optimal.
 lp::Solution SolveCertified(const lp::Problem& p, const lp::SolveOptions& so) {
@@ -71,24 +66,17 @@ lp::Problem RandomBoundedLp(uint64_t seed, int n, int m) {
   return p;
 }
 
-class LpPricingEquivalenceTest : public ::testing::TestWithParam<int> {};
+class LpPricingCertificateTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(LpPricingEquivalenceTest, PartialMatchesFullDantzigOnRandomLps) {
+TEST_P(LpPricingCertificateTest, RandomLpsCarryKktCertificate) {
   uint64_t seed = static_cast<uint64_t>(9000 + GetParam());
   lp::Problem p = RandomBoundedLp(seed, /*n=*/60, /*m=*/25);
-
-  // Alternate optimal vertices may differ in values; the objective and the
-  // KKT certificate of each are what the LP pins down.
-  lp::Solution full = SolveCertified(p, WithMode(lp::PricingMode::kDantzig));
-  lp::Solution part = SolveCertified(p, WithMode(lp::PricingMode::kPartial));
-  ASSERT_EQ(full.status, part.status) << "seed " << seed;
-  if (!full.ok()) return;  // both agree on non-optimal status
-  EXPECT_NEAR(full.objective, part.objective,
-              1e-6 * (1 + std::abs(full.objective)))
-      << "seed " << seed;
+  // The instances are feasible and bounded by construction.
+  lp::Solution s = SolveCertified(p, {});
+  EXPECT_TRUE(s.ok()) << "seed " << seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LpPricingEquivalenceTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, LpPricingCertificateTest,
                          ::testing::Range(1, 41));
 
 // A tight candidate list and sweep force many refresh cycles (including the
@@ -96,57 +84,45 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpPricingEquivalenceTest,
 TEST(LpPricing, TinyCandidateListStillReachesOptimum) {
   for (int seed = 1; seed <= 10; ++seed) {
     lp::Problem p = RandomBoundedLp(static_cast<uint64_t>(400 + seed), 80, 30);
-    lp::Solution full = SolveCertified(p, WithMode(lp::PricingMode::kDantzig));
-    lp::SolveOptions tight = WithMode(lp::PricingMode::kPartial);
+    lp::Solution wide = SolveCertified(p, {});
+    lp::SolveOptions tight;
     tight.pricing.candidate_list = 2;
     tight.pricing.sweep = 8;
-    lp::Solution part = SolveCertified(p, tight);
-    ASSERT_EQ(full.status, part.status) << "seed " << seed;
-    if (!full.ok()) continue;
-    EXPECT_NEAR(full.objective, part.objective,
-                1e-6 * (1 + std::abs(full.objective)))
+    lp::Solution narrow = SolveCertified(p, tight);
+    ASSERT_TRUE(wide.ok()) << "seed " << seed;
+    ASSERT_TRUE(narrow.ok()) << "seed " << seed;
+    EXPECT_NEAR(wide.objective, narrow.objective,
+                1e-6 * (1 + std::abs(wide.objective)))
         << "seed " << seed;
   }
 }
 
-// On LPs of routing scale the candidate list must pay off: strictly fewer
-// columns priced per iteration than the full sweep, same optimum.
-TEST(LpPricing, PartialPricesFewerColumnsPerIterationAtScale) {
-  long full_cols = 0, full_iters = 0, part_cols = 0, part_iters = 0;
+// On LPs of routing scale the candidate list must pay off: fewer columns
+// priced per iteration than a full sweep over the n + m columns, which
+// prices the n nonbasic ones (m are always basic).
+TEST(LpPricing, PricesFewerColumnsPerIterationThanAFullSweepAtScale) {
   for (int seed = 1; seed <= 5; ++seed) {
     lp::Problem p =
         RandomBoundedLp(static_cast<uint64_t>(600 + seed), 500, 120);
-    lp::Solution full = lp::Solve(p, WithMode(lp::PricingMode::kDantzig));
-    lp::Solution part = lp::Solve(p, WithMode(lp::PricingMode::kPartial));
-    ASSERT_TRUE(full.ok());
-    ASSERT_TRUE(part.ok());
-    EXPECT_NEAR(full.objective, part.objective,
-                1e-6 * (1 + std::abs(full.objective)));
-    full_cols += full.columns_priced;
-    full_iters += full.iterations;
-    part_cols += part.columns_priced;
-    part_iters += part.iterations;
+    lp::Solution s = SolveCertified(p, {});
+    ASSERT_TRUE(s.ok()) << "seed " << seed;
+    ASSERT_GT(s.iterations, 0);
+    EXPECT_LT(static_cast<double>(s.columns_priced) /
+                  static_cast<double>(s.iterations),
+              static_cast<double>(p.VariableCount()))
+        << "seed " << seed;
   }
-  ASSERT_GT(full_iters, 0);
-  ASSERT_GT(part_iters, 0);
-  double full_per_iter =
-      static_cast<double>(full_cols) / static_cast<double>(full_iters);
-  double part_per_iter =
-      static_cast<double>(part_cols) / static_cast<double>(part_iters);
-  EXPECT_LT(part_per_iter, full_per_iter);
 }
 
-// Pricing parity on warm mutation sequences: one randomized mutation
-// sequence (AddColumn / AddRow / AddToRow / SetRhs interleaved with warm
-// re-solves) driven through a kPartial and a kDantzig solver in lockstep.
-// At every checkpoint both must carry a KKT certificate for the accumulated
-// problem and agree with each other AND with a one-shot solve of it.
+// Warm mutation sequences: one randomized sequence of AddColumn / AddRow /
+// AddToRow / SetRhs interleaved with warm re-solves. At every checkpoint
+// the warm solver must carry a KKT certificate for the accumulated problem
+// and agree with a one-shot solve of it.
 class LpPricingMutationTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
+TEST_P(LpPricingMutationTest, MutationSequenceStaysCertified) {
   Rng rng(static_cast<uint64_t>(15000 + GetParam()));
-  lp::Solver part(WithMode(lp::PricingMode::kPartial));
-  lp::Solver full(WithMode(lp::PricingMode::kDantzig));
+  lp::Solver warm;
   struct ShadowRow {
     lp::RowType type;
     double rhs;
@@ -168,8 +144,7 @@ TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
       coeffs.emplace_back(static_cast<int>(r), a);
       rows[r].coeffs.emplace_back(static_cast<int>(hi.size()), a);
     }
-    part.AddColumn(0, h, c, coeffs);
-    full.AddColumn(0, h, c, coeffs);
+    warm.AddColumn(0, h, c, coeffs);
     hi.push_back(h);
     obj.push_back(c);
   };
@@ -181,8 +156,7 @@ TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
       if (rng.NextIndex(3) != 0) continue;
       row.coeffs.emplace_back(static_cast<int>(j), rng.Uniform(-2, 2));
     }
-    part.AddRow(row.type, row.rhs, row.coeffs);
-    full.AddRow(row.type, row.rhs, row.coeffs);
+    warm.AddRow(row.type, row.rhs, row.coeffs);
     rows.push_back(std::move(row));
   };
 
@@ -202,8 +176,7 @@ TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
         size_t r = rng.NextIndex(rows.size());
         int v = static_cast<int>(rng.NextIndex(hi.size()));
         double delta = rng.Uniform(-0.5, 0.5);
-        part.AddToRow(static_cast<int>(r), v, delta);
-        full.AddToRow(static_cast<int>(r), v, delta);
+        warm.AddToRow(static_cast<int>(r), v, delta);
         bool found = false;
         for (auto& [var, c] : rows[r].coeffs) {
           if (var == v) {
@@ -219,27 +192,20 @@ TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
         if (rows.empty()) break;
         size_t r = rng.NextIndex(rows.size());
         rows[r].rhs = rand_rhs(rows[r].type);
-        part.SetRhs(static_cast<int>(r), rows[r].rhs);
-        full.SetRhs(static_cast<int>(r), rows[r].rhs);
+        warm.SetRhs(static_cast<int>(r), rows[r].rhs);
         break;
       }
     }
     if (step % 6 != 5) continue;
-    lp::Solution sp = part.Solve();
-    lp::Solution sf = full.Solve();
-    ASSERT_TRUE(sp.ok()) << "partial, step " << step;
-    ASSERT_TRUE(sf.ok()) << "full, step " << step;
-    EXPECT_NEAR(sp.objective, sf.objective,
-                1e-6 * (1 + std::abs(sf.objective)))
-        << "step " << step;
+    lp::Solution sw = warm.Solve();
+    ASSERT_TRUE(sw.ok()) << "warm, step " << step;
     lp::Problem p;
     for (size_t j = 0; j < hi.size(); ++j) p.AddVariable(0, hi[j], obj[j]);
     for (const ShadowRow& row : rows) p.AddRow(row.type, row.rhs, row.coeffs);
-    EXPECT_EQ(lp::KktViolation(p, sp, &part), "") << "partial, step " << step;
-    EXPECT_EQ(lp::KktViolation(p, sf, &full), "") << "full, step " << step;
+    EXPECT_EQ(lp::KktViolation(p, sw, &warm), "") << "warm, step " << step;
     lp::Solution cold = SolveCertified(p, {});
     ASSERT_TRUE(cold.ok()) << "cold, step " << step;
-    EXPECT_NEAR(sp.objective, cold.objective,
+    EXPECT_NEAR(sw.objective, cold.objective,
                 1e-6 * (1 + std::abs(cold.objective)))
         << "step " << step;
   }
@@ -247,14 +213,15 @@ TEST_P(LpPricingMutationTest, MutationSequenceAgreesAcrossPricingModes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpPricingMutationTest, ::testing::Range(1, 13));
 
-// Zoo-corpus slice: the Fig. 13 loop solved end to end with full vs partial
-// pricing must agree on feasibility, max level, and total weighted delay
-// (the same fingerprint the warm/cold parity anchor uses), and the partial
-// mode must price fewer columns per simplex iteration over the slice.
-TEST(LpPricing, ZooCorpusSliceParityAndFewerColumns) {
+// Zoo-corpus slice: the Fig. 13 loop, run warm through an LpReuseContext,
+// must reach the optimum of a cold build of its final LP (tests/cold_build.h)
+// in both LP modes, and the cold solves must price fewer columns than full
+// sweeps would: a full sweep prices at least the path-fraction columns of
+// the LP every iteration.
+TEST(LpPricing, ZooCorpusSliceMatchesColdBuildAndPricesFewerColumns) {
   std::vector<Topology> corpus = ZooCorpus();
   size_t checked = 0;
-  long full_cols = 0, full_iters = 0, part_cols = 0, part_iters = 0;
+  double priced = 0, full_sweeps = 0;
   for (size_t ti = 0; ti < corpus.size(); ti += 11) {
     const Topology& t = corpus[ti];
     const Graph& g = t.graph;
@@ -266,34 +233,28 @@ TEST(LpPricing, ZooCorpusSliceParityAndFewerColumns) {
     wopts.seed = 4321 + ti;
     std::vector<Aggregate> aggs = MakeScaledWorkloads(t, &cache, wopts)[0];
 
-    IterativeOptions full_opts;
-    full_opts.lp.solve.pricing.mode = lp::PricingMode::kDantzig;
-    IterativeOptions part_opts;
-    part_opts.lp.solve.pricing.mode = lp::PricingMode::kPartial;
-    RoutingOutcome full = IterativeLpRoute(g, aggs, &cache, full_opts);
-    RoutingOutcome part = IterativeLpRoute(g, aggs, &cache, part_opts);
+    for (bool minmax : {false, true}) {
+      IterativeOptions opts;
+      opts.lp.minmax = minmax;
+      LpReuseContext reuse;
+      IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+      ASSERT_NE(reuse.lp, nullptr) << t.name;
+      ColdBuild cb = SolveColdBuild(*cache.store(), aggs, opts, &reuse);
+      EXPECT_TRUE(WarmMatchesColdBuild(cb))
+          << t.name << (minmax ? " minmax" : " ldr");
 
-    EXPECT_EQ(full.feasible, part.feasible) << t.name;
-    EXPECT_NEAR(full.max_level, part.max_level, 1e-6) << t.name;
-    double full_delay = 0, part_delay = 0;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      full_delay += aggs[a].flow_count *
-                    AggregateDelayMs(*full.store, full.allocations[a]);
-      part_delay += aggs[a].flow_count *
-                    AggregateDelayMs(*part.store, part.allocations[a]);
+      size_t path_columns = 0;
+      for (const auto& plist : reuse.paths) {
+        if (plist.size() > 1) path_columns += plist.size();
+      }
+      priced += static_cast<double>(cb.cold.columns_priced);
+      full_sweeps += static_cast<double>(cb.cold.iterations) *
+                     static_cast<double>(path_columns);
     }
-    EXPECT_NEAR(full_delay, part_delay, 1e-5 * (1 + full_delay)) << t.name;
-
-    full_cols += full.lp_columns_priced;
-    full_iters += full.lp_iterations;
-    part_cols += part.lp_columns_priced;
-    part_iters += part.lp_iterations;
   }
   ASSERT_GE(checked, 3u);
-  ASSERT_GT(full_iters, 0);
-  ASSERT_GT(part_iters, 0);
-  EXPECT_LT(static_cast<double>(part_cols) / static_cast<double>(part_iters),
-            static_cast<double>(full_cols) / static_cast<double>(full_iters));
+  ASSERT_GT(full_sweeps, 0);
+  EXPECT_LT(priced, full_sweeps);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "routing/lp_routing.h"
 #include "routing/shortest_path_routing.h"
 #include "sim/evaluate.h"
+#include "tests/cold_build.h"
 
 namespace ldr {
 namespace {
@@ -433,45 +434,36 @@ TEST(IterativeLp, ZeroAggregates) {
   EXPECT_TRUE(out.allocations.empty());
 }
 
-// The incremental warm-started loop must agree with the cold per-round
-// rebuild: same feasibility, same max level, same weighted delay (the LP is
-// identical round for round, so the optima coincide).
-TEST(IterativeLp, IncrementalMatchesColdRebuild) {
+// The warm loop's final LP must reach the optimum of its cold build — a
+// fresh IncrementalRoutingLp over the grown path sets, solved once
+// (tests/cold_build.h) — in both LP modes.
+TEST(IterativeLp, IncrementalMatchesColdBuild) {
   Graph g = TriDiamond();
   KspCache cache(&g);
   // Enough demand that path growth engages across several rounds.
   std::vector<Aggregate> aggs{MakeAgg(0, 3, 12), MakeAgg(3, 0, 9),
                               MakeAgg(1, 2, 4)};
-  IterativeOptions warm_opts;
-  warm_opts.incremental = true;
-  IterativeOptions cold_opts;
-  cold_opts.incremental = false;
-  RoutingOutcome warm = IterativeLpRoute(g, aggs, &cache, warm_opts);
-  RoutingOutcome cold = IterativeLpRoute(g, aggs, &cache, cold_opts);
-  EXPECT_EQ(warm.feasible, cold.feasible);
-  EXPECT_NEAR(warm.max_level, cold.max_level, 1e-6);
-  EXPECT_EQ(warm.lp_rounds, cold.lp_rounds);
-  double warm_delay = 0, cold_delay = 0;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    warm_delay += aggs[a].flow_count * AggregateDelayMs(*warm.store, warm.allocations[a]);
-    cold_delay += aggs[a].flow_count * AggregateDelayMs(*cold.store, cold.allocations[a]);
-  }
-  EXPECT_NEAR(warm_delay, cold_delay, 1e-5 * std::max(1.0, cold_delay));
+  IterativeOptions opts;
+  LpReuseContext reuse;
+  RoutingOutcome out = IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+  ASSERT_GT(out.lp_rounds, 1);
+  ASSERT_NE(reuse.lp, nullptr);
+  EXPECT_TRUE(WarmMatchesColdBuild(
+      SolveColdBuild(*cache.store(), aggs, opts, &reuse)));
 }
 
-TEST(IterativeLp, IncrementalMatchesColdInMinMaxMode) {
+TEST(IterativeLp, IncrementalMatchesColdBuildInMinMaxMode) {
   Graph g = TriDiamond();
   KspCache cache(&g);
   std::vector<Aggregate> aggs{MakeAgg(0, 3, 12), MakeAgg(3, 0, 6)};
-  IterativeOptions warm_opts;
-  warm_opts.lp.minmax = true;
-  warm_opts.incremental = true;
-  IterativeOptions cold_opts = warm_opts;
-  cold_opts.incremental = false;
-  RoutingOutcome warm = IterativeLpRoute(g, aggs, &cache, warm_opts);
-  RoutingOutcome cold = IterativeLpRoute(g, aggs, &cache, cold_opts);
-  EXPECT_EQ(warm.feasible, cold.feasible);
-  EXPECT_NEAR(warm.max_level, cold.max_level, 1e-6);
+  IterativeOptions opts;
+  opts.lp.minmax = true;
+  LpReuseContext reuse;
+  RoutingOutcome out = IterativeLpRoute(g, aggs, &cache, opts, &reuse);
+  ASSERT_GT(out.lp_rounds, 1);
+  ASSERT_NE(reuse.lp, nullptr);
+  EXPECT_TRUE(WarmMatchesColdBuild(
+      SolveColdBuild(*cache.store(), aggs, opts, &reuse)));
 }
 
 // lp_rounds counts the rounds the growth loop actually solved. A loop that

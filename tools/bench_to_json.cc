@@ -5,22 +5,22 @@
 //   bench_to_json [--smoke] [output-path]     (default: BENCH_lp.json)
 //
 //   --smoke   CI smoke mode (ci.sh --bench-smoke): reduced repetitions, the
-//             slow corpus-wide sections (iterative_loop, thread_scaling,
-//             path_store, lp_pricing's corpus slice) skipped and emitted as
-//             zeros with "smoke": true at the top. All correctness markers —
-//             lp_pricing/lp_revised objective_parity, lp_lu kkt_certificate,
-//             scenario placement_parity, degradation recovery_parity — are
-//             still computed for real, so a perf refactor that breaks parity
-//             fails CI even in smoke mode.
+//             slow corpus-wide sections (thread_scaling, path_store,
+//             lp_pricing's corpus slice) skipped and emitted as zeros with
+//             "smoke": true at the top. All correctness markers — lp_revised
+//             objective_parity, lp_lu / lp_pricing kkt_certificate, scenario
+//             placement_parity, degradation recovery_parity — are still
+//             computed for real, so a perf refactor that breaks parity fails
+//             CI even in smoke mode.
 //
 // Sections:
 //   lp_resolve        one Fig. 13 growth round on a routing-shaped LP:
 //                     warm AddColumn+re-solve vs cold rebuild-and-solve
-//   iterative_loop    the full IterativeLpRoute path-growth loop, warm
-//                     (incremental solver across rounds) vs cold
-//   thread_scaling    RunTopology over a bench-corpus slice with
-//                     LDR_THREADS=1 vs LDR_THREADS=4 (speedup is meaningless
-//                     on a 1-core container; see invalid_single_core)
+//   thread_scaling    RunCorpus over a bench-corpus slice with
+//                     LDR_THREADS=1 vs LDR_THREADS=4, run as interleaved
+//                     pairs: medians of each side, and the median, min and
+//                     max of the per-pair speedups (meaningless on a 1-core
+//                     container; see invalid_single_core)
 //   path_store        corpus wall-clock plus PathStore interning telemetry:
 //                     allocation_refs is how many PathAllocation handles the
 //                     corpus produced (each an owning deep-copied Path before
@@ -29,9 +29,7 @@
 //   lp_revised        revised-simplex tracking: per-pivot cost and resident
 //                     solver memory on the lp_resolve_large warm round and
 //                     the shape_partial cold solve. basis_bytes is the
-//                     sparse L/U + update file the solver actually keeps;
-//                     dense_tableau_bytes is what a working tableau would
-//                     hold for the same LP ((n+m)·m doubles).
+//                     sparse L/U + update file the solver actually keeps.
 //                     objective_parity re-checks each warm/incremental solve
 //                     against a cold one-shot rebuild.
 //   lp_lu             the basis-size sweep: routing-shaped LPs generated at
@@ -44,12 +42,12 @@
 //                     --bench-smoke) requires every solve of the sweep to
 //                     carry a KKT optimality certificate from the
 //                     independent checker in tests/kkt.h.
-//   lp_pricing        full-Dantzig vs partial (candidate-list) pricing A/B:
-//                     routing-shaped LPs solved cold both ways, plus the
-//                     Fig. 13 loop over a warm-cache corpus slice, recording
-//                     columns priced per simplex iteration and wall-clock;
-//                     objectives must agree (the lp_pricing_test property
-//                     asserts the same parity in ctest)
+//   lp_pricing        candidate-list pricing load: routing-shaped LPs
+//                     solved cold, plus the Fig. 13 loop over a warm-cache
+//                     corpus slice, recording columns priced per simplex
+//                     iteration and wall-clock. kkt_certificate (gated by
+//                     ci.sh --bench-smoke) requires every routing-shaped
+//                     solve to carry a KKT certificate (tests/kkt.h).
 //   scenario          the fig21 failure/recovery timeline driven by the
 //                     ScenarioEngine on a zoo topology: per-epoch LDR solve
 //                     medians warm (persistent LP across epochs) vs cold
@@ -168,45 +166,6 @@ WarmCold BenchLpResolve(int aggregates, int links, int reps) {
   return wc;
 }
 
-// --- iterative_loop ---------------------------------------------------------
-
-WarmCold BenchIterativeLoop(int side, int reps) {
-  Rng rng(5);
-  Topology t = MakeGrid("bench-grid", side, side, 0.3, 0.0, EuropeRegion(),
-                        &rng, {100, 40, 0.3});
-  KspCache cache(&t.graph);
-  WorkloadOptions wopts;
-  wopts.num_instances = 1;
-  wopts.target_utilization = 0.9;
-  wopts.seed = 17;
-  std::vector<Aggregate> aggs = MakeScaledWorkloads(t, &cache, wopts)[0];
-  IterativeOptions opts;
-  IterativeLpRoute(t.graph, aggs, &cache, opts);  // warm the KSP cache
-
-  WarmCold wc;
-  std::vector<double> warm, cold;
-  for (int r = 0; r < reps; ++r) {
-    opts.incremental = true;
-    double t0 = NowMs();
-    RoutingOutcome ow = IterativeLpRoute(t.graph, aggs, &cache, opts);
-    warm.push_back(NowMs() - t0);
-
-    opts.incremental = false;
-    t0 = NowMs();
-    RoutingOutcome oc = IterativeLpRoute(t.graph, aggs, &cache, opts);
-    cold.push_back(NowMs() - t0);
-
-    if (std::abs(ow.max_level - oc.max_level) > 1e-5) {
-      std::fprintf(stderr,
-                   "bench_to_json: warm/cold max_level mismatch (%g vs %g)\n",
-                   ow.max_level, oc.max_level);
-    }
-  }
-  wc.warm_ms = MedianMs(warm);
-  wc.cold_ms = MedianMs(cold);
-  return wc;
-}
-
 // --- thread_scaling ---------------------------------------------------------
 
 double TimeCorpusMs(const std::vector<Topology>& corpus,
@@ -228,57 +187,86 @@ double TimeCorpusMs(const std::vector<Topology>& corpus,
   return elapsed;
 }
 
+struct ThreadScaling {
+  int pairs = 0;
+  double threads1_ms = 0;  // medians over the pairs
+  double threads4_ms = 0;
+  double speedup = 0;  // median of the per-pair speedups
+  double speedup_min = 0;
+  double speedup_max = 0;
+};
+
+// Interleaved 1-thread / 4-thread pairs, so a slow episode of a shared host
+// lands on both sides of a pair rather than on one whole side. The first
+// 1-thread run also collects the PathStore interning telemetry.
+ThreadScaling BenchThreadScaling(const std::vector<Topology>& corpus,
+                                 const CorpusRunOptions& opts, int pairs,
+                                 uint64_t* allocation_refs,
+                                 uint64_t* unique_paths) {
+  ThreadScaling out;
+  std::vector<double> t1s, t4s, speedups;
+  for (int i = 0; i < pairs; ++i) {
+    double t1 = TimeCorpusMs(corpus, opts, "1",
+                             i == 0 ? allocation_refs : nullptr,
+                             i == 0 ? unique_paths : nullptr);
+    double t4 = TimeCorpusMs(corpus, opts, "4");
+    t1s.push_back(t1);
+    t4s.push_back(t4);
+    speedups.push_back(t4 > 0 ? t1 / t4 : 0);
+  }
+  out.pairs = pairs;
+  out.threads1_ms = MedianMs(t1s);
+  out.threads4_ms = MedianMs(t4s);
+  out.speedup = MedianMs(speedups);
+  out.speedup_min = *std::min_element(speedups.begin(), speedups.end());
+  out.speedup_max = *std::max_element(speedups.begin(), speedups.end());
+  return out;
+}
+
 // --- lp_pricing -------------------------------------------------------------
 
 struct PricingRun {
   double ms = 0;
-  long columns = 0;      // total columns priced
-  long iters = 0;        // total simplex iterations
-  long solved = 0;       // instances that reached optimal
-  double objective = 0;  // summed objectives / max levels (parity fingerprint)
+  long columns = 0;  // total columns priced
+  long iters = 0;    // total simplex iterations
+  long solved = 0;   // instances that reached optimal
+  bool kkt_certificate = true;
   double per_iter() const {
     return iters > 0 ? static_cast<double>(columns) / static_cast<double>(iters)
                      : 0;
   }
 };
 
-// Parity holds only when both modes solved the same number of instances,
-// at least one, AND the objective fingerprints agree — a failed solve must
-// not silently drop out of one side's sum.
-bool PricingParity(const PricingRun& a, const PricingRun& b) {
-  return a.solved == b.solved && a.solved > 0 &&
-         std::abs(a.objective - b.objective) <=
-             1e-5 * (1 + std::abs(a.objective));
-}
-
-// Cold solves of routing-shaped LPs under one pricing mode.
-PricingRun BenchPricingShapes(lp::PricingMode mode, int aggregates, int links,
-                              int reps) {
+// Cold solves of routing-shaped LPs, each optimum KKT-certified. A failed
+// solve fails the certificate rather than dropping out of the sums.
+PricingRun BenchPricingShapes(int aggregates, int links, int reps) {
   PricingRun out;
   std::vector<double> times;
   for (int r = 0; r < reps; ++r) {
     auto spec = bench::RoutingLpSpec::Random(21 + static_cast<uint64_t>(r),
                                              aggregates, links);
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
-    lp::SolveOptions so;
-    so.pricing.mode = mode;
     double t0 = NowMs();
-    lp::Solution s = lp::Solve(p, so);
+    lp::Solver solver(p);
+    lp::Solution s = solver.Solve();
     times.push_back(NowMs() - t0);
-    if (s.ok()) {
-      out.columns += s.columns_priced;
-      out.iters += s.iterations;
-      out.objective += s.objective;
-      ++out.solved;
+    std::string violation = lp::KktViolation(p, s, &solver);
+    if (!violation.empty()) {
+      out.kkt_certificate = false;
+      std::fprintf(stderr, "bench_to_json: lp_pricing KKT failure: %s\n",
+                   violation.c_str());
+      continue;
     }
+    out.columns += s.columns_priced;
+    out.iters += s.iterations;
+    ++out.solved;
   }
   if (!times.empty()) out.ms = MedianMs(times);
   return out;
 }
 
 // The Fig. 13 loop over small corpus topologies with pre-warmed KSP caches,
-// so the timed passes measure LP work rather than Yen's algorithm. Both
-// pricing modes run against the same caches and workloads.
+// so the timed pass measures LP work rather than Yen's algorithm.
 struct CorpusPricingFixture {
   std::vector<Topology> corpus;  // owns the graphs tops/caches point into
   std::vector<const Topology*> tops;
@@ -306,18 +294,16 @@ CorpusPricingFixture MakePricingFixture(std::vector<Topology> corpus) {
   return f;
 }
 
-PricingRun BenchPricingCorpus(CorpusPricingFixture* f, lp::PricingMode mode) {
+PricingRun BenchPricingCorpus(CorpusPricingFixture* f) {
   PricingRun out;
   double t0 = NowMs();
   for (size_t i = 0; i < f->tops.size(); ++i) {
     IterativeOptions opts;
-    opts.lp.solve.pricing.mode = mode;
     RoutingOutcome o = IterativeLpRoute(f->tops[i]->graph, f->workloads[i],
                                         f->caches[i].get(), opts);
     out.columns += o.lp_columns_priced;
     out.iters += o.lp_iterations;
-    out.objective += o.max_level;
-    ++out.solved;
+    if (o.lp_failures == 0) ++out.solved;
   }
   out.ms = NowMs() - t0;
   return out;
@@ -332,7 +318,6 @@ struct RevisedStats {
   long pivots = 0;            // summed basis-changing pivots
   long ftran_nnz = 0;         // summed FTRAN input nonzeros
   size_t basis_bytes = 0;     // resident L/U + file bytes (last solver)
-  size_t dense_tableau_bytes = 0;  // (n+m)·m doubles a working tableau holds
   bool objective_parity = true;
   double per_pivot_ms() const {
     return pivots > 0 ? total_ms / static_cast<double>(pivots) : 0;
@@ -365,9 +350,6 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps) {
     out.pivots += sw.pivots;
     out.ftran_nnz += sw.ftran_nnz;
     out.basis_bytes = sw.basis_bytes;
-    size_t n = warm.solver.VariableCount();
-    size_t m = warm.solver.RowCount();
-    out.dense_tableau_bytes = (n + m) * m * sizeof(double);
     lp::Solution sc =
         lp::Solve(bench::BuildProblem(spec, /*with_growth=*/true));
     if (!sc.ok() || std::abs(sw.objective - sc.objective) >
@@ -398,9 +380,6 @@ RevisedStats BenchRevisedShapes(int aggregates, int links, int reps) {
     out.pivots += s.pivots;
     out.ftran_nnz += s.ftran_nnz;
     out.basis_bytes = s.basis_bytes;
-    size_t n = p.VariableCount();
-    size_t m = p.RowCount();
-    out.dense_tableau_bytes = (n + m) * m * sizeof(double);
   }
   return out;
 }
@@ -820,13 +799,6 @@ int main(int argc, char** argv) {
   WarmCold resolve_small = BenchLpResolve(50, 25, smoke ? 3 : 7);
   WarmCold resolve_large = BenchLpResolve(150, 75, smoke ? 1 : 3);
 
-  WarmCold loop_small, loop_large;
-  if (!smoke) {
-    std::fprintf(stderr, "bench_to_json: iterative_loop...\n");
-    loop_small = BenchIterativeLoop(4, 5);
-    loop_large = BenchIterativeLoop(6, 3);
-  }
-
   std::fprintf(stderr, "bench_to_json: lp_revised...\n");
   RevisedStats revised_resolve = BenchRevisedResolve(150, 75, smoke ? 1 : 3);
   RevisedStats revised_shapes = BenchRevisedShapes(120, 60, smoke ? 2 : 5);
@@ -846,28 +818,11 @@ int main(int argc, char** argv) {
   for (const LuSweepPoint& pt : lu_sweep) kkt_certificate &= pt.kkt_certificate;
 
   std::fprintf(stderr, "bench_to_json: lp_pricing...\n");
-  PricingRun shape_full =
-      BenchPricingShapes(lp::PricingMode::kDantzig, 120, 60, smoke ? 2 : 5);
-  PricingRun shape_partial =
-      BenchPricingShapes(lp::PricingMode::kPartial, 120, 60, smoke ? 2 : 5);
-  PricingRun corpus_full, corpus_partial;
+  PricingRun pricing_shapes = BenchPricingShapes(120, 60, smoke ? 2 : 5);
+  PricingRun pricing_corpus;
   if (!smoke) {
     CorpusPricingFixture fixture = MakePricingFixture(BenchCorpus(8));
-    corpus_full = BenchPricingCorpus(&fixture, lp::PricingMode::kDantzig);
-    corpus_partial = BenchPricingCorpus(&fixture, lp::PricingMode::kPartial);
-  }
-  bool pricing_parity =
-      PricingParity(shape_full, shape_partial) &&
-      (smoke || PricingParity(corpus_full, corpus_partial));
-  if (!pricing_parity) {
-    std::fprintf(stderr,
-                 "bench_to_json: full/partial pricing mismatch "
-                 "(shapes %g vs %g over %ld/%ld solved, corpus %g vs %g "
-                 "over %ld/%ld solved)\n",
-                 shape_full.objective, shape_partial.objective,
-                 shape_full.solved, shape_partial.solved,
-                 corpus_full.objective, corpus_partial.objective,
-                 corpus_full.solved, corpus_partial.solved);
+    pricing_corpus = BenchPricingCorpus(&fixture);
   }
 
   std::fprintf(stderr, "bench_to_json: scenario...\n");
@@ -890,7 +845,7 @@ int main(int argc, char** argv) {
 
   std::vector<Topology> corpus;
   uint64_t allocation_refs = 0, unique_paths = 0;
-  double t1 = 0, t4 = 0;
+  ThreadScaling scaling;
   if (!smoke) {
     std::fprintf(stderr, "bench_to_json: thread_scaling...\n");
     corpus = BenchCorpus(/*small_stride=*/8);
@@ -898,8 +853,8 @@ int main(int argc, char** argv) {
     copts.scheme_ids = {kSchemeOptimal, kSchemeMinMax};
     copts.workload.num_instances = 4;
     copts.max_nodes = 40;
-    t1 = TimeCorpusMs(corpus, copts, "1", &allocation_refs, &unique_paths);
-    t4 = TimeCorpusMs(corpus, copts, "4");
+    scaling = BenchThreadScaling(corpus, copts, /*pairs=*/5, &allocation_refs,
+                                 &unique_paths);
   }
   double hit_rate =
       allocation_refs > unique_paths
@@ -922,24 +877,26 @@ int main(int argc, char** argv) {
   };
   emit_wc("lp_resolve_small", resolve_small, true);
   emit_wc("lp_resolve_large", resolve_large, true);
-  emit_wc("iterative_loop_small", loop_small, true);
-  emit_wc("iterative_loop_large", loop_large, true);
   // A 1-core container cannot exhibit thread scaling: the measured ~1.0
   // "speedup" is pure scheduling noise, so mark it invalid instead of
   // letting it masquerade as a regression baseline.
   unsigned hw_threads = std::thread::hardware_concurrency();
   bool single_core = hw_threads <= 1;
   std::fprintf(f,
-               "  \"thread_scaling\": {\"threads1_ms\": %.1f, "
+               "  \"thread_scaling\": {\"pairs\": %d, \"threads1_ms\": %.1f, "
                "\"threads4_ms\": %.1f, \"speedup\": %.2f, "
+               "\"speedup_min\": %.2f, \"speedup_max\": %.2f, "
                "\"topologies\": %zu, \"hardware_threads\": %u%s},\n",
-               t1, t4, t4 > 0 ? t1 / t4 : 0, corpus.size(), hw_threads,
+               scaling.pairs, scaling.threads1_ms, scaling.threads4_ms,
+               scaling.speedup, scaling.speedup_min, scaling.speedup_max,
+               corpus.size(), hw_threads,
                single_core ? ", \"invalid_single_core\": true" : "");
   std::fprintf(f,
                "  \"path_store\": {\"corpus_ms\": %.1f, "
                "\"allocation_refs\": %llu, \"unique_paths\": %llu, "
                "\"intern_hit_rate\": %.4f},\n",
-               t1, static_cast<unsigned long long>(allocation_refs),
+               scaling.threads1_ms,
+               static_cast<unsigned long long>(allocation_refs),
                static_cast<unsigned long long>(unique_paths), hit_rate);
   // Same 1-core caveat as thread_scaling: epoch solve medians measured on a
   // loaded single-core container are scheduling noise, so they carry the
@@ -962,10 +919,9 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    \"%s\": {\"ms\": %.3f, \"iterations\": %ld, \"pivots\": %ld, "
-        "\"per_pivot_ms\": %.5f, \"ftran_nnz\": %ld, \"basis_bytes\": %zu, "
-        "\"dense_tableau_bytes\": %zu},\n",
+        "\"per_pivot_ms\": %.5f, \"ftran_nnz\": %ld, \"basis_bytes\": %zu},\n",
         name, per_solve, rs.iters, rs.pivots, rs.per_pivot_ms(), rs.ftran_nnz,
-        rs.basis_bytes, rs.dense_tableau_bytes);
+        rs.basis_bytes);
   };
   std::fprintf(f, "  \"lp_revised\": {\n");
   emit_revised("lp_resolve_large", revised_resolve);
@@ -1000,12 +956,10 @@ int main(int argc, char** argv) {
                  comma ? "," : "");
   };
   std::fprintf(f, "  \"lp_pricing\": {\n");
-  emit_pricing("shape_full", shape_full, true);
-  emit_pricing("shape_partial", shape_partial, true);
-  emit_pricing("corpus_full", corpus_full, true);
-  emit_pricing("corpus_partial", corpus_partial, true);
-  std::fprintf(f, "    \"objective_parity\": %s\n",
-               pricing_parity ? "true" : "false");
+  emit_pricing("shapes", pricing_shapes, true);
+  emit_pricing("corpus", pricing_corpus, true);
+  std::fprintf(f, "    \"kkt_certificate\": %s\n",
+               pricing_shapes.kkt_certificate ? "true" : "false");
   std::fprintf(f, "  },\n");
   // degraded_solve_ms is wall-clock and inherits the 1-core caveat; the
   // rung counts and recovery_parity are correctness and carry no marker.
@@ -1093,12 +1047,11 @@ int main(int argc, char** argv) {
       "lp_revised    resolve_large %.3f ms  shape_partial %.3f ms  "
       "basis %zu B  parity %s\n"
       "lp_lu         largest m=%zu  lu %.1f ms / %zu B  fill %.2f  kkt %s\n"
-      "iterative     warm %.3f ms  cold %.3f ms  speedup %.1fx\n"
-      "threads 1->4  %.1f ms -> %.1f ms  speedup %.2fx\n"
+      "threads 1->4  %.1f ms -> %.1f ms  speedup %.2fx (%.2f-%.2f)\n"
       "path_store    %llu allocation refs -> %llu unique paths  "
       "hit rate %.1f%%\n"
-      "lp_pricing    shapes %.1f -> %.1f cols/iter (%.3f -> %.3f ms)  "
-      "corpus %.1f -> %.1f cols/iter (%.1f -> %.1f ms)  parity %s\n"
+      "lp_pricing    shapes %.1f cols/iter (%.3f ms)  "
+      "corpus %.1f cols/iter (%.1f ms)  kkt %s\n"
       "scenario      warm %.3f ms  cold %.3f ms  speedup %.1fx  "
       "churn %.3f  reconverge down/up %d/%d  parity %s\n"
       "degradation   %zu fault epochs  rungs r1/r2/r3/r4 %zu/%zu/%zu/%zu  "
@@ -1112,13 +1065,12 @@ int main(int argc, char** argv) {
       lu_sweep.back().rows, lu_sweep.back().lu_ms,
       lu_sweep.back().lu_basis_bytes, lu_sweep.back().fill_ratio,
       kkt_certificate ? "yes" : "NO",
-      loop_large.warm_ms, loop_large.cold_ms, loop_large.speedup(), t1, t4,
-      t4 > 0 ? t1 / t4 : 0,
+      scaling.threads1_ms, scaling.threads4_ms, scaling.speedup,
+      scaling.speedup_min, scaling.speedup_max,
       static_cast<unsigned long long>(allocation_refs),
       static_cast<unsigned long long>(unique_paths), hit_rate * 100,
-      shape_full.per_iter(), shape_partial.per_iter(), shape_full.ms,
-      shape_partial.ms, corpus_full.per_iter(), corpus_partial.per_iter(),
-      corpus_full.ms, corpus_partial.ms, pricing_parity ? "yes" : "NO",
+      pricing_shapes.per_iter(), pricing_shapes.ms, pricing_corpus.per_iter(),
+      pricing_corpus.ms, pricing_shapes.kkt_certificate ? "yes" : "NO",
       scenario.warm_median_ms, scenario.cold_median_ms, scenario.speedup(),
       scenario.churn_event_free, scenario.reconverge_down,
       scenario.reconverge_up, scenario.placement_parity ? "yes" : "NO",
