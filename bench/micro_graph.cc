@@ -6,6 +6,7 @@
 
 #include "graph/ksp.h"
 #include "graph/max_flow.h"
+#include "graph/path_store.h"
 #include "graph/shortest_path.h"
 #include "topology/generators.h"
 #include "traffic/fft.h"
@@ -36,21 +37,22 @@ void BM_YenKsp(benchmark::State& state) {
   Topology t = BenchTopology(5, 5);
   size_t k = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    KspGenerator gen(&t.graph, 0,
+    PathStore store(&t.graph);
+    KspGenerator gen(&store, 0,
                      static_cast<NodeId>(t.graph.NodeCount() - 1));
-    benchmark::DoNotOptimize(gen.Get(k - 1));
+    benchmark::DoNotOptimize(gen.GetId(k - 1));
   }
 }
 BENCHMARK(BM_YenKsp)->Arg(1)->Arg(5)->Arg(20);
 
 void BM_YenKspCached(benchmark::State& state) {
-  // The warm-cache path LDR relies on: repeated Get() is O(1).
+  // The warm-cache path LDR relies on: repeated GetId() is O(1).
   Topology t = BenchTopology(5, 5);
   KspCache cache(&t.graph);
   NodeId dst = static_cast<NodeId>(t.graph.NodeCount() - 1);
-  cache.Get(0, dst)->Get(19);
+  cache.Get(0, dst)->GetId(19);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Get(0, dst)->Get(19));
+    benchmark::DoNotOptimize(cache.Get(0, dst)->GetId(19));
   }
 }
 BENCHMARK(BM_YenKspCached);

@@ -40,7 +40,11 @@
 #                campaign from its seed installs bitwise-identical
 #                placements) — is false.
 #                Perf refactors cannot silently break the parity markers the
-#                BENCH baseline stands on.
+#                BENCH baseline stands on. Then runs the controller
+#                benchmark (perfbench's ldr_bench) for 1 s on each workload
+#                (steady_mux, cold_grid, failover, seed 1, untraced) and
+#                fails unless each result reports "correct": true and
+#                "failed": 0.
 #   --soak       implies --sanitize; after the suite, re-run the randomized
 #                fault campaigns (fault_injection_test) and the seeded
 #                correlated-failure campaign slice (campaign_test) with
@@ -48,6 +52,10 @@
 #                under ASan+UBSan. The fixed per-campaign seeds make every
 #                failure replayable.
 #   --help       print this usage block and exit.
+#
+# Every mode also configures and builds the controller benchmark
+# (perfbench/, its own CMake package) into <build-dir>/perfbench, so a
+# library API change that breaks the benchmark driver fails here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -133,6 +141,8 @@ fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
+cmake -S perfbench -B "$BUILD_DIR/perfbench"
+cmake --build "$BUILD_DIR/perfbench" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 if [ "$TIDY" = 1 ]; then
@@ -199,5 +209,16 @@ if [ "$BENCH_SMOKE" = 1 ]; then
       exit 1
     fi
   done
-  echo "ci.sh: bench smoke OK (objective/kkt/placement/recovery/warm-restart/survivability markers true)" >&2
+  for workload in steady_mux cold_grid failover; do
+    RESULT=$("$BUILD_DIR/perfbench/ldr_bench" --workload "$workload" \
+        --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$RESULT" >&2
+    if ! grep -q '"correct": true' <<<"$RESULT" || \
+        ! grep -q '"failed": 0,' <<<"$RESULT"; then
+      echo "ci.sh: bench smoke FAILED (ldr_bench $workload)" >&2
+      exit 1
+    fi
+  done
+  echo "ci.sh: bench smoke OK (objective/kkt/placement/recovery/warm-restart/survivability markers true;" \
+      "ldr_bench steady_mux/cold_grid/failover correct, 0 failed ops)" >&2
 fi

@@ -87,46 +87,4 @@ std::vector<LinkId> CableLinks(const Graph& g, LinkId link) {
   return out;
 }
 
-double Path::DelayMs(const Graph& g) const {
-  double d = 0;
-  for (LinkId id : links_) d += g.link(id).delay_ms;
-  return d;
-}
-
-double Path::BottleneckGbps(const Graph& g) const {
-  double b = 1e300;
-  for (LinkId id : links_) b = std::min(b, g.link(id).capacity_gbps);
-  return links_.empty() ? 0 : b;
-}
-
-std::vector<NodeId> Path::Nodes(const Graph& g) const {
-  std::vector<NodeId> nodes;
-  if (links_.empty()) return nodes;
-  nodes.reserve(links_.size() + 1);
-  nodes.push_back(g.link(links_[0]).src);
-  for (LinkId id : links_) nodes.push_back(g.link(id).dst);
-  return nodes;
-}
-
-bool Path::ContainsLink(LinkId id) const {
-  return std::find(links_.begin(), links_.end(), id) != links_.end();
-}
-
-bool Path::ContainsNode(const Graph& g, NodeId id) const {
-  for (NodeId n : Nodes(g)) {
-    if (n == id) return true;
-  }
-  return false;
-}
-
-std::string Path::ToString(const Graph& g) const {
-  if (links_.empty()) return "(empty)";
-  std::string out = g.node_name(g.link(links_[0]).src);
-  for (LinkId id : links_) {
-    out += "->";
-    out += g.node_name(g.link(id).dst);
-  }
-  return out;
-}
-
 }  // namespace ldr

@@ -161,7 +161,7 @@ class Graph {
 
   // Administrative link masking — the cheap "link fails at t" primitive of
   // the scenario engine. A down link stays in the link table (ids, delays
-  // and capacities are untouched; Path/PathStore spans referring to it stay
+  // and capacities are untouched; PathStore spans referring to it stay
   // resolvable) but disappears from OutLinks, and with it from Dijkstra, Yen
   // and every routing scheme. No CSR rebuild happens in either direction.
   // Out-of-range ids are a no-op / read as up: scenario events are external
@@ -238,40 +238,6 @@ class Graph {
 // nothing). The one definition of "a cable failure takes both directions" —
 // link-flap construction and SRLG expansion both build on it.
 std::vector<LinkId> CableLinks(const Graph& g, LinkId link);
-
-// An explicit path: an ordered list of link ids, where link i's dst is
-// link i+1's src. An empty path is valid only as "no path".
-class Path {
- public:
-  Path() = default;
-  explicit Path(std::vector<LinkId> links) : links_(std::move(links)) {}
-
-  const std::vector<LinkId>& links() const { return links_; }
-  bool empty() const { return links_.empty(); }
-  size_t hop_count() const { return links_.size(); }
-
-  // Sum of link delays.
-  double DelayMs(const Graph& g) const;
-
-  // Minimum link capacity along the path (the bottleneck).
-  double BottleneckGbps(const Graph& g) const;
-
-  // Node sequence src..dst (hop_count()+1 nodes). Empty for the empty path.
-  std::vector<NodeId> Nodes(const Graph& g) const;
-
-  bool ContainsLink(LinkId id) const;
-  bool ContainsNode(const Graph& g, NodeId id) const;
-
-  // "A->B->C" using node names; for logs and examples.
-  std::string ToString(const Graph& g) const;
-
-  friend bool operator==(const Path& a, const Path& b) {
-    return a.links_ == b.links_;
-  }
-
- private:
-  std::vector<LinkId> links_;
-};
 
 }  // namespace ldr
 

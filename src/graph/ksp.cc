@@ -1,6 +1,7 @@
 #include "graph/ksp.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/failpoint.h"
 
@@ -13,25 +14,13 @@ KspGenerator::KspGenerator(PathStore* store, NodeId src, NodeId dst,
       src_(src),
       dst_(dst),
       base_excl_(std::move(excl)) {
-  std::optional<Path> sp = ShortestPath(*g_, src_, dst_, base_excl_);
+  std::optional<std::vector<LinkId>> sp =
+      ShortestPath(*g_, src_, dst_, base_excl_);
   if (sp.has_value() && !sp->empty()) {
-    seen_.insert(sp->links());
     produced_.push_back(store_->Intern(*sp));
-  } else {
-    exhausted_ = true;
+    seen_.insert(std::move(*sp));
   }
 }
-
-KspGenerator::KspGenerator(std::unique_ptr<PathStore> owned, NodeId src,
-                           NodeId dst, ExclusionSet excl)
-    : KspGenerator(owned.get(), src, dst, std::move(excl)) {
-  owned_store_ = std::move(owned);
-}
-
-KspGenerator::KspGenerator(const Graph* g, NodeId src, NodeId dst,
-                           ExclusionSet excl)
-    : KspGenerator(std::make_unique<PathStore>(g), src, dst,
-                   std::move(excl)) {}
 
 PathId KspGenerator::GetId(size_t k) {
   while (produced_.size() <= k) {
@@ -43,14 +32,6 @@ PathId KspGenerator::GetId(size_t k) {
     if (!ProduceNext()) return kInvalidPathId;
   }
   return produced_[k];
-}
-
-const Path* KspGenerator::Get(size_t k) {
-  if (GetId(k) == kInvalidPathId) return nullptr;
-  while (materialized_.size() <= k) {
-    materialized_.push_back(store_->Resolve(produced_[materialized_.size()]));
-  }
-  return &materialized_[k];
 }
 
 void KspGenerator::GenerateCandidatesFromLast() {
@@ -92,13 +73,15 @@ void KspGenerator::GenerateCandidatesFromLast() {
       }
     }
 
-    std::optional<Path> spur = ShortestPath(*g_, spur_node, dst_, excl);
+    SpTree spur_tree = ShortestPathTree(*g_, spur_node, excl);
+    std::optional<std::vector<LinkId>> spur = spur_tree.PathTo(*g_, dst_);
     if (spur.has_value() && !spur->empty()) {
       std::vector<LinkId> total = root;
-      total.insert(total.end(), spur->links().begin(), spur->links().end());
+      total.insert(total.end(), spur->begin(), spur->end());
       if (seen_.insert(total).second) {
         Candidate c;
-        c.delay_ms = root_delay + spur->DelayMs(*g_);
+        c.delay_ms =
+            root_delay + spur_tree.distance_ms[static_cast<size_t>(dst_)];
         c.links = std::move(total);
         candidates_.insert(std::move(c));
       }
@@ -143,7 +126,6 @@ bool KspGenerator::ProduceNext() {
     candidates_.erase(it);
     return true;
   }
-  exhausted_ = true;
   return false;
 }
 

@@ -14,9 +14,7 @@
 #define LDR_GRAPH_KSP_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -30,28 +28,15 @@ namespace ldr {
 class KspGenerator {
  public:
   // Interns produced paths into `store` (must outlive the generator; its
-  // graph is the search graph). This is the form KspCache uses, so every
-  // generator of a topology shares one arena.
+  // graph is the search graph). KspCache hands every generator of a
+  // topology its one shared store; a transient generator (the APA metric's
+  // exclusion-set searches) gets a store local to the call.
   KspGenerator(PathStore* store, NodeId src, NodeId dst, ExclusionSet excl = {});
-
-  // Convenience form owning a private store — used by the APA metric (whose
-  // exclusion-set generators are transient) and by tests. The graph must
-  // outlive the generator.
-  KspGenerator(const Graph* g, NodeId src, NodeId dst, ExclusionSet excl = {});
 
   // Returns the k-th (0-based) shortest simple path as an interned id, or
   // kInvalidPathId if fewer than k+1 simple paths exist. Paths are produced
   // in non-decreasing delay order. Ids are stable for the store's lifetime.
   PathId GetId(size_t k);
-
-  // Pointer form of GetId: materializes (and memoizes) an owning Path.
-  // Returns nullptr when exhausted; pointers remain valid for the
-  // generator's lifetime. Kept for metric/test call sites — the routing hot
-  // path uses GetId.
-  const Path* Get(size_t k);
-
-  // Number of paths produced so far.
-  size_t ProducedCount() const { return produced_.size(); }
 
   // True if any *queued candidate* path crosses `link`. Produced paths are
   // interned, so the cache answers that side through the store's reverse
@@ -65,15 +50,7 @@ class KspGenerator {
   // path" from "some earlier, already-evicted generation did".
   bool HasProduced(PathId id) const;
 
-  // True once the path space is known to be exhausted.
-  bool Exhausted() const { return exhausted_ && candidates_.empty(); }
-
  private:
-  // Delegation target of the Graph* convenience ctor: adopts the store it
-  // interned into.
-  KspGenerator(std::unique_ptr<PathStore> owned, NodeId src, NodeId dst,
-               ExclusionSet excl);
-
   struct Candidate {
     double delay_ms;
     std::vector<LinkId> links;
@@ -89,15 +66,12 @@ class KspGenerator {
 
   const Graph* g_;
   PathStore* store_;
-  std::unique_ptr<PathStore> owned_store_;  // set by the convenience ctor
   NodeId src_;
   NodeId dst_;
   ExclusionSet base_excl_;
   std::vector<PathId> produced_;         // interned, in production order
-  std::deque<Path> materialized_;        // lazy Get() copies; stable addresses
   std::set<Candidate> candidates_;       // ordered; also deduplicates
   std::set<std::vector<LinkId>> seen_;   // all produced + candidate link seqs
-  bool exhausted_ = false;
 };
 
 // Cache of generators per (src, dst) pair over one graph, sharing one

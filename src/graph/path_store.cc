@@ -97,9 +97,4 @@ std::string PathStore::ToString(PathId id) const {
   return out;
 }
 
-Path PathStore::Resolve(PathId id) const {
-  LinkSpan links = Links(id);
-  return Path(std::vector<LinkId>(links.begin(), links.end()));
-}
-
 }  // namespace ldr

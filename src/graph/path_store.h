@@ -3,11 +3,12 @@
 // The paper's bottleneck analysis (§5) notes the k-shortest-path machinery,
 // not the LP, dominates LDR's runtime and that its results "can be readily
 // cached". The KSP layer caches *generators*; this module removes the other
-// half of the cost: every layer above (LP columns, allocations, evaluation,
-// replay) used to deep-copy owning Path objects per corpus instance. Here a
-// path is stored exactly once as a contiguous LinkId span with its delay
-// cached, and everything above passes 32-bit PathId handles around.
-// Hash-consing makes PathId equality equivalent to structural Path equality
+// half of the cost: a path is stored exactly once as a contiguous LinkId span
+// with its delay cached, and every layer above (LP columns, allocations,
+// evaluation, replay) passes 32-bit PathId handles around. It is the one
+// path representation: the per-path queries (delay, bottleneck, nodes,
+// contains-link/node, to-string) are defined here and nowhere else.
+// Hash-consing makes PathId equality equivalent to link-sequence equality
 // (two ids from the same store are equal iff their link sequences are), which
 // also makes warm-start LP column identity exact across controller epochs.
 //
@@ -48,7 +49,6 @@ class PathStore {
   PathId Intern(const std::vector<LinkId>& links) {
     return Intern(links.data(), links.size());
   }
-  PathId Intern(const Path& path) { return Intern(path.links()); }
 
   size_t size() const { return meta_.size(); }
 
@@ -62,8 +62,9 @@ class PathStore {
   }
   bool Empty(PathId id) const { return HopCount(id) == 0; }
 
-  // Sum of link delays, cached at intern time (same accumulation order as
-  // Path::DelayMs, so results are bitwise identical).
+  // Sum of link delays, cached at intern time and accumulated first link to
+  // last — the order SpTree::distance_ms sums them in, so the two agree
+  // bitwise.
   double DelayMs(PathId id) const {
     return meta_[static_cast<size_t>(id)].delay_ms;
   }
@@ -79,10 +80,6 @@ class PathStore {
 
   // "A->B->C" using node names; for logs and CLIs.
   std::string ToString(PathId id) const;
-
-  // Materializes an owning Path — the thin escape hatch that keeps
-  // bench/tool printing and Path-based call sites unchanged.
-  Path Resolve(PathId id) const;
 
   const Graph& graph() const { return *g_; }
 

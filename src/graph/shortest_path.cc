@@ -43,7 +43,8 @@ SpTree ShortestPathTree(const Graph& g, NodeId src, const ExclusionSet& excl) {
   return tree;
 }
 
-std::optional<Path> SpTree::PathTo(const Graph& g, NodeId dst) const {
+std::optional<std::vector<LinkId>> SpTree::PathTo(const Graph& g,
+                                                  NodeId dst) const {
   if (distance_ms[static_cast<size_t>(dst)] == kInf) return std::nullopt;
   std::vector<LinkId> links;
   NodeId cur = dst;
@@ -53,12 +54,13 @@ std::optional<Path> SpTree::PathTo(const Graph& g, NodeId dst) const {
     cur = g.link(lid).src;
   }
   std::reverse(links.begin(), links.end());
-  return Path(std::move(links));
+  return links;
 }
 
-std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
-                                 const ExclusionSet& excl) {
-  if (src == dst) return Path{};
+std::optional<std::vector<LinkId>> ShortestPath(const Graph& g, NodeId src,
+                                                NodeId dst,
+                                                const ExclusionSet& excl) {
+  if (src == dst) return std::vector<LinkId>{};
   SpTree tree = ShortestPathTree(g, src, excl);
   return tree.PathTo(g, dst);
 }

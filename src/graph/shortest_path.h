@@ -25,9 +25,10 @@ struct ExclusionSet {
   }
 };
 
-// Lowest-delay path src->dst, or nullopt if unreachable.
-std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
-                                 const ExclusionSet& excl = {});
+// Link sequence of the lowest-delay path src->dst (empty when src == dst),
+// or nullopt if unreachable.
+std::optional<std::vector<LinkId>> ShortestPath(
+    const Graph& g, NodeId src, NodeId dst, const ExclusionSet& excl = {});
 
 // Single-source shortest path tree: per-node distance (ms; infinity if
 // unreachable) and the incoming link on the best path.
@@ -35,8 +36,9 @@ struct SpTree {
   std::vector<double> distance_ms;
   std::vector<LinkId> parent_link;
 
-  // Reconstructs the path to `dst`; nullopt if unreachable.
-  std::optional<Path> PathTo(const Graph& g, NodeId dst) const;
+  // Reconstructs the link sequence to `dst`; nullopt if unreachable.
+  // distance_ms[dst] is its delay, summed link by link from the source.
+  std::optional<std::vector<LinkId>> PathTo(const Graph& g, NodeId dst) const;
 };
 
 SpTree ShortestPathTree(const Graph& g, NodeId src,

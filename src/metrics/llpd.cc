@@ -4,6 +4,7 @@
 
 #include "graph/ksp.h"
 #include "graph/max_flow.h"
+#include "graph/path_store.h"
 #include "graph/shortest_path.h"
 
 namespace ldr {
@@ -19,21 +20,27 @@ bool CanRouteAround(const Graph& g, NodeId src, NodeId dst, LinkId link,
   // Fast path: the single best alternate. If even it exceeds the stretch
   // limit, no alternate can qualify; if it qualifies and alone has enough
   // capacity, we are done without running Yen.
-  std::optional<Path> best = ShortestPath(g, src, dst, excl);
+  SpTree tree = ShortestPathTree(g, src, excl);
+  std::optional<std::vector<LinkId>> best = tree.PathTo(g, dst);
   if (!best.has_value() || best->empty()) return false;
-  if (best->DelayMs(g) > limit_ms + 1e-9) return false;
-  if (best->BottleneckGbps(g) >= bottleneck_gbps - 1e-9) return true;
+  if (tree.distance_ms[static_cast<size_t>(dst)] > limit_ms + 1e-9) {
+    return false;
+  }
+  PathStore store(&g);
+  if (store.BottleneckGbps(store.Intern(*best)) >= bottleneck_gbps - 1e-9) {
+    return true;
+  }
 
   // Slow path: progressively union the n lowest-latency alternates (all
   // within the stretch limit) until their min-cut reaches Bsp.
-  KspGenerator gen(&g, src, dst, excl);
+  KspGenerator gen(&store, src, dst, excl);
   std::vector<LinkId> union_links;
   for (size_t k = 0; k < opts.max_alternates; ++k) {
-    const Path* p = gen.Get(k);
-    if (p == nullptr) return false;
-    if (p->DelayMs(g) > limit_ms + 1e-9) return false;
-    union_links.insert(union_links.end(), p->links().begin(),
-                       p->links().end());
+    PathId p = gen.GetId(k);
+    if (p == kInvalidPathId) return false;
+    if (store.DelayMs(p) > limit_ms + 1e-9) return false;
+    LinkSpan links = store.Links(p);
+    union_links.insert(union_links.end(), links.begin(), links.end());
     if (MaxFlowGbps(g, src, dst, excl, union_links) >=
         bottleneck_gbps - 1e-9) {
       return true;
@@ -44,24 +51,25 @@ bool CanRouteAround(const Graph& g, NodeId src, NodeId dst, LinkId link,
 
 std::vector<PairApa> ComputeApa(const Graph& g, const ApaOptions& opts) {
   std::vector<PairApa> out;
+  PathStore store(&g);
   size_t n = g.NodeCount();
   for (NodeId s = 0; s < static_cast<NodeId>(n); ++s) {
     SpTree tree = ShortestPathTree(g, s);
     for (NodeId d = 0; d < static_cast<NodeId>(n); ++d) {
       if (s == d) continue;
-      std::optional<Path> sp = tree.PathTo(g, d);
+      std::optional<std::vector<LinkId>> sp = tree.PathTo(g, d);
       if (!sp.has_value() || sp->empty()) continue;
-      double ds = sp->DelayMs(g);
-      double bsp = sp->BottleneckGbps(g);
+      double ds = tree.distance_ms[static_cast<size_t>(d)];
+      double bsp = store.BottleneckGbps(store.Intern(*sp));
       size_t routable = 0;
-      for (LinkId lid : sp->links()) {
+      for (LinkId lid : *sp) {
         if (CanRouteAround(g, s, d, lid, ds, bsp, opts)) ++routable;
       }
       PairApa pa;
       pa.src = s;
       pa.dst = d;
       pa.apa = static_cast<double>(routable) /
-               static_cast<double>(sp->links().size());
+               static_cast<double>(sp->size());
       out.push_back(pa);
     }
   }

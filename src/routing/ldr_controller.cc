@@ -46,7 +46,7 @@ void LdrController::MarkLpStale() {
 }
 
 void LdrController::OnCapacityChange() {
-  // Path identities and delays are untouched; only the LP's capacity rows
+  // PathIds and their cached delays are untouched; only the LP's capacity rows
   // are stale — repaired in place under warm restarts, rebuilt cold under
   // the baseline.
   MarkLpStale();

@@ -111,7 +111,7 @@ void IncrementalRoutingLp::EnsureLinkRows() {
 
 // In-place topology repair (MarkTopologyDirty): re-syncs the live LP with
 // the graph's current link mask and capacities instead of discarding it.
-// Path variables crossing a masked link are fixed to zero (and released
+// LP columns of paths crossing a masked link are fixed to zero (and released
 // back to [0, 1] when the link returns) — basis-preserving bound edits the
 // solver repairs with dual pivots on the next Solve(). Capacity-row
 // coefficients are shifted by the delta against the capacity each row was
@@ -595,7 +595,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     }
     outcome.max_level = res.omax;
     // Same acceptance threshold in both LP modes: omax is max utilization
-    // under minmax and max overload under LDR, and 1 + fit_eps is the fit
+    // under minmax and max overload under LDR, and 1 + kFitEps is the fit
     // boundary for either scale.
     outcome.feasible = res.omax <= 1.0 + kFitEps;
   } else {

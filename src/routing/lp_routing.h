@@ -105,7 +105,7 @@ struct RoutingLpResult {
 // path columns for grown aggregates, capacity rows for newly used links,
 // equality rows (and removed fixed load) for aggregates whose path list grew
 // past one — then re-solves warm from the previous optimal basis. A fresh
-// instance solved once is the cold build of the same LP. Path sets are
+// instance solved once is the cold build of the same LP. The path sets are
 // interned ids into `store` (delays cached at intern time; LP columns are
 // keyed by PathId, making column identity exact across epochs that
 // rediscover the same path).

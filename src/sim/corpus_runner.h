@@ -46,8 +46,8 @@ struct SchemeSeries {
   // runner, and vector<bool>'s bit packing would make adjacent writes race.
   std::vector<char> feasible;
   std::vector<double> solve_ms;
-  // PathAllocation handles the instance's outcome held — each was an owning
-  // deep-copied Path before the PathStore refactor.
+  // PathAllocation handles the instance's outcome held — each a PathId into
+  // the worker's PathStore rather than a copied link vector.
   std::vector<uint32_t> allocation_refs;
 };
 
@@ -63,9 +63,9 @@ struct TopologyRun {
   // several workers count once each; compare runs at the same thread count,
   // as bench_to_json does with its LDR_THREADS=1 pass);
   // path_allocation_refs is the total number of PathAllocation handles the
-  // schemes produced across all instances — each of which was an owning
-  // deep-copied Path before the arena, and which is thread-count-invariant
-  // like the SchemeSeries. refs >> unique is the interning win.
+  // schemes produced across all instances — each a handle where a copied
+  // link vector would otherwise sit, and thread-count-invariant like the
+  // SchemeSeries. refs >> unique is the interning win.
   uint64_t path_allocation_refs = 0;
   uint64_t path_unique_stored = 0;
 };

@@ -241,11 +241,11 @@ ScenarioEngine::ScenarioEngine(const Topology& topology, Scenario scenario,
       graph_(topology.graph),
       cache_(&graph_) {
   if (opts_.scheme_id.empty()) {
-    // Note incremental=false does NOT flip IterativeOptions::incremental:
-    // cold epochs must run the same LP construction a post-event cold start
-    // runs (a fresh IncrementalRoutingLp), differing only in never keeping
-    // it — otherwise degenerate optima could differ bitwise between the two
-    // engines and the parity check would compare builders, not warmth.
+    // incremental=false changes nothing here: each cold epoch drops the
+    // controller's warm state (DropWarmState, in Run) and so runs the same
+    // LP construction a post-event cold start runs — a fresh
+    // IncrementalRoutingLp, solved once and discarded. Both engines share
+    // one builder, so the parity check compares warmth, not builders.
     controller_ =
         std::make_unique<LdrController>(&graph_, &cache_, opts_.controller);
   } else {

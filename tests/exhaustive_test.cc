@@ -79,7 +79,8 @@ TEST_P(KspExhaustiveTest, MatchesBruteForceEnumeration) {
   auto expected = AllSimplePaths(g, src, dst);
   ASSERT_FALSE(expected.empty());
 
-  KspGenerator gen(&g, src, dst);
+  PathStore store(&g);
+  KspGenerator gen(&store, src, dst);
   auto delay_of = [&](const std::vector<LinkId>& links) {
     double d = 0;
     for (LinkId l : links) d += g.link(l).delay_ms;
@@ -90,12 +91,15 @@ TEST_P(KspExhaustiveTest, MatchesBruteForceEnumeration) {
   // full sets at the end).
   std::set<std::vector<LinkId>> produced;
   for (size_t k = 0; k < expected.size(); ++k) {
-    const Path* p = gen.Get(k);
-    ASSERT_NE(p, nullptr) << "Yen exhausted early at k=" << k;
-    EXPECT_NEAR(p->DelayMs(g), delay_of(expected[k]), 1e-9) << "k=" << k;
-    produced.insert(p->links());
+    PathId p = gen.GetId(k);
+    ASSERT_NE(p, kInvalidPathId) << "Yen exhausted early at k=" << k;
+    LinkSpan links = store.Links(p);
+    std::vector<LinkId> seq(links.begin(), links.end());
+    EXPECT_NEAR(delay_of(seq), delay_of(expected[k]), 1e-9) << "k=" << k;
+    EXPECT_EQ(store.DelayMs(p), delay_of(seq)) << "k=" << k;
+    produced.insert(std::move(seq));
   }
-  EXPECT_EQ(gen.Get(expected.size()), nullptr)
+  EXPECT_EQ(gen.GetId(expected.size()), kInvalidPathId)
       << "Yen produced more simple paths than exist";
   std::set<std::vector<LinkId>> expected_set(expected.begin(),
                                              expected.end());
@@ -169,10 +173,10 @@ TEST(CorpusSerialization, FullRoundTrip) {
 }
 
 // PathStore parity anchor: on a zoo-corpus sample, the interned-handle
-// pipeline must give results bitwise identical to what recomputation from
-// resolved owning Paths gives — same per-aggregate delays, same link loads,
-// and the warm loop's LP (one IncrementalRoutingLp across rounds) agreeing
-// with a cold build over the same path sets.
+// pipeline must give results bitwise identical to a recomputation written
+// here over the stored link spans — same per-aggregate delays, same link
+// loads, and the warm loop's LP (one IncrementalRoutingLp across rounds)
+// agreeing with a cold build over the same path sets.
 TEST(PathStoreParity, HandlesMatchResolvedPathsOnZooCorpus) {
   std::vector<Topology> corpus = ZooCorpus();
   size_t checked = 0;
@@ -193,24 +197,25 @@ TEST(PathStoreParity, HandlesMatchResolvedPathsOnZooCorpus) {
       ASSERT_EQ(out.store, cache.store()) << t.name << " " << id;
       const PathStore& store = *out.store;
 
-      // (a) Cached delays and spans match the resolved owning Path bitwise.
+      // (a) Cached delays match a link-by-link summation over the stored
+      // span bitwise.
       for (size_t a = 0; a < aggs.size(); ++a) {
         for (const PathAllocation& pa : out.allocations[a]) {
-          Path resolved = store.Resolve(pa.path);
-          ASSERT_EQ(store.DelayMs(pa.path), resolved.DelayMs(g))
-              << t.name << " " << id;
-          ASSERT_EQ(store.HopCount(pa.path), resolved.hop_count());
+          LinkSpan links = store.Links(pa.path);
+          double sum = 0;
+          for (LinkId l : links) sum += g.link(l).delay_ms;
+          ASSERT_EQ(store.DelayMs(pa.path), sum) << t.name << " " << id;
+          ASSERT_EQ(store.HopCount(pa.path), links.size());
         }
       }
 
-      // (b) Link loads recomputed from resolved paths match LinkLoads().
+      // (b) Link loads recomputed from the stored spans match LinkLoads().
       std::vector<double> expected(g.LinkCount(), 0.0);
       for (size_t a = 0; a < aggs.size(); ++a) {
         for (const PathAllocation& pa : out.allocations[a]) {
           if (pa.fraction <= 0) continue;
           double gbps = pa.fraction * aggs[a].demand_gbps;
-          Path resolved = store.Resolve(pa.path);
-          for (LinkId l : resolved.links()) {
+          for (LinkId l : store.Links(pa.path)) {
             expected[static_cast<size_t>(l)] += gbps;
           }
         }

@@ -6,6 +6,7 @@
 #include "graph/graph.h"
 #include "graph/ksp.h"
 #include "graph/max_flow.h"
+#include "graph/path_store.h"
 #include "graph/shortest_path.h"
 #include "util/random.h"
 
@@ -24,6 +25,12 @@ Graph Diamond() {
   g.AddBidiLink(c, d, 2, 10);
   g.AddBidiLink(a, d, 10, 10);
   return g;
+}
+
+// Delay of a shortest-path result, read through a PathStore.
+double DelayOf(const Graph& g, const std::vector<LinkId>& links) {
+  PathStore store(&g);
+  return store.DelayMs(store.Intern(links));
 }
 
 TEST(Graph, BasicAccessors) {
@@ -69,17 +76,21 @@ TEST(GraphMask, OutLinksSkipDownLinks) {
 
 TEST(GraphMask, ShortestPathRoutesAroundDownLink) {
   Graph g = Diamond();
+  PathStore store(&g);
   auto sp = ShortestPath(g, 0, 3);
   ASSERT_TRUE(sp.has_value());
-  EXPECT_DOUBLE_EQ(sp->DelayMs(g), 2.0);  // A->B->D
-  g.SetLinkDown(0, true);                 // A->B fails
+  EXPECT_DOUBLE_EQ(store.DelayMs(store.Intern(*sp)), 2.0);  // A->B->D
+  g.SetLinkDown(0, true);                                   // A->B fails
   sp = ShortestPath(g, 0, 3);
   ASSERT_TRUE(sp.has_value());
-  EXPECT_DOUBLE_EQ(sp->DelayMs(g), 4.0);  // A->C->D
-  EXPECT_FALSE(sp->ContainsLink(0));
+  PathId detour = store.Intern(*sp);
+  EXPECT_DOUBLE_EQ(store.DelayMs(detour), 4.0);  // A->C->D
+  EXPECT_FALSE(store.ContainsLink(detour, 0));
+  EXPECT_TRUE(store.ContainsLink(detour, 4));    // A->C
   g.SetLinkDown(0, false);
   sp = ShortestPath(g, 0, 3);
-  EXPECT_DOUBLE_EQ(sp->DelayMs(g), 2.0);  // restored
+  ASSERT_TRUE(sp.has_value());
+  EXPECT_DOUBLE_EQ(store.DelayMs(store.Intern(*sp)), 2.0);  // restored
 }
 
 TEST(GraphMask, DisconnectionUnderMaskIsVisible) {
@@ -97,17 +108,22 @@ TEST(GraphMask, DisconnectionUnderMaskIsVisible) {
   EXPECT_EQ(g.ReverseLink(ab), ba);
 }
 
-TEST(Path, DelayBottleneckNodes) {
+TEST(PathStore, ShortestPathDelayBottleneckNodes) {
   Graph g = Diamond();
   auto sp = ShortestPath(g, 0, 3);
   ASSERT_TRUE(sp.has_value());
-  EXPECT_DOUBLE_EQ(sp->DelayMs(g), 2.0);  // A->B->D
-  EXPECT_DOUBLE_EQ(sp->BottleneckGbps(g), 10.0);
-  auto nodes = sp->Nodes(g);
+  PathStore store(&g);
+  PathId id = store.Intern(*sp);
+  EXPECT_EQ(store.HopCount(id), 2u);
+  EXPECT_DOUBLE_EQ(store.DelayMs(id), 2.0);  // A->B->D
+  EXPECT_DOUBLE_EQ(store.BottleneckGbps(id), 10.0);
+  auto nodes = store.Nodes(id);
   ASSERT_EQ(nodes.size(), 3u);
   EXPECT_EQ(nodes.front(), 0);
   EXPECT_EQ(nodes.back(), 3);
-  EXPECT_EQ(sp->ToString(g), "A->B->D");
+  EXPECT_TRUE(store.ContainsNode(id, 1));   // B
+  EXPECT_FALSE(store.ContainsNode(id, 2));  // C
+  EXPECT_EQ(store.ToString(id), "A->B->D");
 }
 
 TEST(ShortestPath, RespectsLinkExclusion) {
@@ -118,7 +134,7 @@ TEST(ShortestPath, RespectsLinkExclusion) {
   excl.links[0] = true;
   auto sp = ShortestPath(g, 0, 3, excl);
   ASSERT_TRUE(sp.has_value());
-  EXPECT_DOUBLE_EQ(sp->DelayMs(g), 4.0);  // A->C->D
+  EXPECT_DOUBLE_EQ(DelayOf(g, *sp), 4.0);  // A->C->D
 }
 
 TEST(ShortestPath, RespectsNodeExclusion) {
@@ -129,7 +145,7 @@ TEST(ShortestPath, RespectsNodeExclusion) {
   excl.nodes[2] = true;  // exclude C
   auto sp = ShortestPath(g, 0, 3, excl);
   ASSERT_TRUE(sp.has_value());
-  EXPECT_DOUBLE_EQ(sp->DelayMs(g), 10.0);  // direct A->D
+  EXPECT_DOUBLE_EQ(DelayOf(g, *sp), 10.0);  // direct A->D
 }
 
 TEST(ShortestPath, UnreachableReturnsNullopt) {
@@ -156,7 +172,7 @@ TEST(AllPairs, MatchesPointQueries) {
       auto sp = ShortestPath(g, s, d);
       ASSERT_TRUE(sp.has_value());
       EXPECT_DOUBLE_EQ(apsp[static_cast<size_t>(s) * n + static_cast<size_t>(d)],
-                       sp->DelayMs(g));
+                       DelayOf(g, *sp));
     }
   }
 }
@@ -185,12 +201,13 @@ TEST(Diameter, Diamond) {
 
 TEST(Ksp, ProducesPathsInDelayOrder) {
   Graph g = Diamond();
-  KspGenerator gen(&g, 0, 3);
+  PathStore store(&g);
+  KspGenerator gen(&store, 0, 3);
   std::vector<double> delays;
   for (size_t k = 0; k < 10; ++k) {
-    const Path* p = gen.Get(k);
-    if (p == nullptr) break;
-    delays.push_back(p->DelayMs(g));
+    PathId p = gen.GetId(k);
+    if (p == kInvalidPathId) break;
+    delays.push_back(store.DelayMs(p));
   }
   ASSERT_GE(delays.size(), 3u);
   EXPECT_TRUE(std::is_sorted(delays.begin(), delays.end()));
@@ -201,27 +218,31 @@ TEST(Ksp, ProducesPathsInDelayOrder) {
 
 TEST(Ksp, PathsAreSimpleAndDistinct) {
   Graph g = Diamond();
-  KspGenerator gen(&g, 0, 3);
+  PathStore store(&g);
+  KspGenerator gen(&store, 0, 3);
   std::set<std::vector<LinkId>> seen;
   for (size_t k = 0;; ++k) {
-    const Path* p = gen.Get(k);
-    if (p == nullptr) break;
-    EXPECT_TRUE(seen.insert(p->links()).second) << "duplicate path";
+    PathId p = gen.GetId(k);
+    if (p == kInvalidPathId) break;
+    LinkSpan links = store.Links(p);
+    EXPECT_TRUE(seen.emplace(links.begin(), links.end()).second)
+        << "duplicate path";
     // Simple: no repeated nodes.
-    auto nodes = p->Nodes(g);
+    auto nodes = store.Nodes(p);
     std::set<NodeId> uniq(nodes.begin(), nodes.end());
     EXPECT_EQ(uniq.size(), nodes.size());
   }
   EXPECT_GE(seen.size(), 3u);
 }
 
-TEST(Ksp, PointersStableAcrossGrowth) {
+TEST(Ksp, IdsStableAcrossGrowth) {
   Graph g = Diamond();
-  KspGenerator gen(&g, 0, 3);
-  const Path* first = gen.Get(0);
-  for (size_t k = 1; k < 6; ++k) gen.Get(k);
-  EXPECT_EQ(first, gen.Get(0));
-  EXPECT_DOUBLE_EQ(first->DelayMs(g), 2.0);
+  PathStore store(&g);
+  KspGenerator gen(&store, 0, 3);
+  PathId first = gen.GetId(0);
+  for (size_t k = 1; k < 6; ++k) gen.GetId(k);
+  EXPECT_EQ(first, gen.GetId(0));
+  EXPECT_DOUBLE_EQ(store.DelayMs(first), 2.0);
 }
 
 TEST(Ksp, ExhaustsFiniteGraph) {
@@ -229,17 +250,21 @@ TEST(Ksp, ExhaustsFiniteGraph) {
   Graph g;
   NodeId a = g.AddNode("A"), b = g.AddNode("B");
   g.AddBidiLink(a, b, 1, 1);
-  KspGenerator gen(&g, a, b);
-  EXPECT_NE(gen.Get(0), nullptr);
-  EXPECT_EQ(gen.Get(1), nullptr);
+  PathStore store(&g);
+  KspGenerator gen(&store, a, b);
+  EXPECT_NE(gen.GetId(0), kInvalidPathId);
+  EXPECT_EQ(gen.GetId(1), kInvalidPathId);
+  EXPECT_EQ(gen.GetId(1), kInvalidPathId);  // stays exhausted
 }
 
 TEST(Ksp, NoPathAtAll) {
   Graph g;
   g.AddNode("A");
   g.AddNode("B");
-  KspGenerator gen(&g, 0, 1);
-  EXPECT_EQ(gen.Get(0), nullptr);
+  PathStore store(&g);
+  KspGenerator gen(&store, 0, 1);
+  EXPECT_EQ(gen.GetId(0), kInvalidPathId);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(Ksp, HonorsBaseExclusion) {
@@ -247,11 +272,12 @@ TEST(Ksp, HonorsBaseExclusion) {
   ExclusionSet excl;
   excl.links.assign(g.LinkCount(), false);
   excl.links[0] = true;  // A->B gone
-  KspGenerator gen(&g, 0, 3, excl);
+  PathStore store(&g);
+  KspGenerator gen(&store, 0, 3, excl);
   for (size_t k = 0;; ++k) {
-    const Path* p = gen.Get(k);
-    if (p == nullptr) break;
-    EXPECT_FALSE(p->ContainsLink(0));
+    PathId p = gen.GetId(k);
+    if (p == kInvalidPathId) break;
+    EXPECT_FALSE(store.ContainsLink(p, 0));
   }
 }
 
@@ -287,21 +313,23 @@ TEST_P(KspRandomTest, OrderAndSimplicity) {
     }
   }
   NodeId src = 0, dst = n / 2;
-  KspGenerator gen(&g, src, dst);
+  PathStore store(&g);
+  KspGenerator gen(&store, src, dst);
   auto sp = ShortestPath(g, src, dst);
   ASSERT_TRUE(sp.has_value());
-  ASSERT_NE(gen.Get(0), nullptr);
-  EXPECT_DOUBLE_EQ(gen.Get(0)->DelayMs(g), sp->DelayMs(g));
+  ASSERT_NE(gen.GetId(0), kInvalidPathId);
+  EXPECT_DOUBLE_EQ(store.DelayMs(gen.GetId(0)), DelayOf(g, *sp));
   double prev = 0;
   std::set<std::vector<LinkId>> seen;
   for (size_t k = 0; k < 25; ++k) {
-    const Path* p = gen.Get(k);
-    if (p == nullptr) break;
-    double d = p->DelayMs(g);
+    PathId p = gen.GetId(k);
+    if (p == kInvalidPathId) break;
+    double d = store.DelayMs(p);
     EXPECT_GE(d, prev - 1e-12);
     prev = d;
-    EXPECT_TRUE(seen.insert(p->links()).second);
-    auto nodes = p->Nodes(g);
+    LinkSpan links = store.Links(p);
+    EXPECT_TRUE(seen.emplace(links.begin(), links.end()).second);
+    auto nodes = store.Nodes(p);
     std::set<NodeId> uniq(nodes.begin(), nodes.end());
     EXPECT_EQ(uniq.size(), nodes.size());
     EXPECT_EQ(nodes.front(), src);
@@ -341,7 +369,7 @@ TEST(MaxFlow, RestrictedToAllowedLinks) {
     return e;
   }());
   ASSERT_TRUE(p.has_value());
-  std::vector<LinkId> allowed = p->links();
+  std::vector<LinkId> allowed = *p;
   EXPECT_DOUBLE_EQ(MaxFlowGbps(g, 0, 3, {}, allowed), 10.0);
 }
 

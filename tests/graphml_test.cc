@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "graph/path_store.h"
 #include "graph/shortest_path.h"
 #include "topology/graphml.h"
 
@@ -92,7 +93,9 @@ TEST(Graphml, DelaysComeFromCoordinates) {
   NodeId lon = g.FindNode("London"), par = g.FindNode("Paris");
   auto sp = ShortestPath(g, lon, par);
   ASSERT_TRUE(sp.has_value());
-  EXPECT_NEAR(sp->DelayMs(g), 344.0 / 200.0, 0.1);  // ~344 km at 200 km/ms
+  PathStore store(&g);
+  EXPECT_NEAR(store.DelayMs(store.Intern(*sp)), 344.0 / 200.0,
+              0.1);  // ~344 km at 200 km/ms
 }
 
 TEST(Graphml, ParsedTopologyIsRoutable) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "graph/path_store.h"
 #include "graph/shortest_path.h"
 #include "metrics/llpd.h"
 #include "topology/zoo_corpus.h"
@@ -90,7 +91,7 @@ TEST(Apa, CapacityAwareViability) {
   {
     auto sp = ShortestPath(g, a, b);
     ASSERT_TRUE(sp.has_value());
-    EXPECT_FALSE(CanRouteAround(g, a, b, sp->links()[0], 1.0, 100, opts));
+    EXPECT_FALSE(CanRouteAround(g, a, b, (*sp)[0], 1.0, 100, opts));
   }
   // Add the fat alternate: now routable.
   g.AddBidiLink(a, d, 0.65, 100);
@@ -98,7 +99,7 @@ TEST(Apa, CapacityAwareViability) {
   {
     auto sp = ShortestPath(g, a, b);
     ASSERT_TRUE(sp.has_value());
-    EXPECT_TRUE(CanRouteAround(g, a, b, sp->links()[0], 1.0, 100, opts));
+    EXPECT_TRUE(CanRouteAround(g, a, b, (*sp)[0], 1.0, 100, opts));
   }
 }
 
@@ -118,12 +119,13 @@ TEST(Apa, ProgressiveUnionOfThinPaths) {
   opts.max_alternates = 10;
   auto sp = ShortestPath(g, a, b);
   ASSERT_TRUE(sp.has_value());
-  ASSERT_DOUBLE_EQ(sp->DelayMs(g), 1.0);
-  EXPECT_TRUE(CanRouteAround(g, a, b, sp->links()[0], 1.0, 60, opts));
+  PathStore store(&g);
+  ASSERT_DOUBLE_EQ(store.DelayMs(store.Intern(*sp)), 1.0);
+  EXPECT_TRUE(CanRouteAround(g, a, b, (*sp)[0], 1.0, 60, opts));
   // With a cap of 3 alternates (30 < 60), not viable.
   ApaOptions capped = opts;
   capped.max_alternates = 3;
-  EXPECT_FALSE(CanRouteAround(g, a, b, sp->links()[0], 1.0, 60, capped));
+  EXPECT_FALSE(CanRouteAround(g, a, b, (*sp)[0], 1.0, 60, capped));
 }
 
 TEST(Apa, StretchLimitBoundary) {
@@ -138,7 +140,7 @@ TEST(Apa, StretchLimitBoundary) {
   opts.stretch_limit = 1.4;
   auto sp = ShortestPath(g, a, b);
   ASSERT_TRUE(sp.has_value());
-  EXPECT_TRUE(CanRouteAround(g, a, b, sp->links()[0], 1.0, 10, opts));
+  EXPECT_TRUE(CanRouteAround(g, a, b, (*sp)[0], 1.0, 10, opts));
 }
 
 TEST(Llpd, GridBeatsTreeBeatsNothing) {

@@ -166,7 +166,8 @@ TEST(KspInvalidation, PopTimeGuardCoversUninvalidatedMasks) {
   LinkId e_to_b = kInvalidLink;
   Topology t = CandidateNet(&e_to_b);
   Graph& g = t.graph;
-  KspGenerator gen(&g, 0, 1);
+  PathStore store(&g);
+  KspGenerator gen(&store, 0, 1);
   ASSERT_NE(gen.GetId(2), kInvalidPathId);  // A-E-B now queued
   g.SetLinkDown(e_to_b, true);
   // The queued A-E-B candidate is discarded at pop time, never produced.

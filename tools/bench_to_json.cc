@@ -23,8 +23,8 @@
 //                     container; see invalid_single_core)
 //   path_store        corpus wall-clock plus PathStore interning telemetry:
 //                     allocation_refs is how many PathAllocation handles the
-//                     corpus produced (each an owning deep-copied Path before
-//                     the arena), unique_paths how many distinct paths were
+//                     corpus produced (each a PathId, not a copied link
+//                     vector), unique_paths how many distinct paths were
 //                     actually stored; hit rate = 1 - unique/refs
 //   lp_revised        revised-simplex tracking: per-pivot cost and resident
 //                     solver memory on the lp_resolve_large warm round and

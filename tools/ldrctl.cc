@@ -4,22 +4,29 @@
 //   ldrctl dot <topology-file>             Graphviz to stdout
 //   ldrctl route <topology-file> [opts]    synthesize traffic and route it
 //       --scheme sp|b4|minmax|minmaxk10|ldr   (default ldr)
-//       --headroom <frac>                     (default 0)
-//       --load <minmax-util>                  (default 0.77)
-//       --locality <l>                        (default 1.0)
-//       --seed <n>                            (default 1)
-//       --classes <w0,w1,...>   §8 class weights; splits each aggregate
-//                               evenly across classes with these delay
-//                               weights (ldr scheme only)
+//       --headroom <frac in [0, 1)>           (default 0)
+//       --load <minmax-util > 0>              (default 0.77)
+//       --locality <l >= 0>                   (default 1.0)
+//       --seed <n >= 0>                       (default 1)
+//       --classes <w0,w1,...>   §8 class weights (each > 0); splits each
+//                               aggregate evenly across classes with these
+//                               delay weights (ldr scheme only)
+//       Unknown options, options without a value and out-of-range or
+//       non-finite values exit 2 with the usage text.
 //   ldrctl corpus                          list the built-in synthetic zoo
 //
 // Topology files may be the native text format or Topology Zoo GraphML
 // (detected by a leading '<').
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -96,61 +103,126 @@ int CmdLlpd(const Topology& t) {
   return 0;
 }
 
-int CmdRoute(const Topology& t, int argc, char** argv) {
+struct RouteOptions {
   std::string scheme_name = "ldr";
   double headroom = 0, load = 0.77, locality = 1.0;
   uint64_t seed = 1;
   std::vector<double> class_weights;
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (!std::strcmp(argv[i], "--scheme")) scheme_name = argv[i + 1];
-    if (!std::strcmp(argv[i], "--headroom")) headroom = std::atof(argv[i + 1]);
-    if (!std::strcmp(argv[i], "--load")) load = std::atof(argv[i + 1]);
-    if (!std::strcmp(argv[i], "--locality")) locality = std::atof(argv[i + 1]);
-    if (!std::strcmp(argv[i], "--seed"))
-      seed = static_cast<uint64_t>(std::atoll(argv[i + 1]));
-    if (!std::strcmp(argv[i], "--classes")) {
-      std::stringstream ss(argv[i + 1]);
+};
+
+// A finite number spanning all of `text`; nullopt otherwise.
+std::optional<double> ParseNumber(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+// Parses `route` options. Unknown flags, flags without a value, values that
+// are not finite numbers and values that would route nonsense (negative
+// demand, headroom that leaves no capacity) all print an error and return
+// nullopt, so the caller exits 2 with the usage text instead of routing.
+std::optional<RouteOptions> ParseRouteOptions(int argc, char** argv) {
+  static const char* const kFlags[] = {"--scheme", "--headroom", "--load",
+                                       "--locality", "--seed", "--classes"};
+  RouteOptions o;
+  for (int i = 0; i < argc; i += 2) {
+    const char* flag = argv[i];
+    if (std::none_of(std::begin(kFlags), std::end(kFlags),
+                     [&](const char* f) { return !std::strcmp(f, flag); })) {
+      std::fprintf(stderr, "ldrctl: unknown route option %s\n", flag);
+      return std::nullopt;
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "ldrctl: %s needs a value\n", flag);
+      return std::nullopt;
+    }
+    const char* value = argv[i + 1];
+    auto bad = [&](const char* want) {
+      std::fprintf(stderr, "ldrctl: %s %s: expected %s\n", flag, value, want);
+      return std::nullopt;
+    };
+    if (!std::strcmp(flag, "--scheme")) {
+      o.scheme_name = value;
+    } else if (!std::strcmp(flag, "--classes")) {
+      o.class_weights.clear();
+      std::stringstream ss(value);
       std::string w;
-      while (std::getline(ss, w, ',')) class_weights.push_back(std::atof(w.c_str()));
+      while (std::getline(ss, w, ',')) {
+        std::optional<double> v = ParseNumber(w.c_str());
+        if (!v.has_value() || *v <= 0) return bad("positive weights w0,w1,..");
+        o.class_weights.push_back(*v);
+      }
+      if (o.class_weights.empty()) return bad("positive weights w0,w1,..");
+    } else if (!std::strcmp(flag, "--seed")) {
+      char* end = nullptr;
+      errno = 0;
+      unsigned long long v = std::strtoull(value, &end, 10);
+      if (value[0] == '-' || end == value || *end != '\0' || errno != 0) {
+        return bad("a non-negative integer");
+      }
+      o.seed = static_cast<uint64_t>(v);
+    } else if (!std::strcmp(flag, "--headroom")) {
+      std::optional<double> v = ParseNumber(value);
+      if (!v.has_value() || *v < 0 || *v >= 1) {
+        return bad("a fraction in [0, 1)");
+      }
+      o.headroom = *v;
+    } else if (!std::strcmp(flag, "--load")) {
+      std::optional<double> v = ParseNumber(value);
+      if (!v.has_value() || *v <= 0) return bad("a positive number");
+      o.load = *v;
+    } else {  // --locality
+      std::optional<double> v = ParseNumber(value);
+      if (!v.has_value() || *v < 0) return bad("a non-negative number");
+      o.locality = *v;
     }
   }
+  return o;
+}
 
+int CmdRoute(const Topology& t, const RouteOptions& o) {
   KspCache cache(&t.graph);
-  WorkloadOptions wopts;
-  wopts.num_instances = 1;
-  wopts.locality = locality;
-  wopts.target_utilization = load;
-  wopts.seed = seed;
-  std::fprintf(stderr, "synthesizing traffic (load %.2f, locality %.1f)...\n",
-               load, locality);
-  std::vector<Aggregate> aggs = MakeScaledWorkloads(t, &cache, wopts)[0];
-  if (!class_weights.empty()) {
-    std::vector<double> shares(class_weights.size(),
-                               1.0 / static_cast<double>(class_weights.size()));
-    aggs = SplitByClass(aggs, shares);
-  }
-
+  // Built first so an unknown --scheme fails before traffic synthesis.
   std::unique_ptr<RoutingScheme> scheme;
-  if (scheme_name == "sp") {
+  if (o.scheme_name == "sp") {
     scheme = std::make_unique<ShortestPathScheme>(&t.graph, &cache);
-  } else if (scheme_name == "b4") {
+  } else if (o.scheme_name == "b4") {
     B4Options b4o;
-    b4o.headroom = headroom;
+    b4o.headroom = o.headroom;
     scheme = std::make_unique<B4Scheme>(&t.graph, &cache, b4o);
-  } else if (scheme_name == "minmax") {
+  } else if (o.scheme_name == "minmax") {
     scheme = std::make_unique<MinMaxScheme>(&t.graph, &cache);
-  } else if (scheme_name == "minmaxk10") {
+  } else if (o.scheme_name == "minmaxk10") {
     scheme = std::make_unique<MinMaxScheme>(&t.graph, &cache, 10);
-  } else if (scheme_name == "ldr") {
+  } else if (o.scheme_name == "ldr") {
     auto ldr_scheme =
-        std::make_unique<LatencyOptimalScheme>(&t.graph, &cache, headroom);
-    if (!class_weights.empty()) {
-      ldr_scheme->options().lp.class_weights = class_weights;
+        std::make_unique<LatencyOptimalScheme>(&t.graph, &cache, o.headroom);
+    if (!o.class_weights.empty()) {
+      ldr_scheme->options().lp.class_weights = o.class_weights;
     }
     scheme = std::move(ldr_scheme);
   } else {
-    std::fprintf(stderr, "ldrctl: unknown scheme %s\n", scheme_name.c_str());
-    return 2;
+    std::fprintf(stderr, "ldrctl: unknown scheme %s\n",
+                 o.scheme_name.c_str());
+    return Usage();
+  }
+
+  WorkloadOptions wopts;
+  wopts.num_instances = 1;
+  wopts.locality = o.locality;
+  wopts.target_utilization = o.load;
+  wopts.seed = o.seed;
+  std::fprintf(stderr, "synthesizing traffic (load %.2f, locality %.1f)...\n",
+               o.load, o.locality);
+  std::vector<Aggregate> aggs = MakeScaledWorkloads(t, &cache, wopts)[0];
+  if (!o.class_weights.empty()) {
+    size_t classes = o.class_weights.size();
+    std::vector<double> shares(classes, 1.0 / static_cast<double>(classes));
+    aggs = SplitByClass(aggs, shares);
   }
 
   RoutingOutcome out = scheme->Route(aggs);
@@ -205,6 +277,15 @@ int main(int argc, char** argv) {
   std::string cmd = argv[1];
   if (cmd == "corpus") return CmdCorpus();
   if (argc < 3) return Usage();
+  // Options are checked before the topology is read, so a bad flag fails
+  // fast whatever the file holds.
+  std::optional<RouteOptions> route_opts;
+  if (cmd == "route") {
+    route_opts = ParseRouteOptions(argc - 3, argv + 3);
+    if (!route_opts.has_value()) return Usage();
+  } else if (cmd != "llpd" && cmd != "dot") {
+    return Usage();
+  }
   auto topology = LoadTopology(argv[2]);
   if (!topology.has_value()) return 1;
   if (cmd == "llpd") return CmdLlpd(*topology);
@@ -212,6 +293,5 @@ int main(int argc, char** argv) {
     std::fputs(ToDot(*topology).c_str(), stdout);
     return 0;
   }
-  if (cmd == "route") return CmdRoute(*topology, argc - 3, argv + 3);
-  return Usage();
+  return CmdRoute(*topology, *route_opts);
 }
