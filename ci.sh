@@ -34,8 +34,9 @@
 #                of the pricing shapes carries a KKT optimality certificate
 #                from the independent checker), scenario
 #                placement_parity, degradation recovery_parity, lp_dual
-#                warm_restart_parity (dual warm restart vs cold-rebuild
-#                placements reconverge within 2 epochs of each event),
+#                warm_restart_parity (the default run places bitwise like
+#                the incremental=false cold reference in every epoch but
+#                the dual-repaired ones),
 #                survivability survivability_parity (replaying a failure
 #                campaign from its seed installs bitwise-identical
 #                placements) — is false.

@@ -97,7 +97,8 @@ void KspGenerator::GenerateCandidatesFromLast() {
 
 bool KspGenerator::ProduceNext() {
   if (produced_.empty()) return false;  // never had a shortest path
-  GenerateCandidatesFromLast();
+  if (spurred_ < produced_.size()) GenerateCandidatesFromLast();
+  spurred_ = produced_.size();
   // Pop-time mask guard. KspCache::InvalidateLinks evicts any generator
   // holding a candidate that crosses a downed link, so cache users never
   // reach this with a masked candidate; the guard is defense in depth for

@@ -36,6 +36,9 @@ class KspGenerator {
   // Returns the k-th (0-based) shortest simple path as an interned id, or
   // kInvalidPathId if fewer than k+1 simple paths exist. Paths are produced
   // in non-decreasing delay order. Ids are stable for the store's lifetime.
+  // Each produced path is spurred once, under the mask of that moment: past
+  // exhaustion no search reruns, and a standalone generator does not follow
+  // mask changes (KspCache evicts on down and clears on up instead).
   PathId GetId(size_t k);
 
   // True if any *queued candidate* path crosses `link`. Produced paths are
@@ -70,6 +73,7 @@ class KspGenerator {
   NodeId dst_;
   ExclusionSet base_excl_;
   std::vector<PathId> produced_;         // interned, in production order
+  size_t spurred_ = 0;                   // produced paths already spurred
   std::set<Candidate> candidates_;       // ordered; also deduplicates
   std::set<std::vector<LinkId>> seen_;   // all produced + candidate link seqs
 };

@@ -383,7 +383,7 @@ class Solver::Impl {
     // (dual feasibility lost, numerical breakdown, stall) falls through to
     // the primal phase-1 loop below, whose Bland path is the anti-cycling
     // authority.
-    if (opt_.warm_restart && ever_optimal_ && HasInfeasibleBasic()) {
+    if (ever_optimal_ && HasInfeasibleBasic()) {
       // Fault site: the warm basis reports dual feasibility lost, forcing
       // the primal phase-1 fallback path without constructing a genuinely
       // dual-infeasible basis.

@@ -43,7 +43,11 @@
 // the Fig. 13 path-growth loop needs stay cheap: AddColumn is O(1) (the new
 // column rests nonbasic), AddRow appends one file op, AddToRow/SetRhs cost
 // one FTRAN. Solve() warm-starts primal simplex from the previous optimal
-// basis (typically a handful of pivots instead of a full cold solve).
+// basis (typically a handful of pivots instead of a full cold solve). A
+// basis that was optimal before and that bound/rhs repair (FixVariable,
+// SetBounds, SetRhs) left primal infeasible but dual feasible is instead
+// pivoted straight back with dual simplex; the Bland-guarded primal phase 1
+// takes over if the dual loop loses feasibility or progress.
 #ifndef LDR_LP_LP_H_
 #define LDR_LP_LP_H_
 
@@ -146,15 +150,6 @@ struct SolveOptions {
   // that would blow the epoch budget surfaces as kDeadline and the caller
   // walks the fallback ladder instead of stalling the epoch.
   double deadline_ms = -1;
-  // Dual-simplex warm restart. When a Solve() begins from a previously
-  // optimal basis that bound/rhs repair (FixVariable, SetBounds, SetRhs —
-  // the topology-delta entry points) left primal infeasible but still dual
-  // feasible, enter dual simplex and pivot straight back to optimality
-  // instead of paying primal phase 1 + phase 2. Dual feasibility is
-  // verified before entry (one pricing sweep) and the solver falls back to
-  // the primal path — with its Bland anti-cycling guard — the moment the
-  // dual loop loses feasibility or progress.
-  bool warm_restart = false;
 };
 
 struct Solution {
@@ -194,7 +189,7 @@ struct Solution {
   // triggers, eta-file bounds, and numerical recoveries).
   int refactorizations = 0;
   // Dual-simplex pivots run while repairing a primal-infeasible warm basis
-  // (SolveOptions::warm_restart; 0 for every primal-only solve).
+  // (0 for every primal-only solve).
   int dual_pivots = 0;
   // Boxed nonbasic variables flipped bound-to-bound over the solve: primal
   // ratio-test flips plus the dual long-step flips.
@@ -263,8 +258,8 @@ class Solver {
   // nonbasic variable is re-rested at the finite bound nearest its previous
   // value and the shift is pushed into the basic values (one FTRAN); a
   // basic one just takes the new bounds — a violation this creates is
-  // repaired by the next Solve() (dual simplex under
-  // SolveOptions::warm_restart, primal phase 1 otherwise).
+  // repaired by the next Solve() (dual simplex while the basis stays dual
+  // feasible, primal phase 1 otherwise).
   void SetBounds(int var, double lo, double hi);
 
   // Fixes a variable at `value` (lo = hi = value) without touching the
@@ -279,8 +274,9 @@ class Solver {
   size_t VariableCount() const;
   size_t RowCount() const;
 
-  // Re-optimizes from the current basis (two-phase; phase 1 only runs when
-  // the warm basis is primal infeasible, e.g. after SetRhs).
+  // Re-optimizes from the current basis: dual simplex when a once-optimal
+  // basis is primal infeasible (e.g. after SetRhs) but dual feasible,
+  // two-phase primal otherwise.
   Solution Solve();
 
   // Drops the factorization; the next Solve() re-establishes it (a fresh

@@ -18,7 +18,8 @@ std::vector<double> AdvancePredictors(
   }
   std::vector<double> demand(segment_100ms.size(), 0.0);
   for (size_t a = 0; a < segment_100ms.size(); ++a) {
-    for (double m : PerMinuteMeansOrMean(segment_100ms[a], 10.0)) {
+    for (double m : PerMinuteMeansOrMean(segment_100ms[a],
+                                         1.0 / kSeriesPeriodSec)) {
       (*predictors)[a].Update(m);
     }
     demand[a] = (*predictors)[a].prediction();
@@ -30,25 +31,19 @@ LdrController::LdrController(const Graph* graph, KspCache* cache,
                              const LdrControllerOptions& opts)
     : g_(graph), cache_(cache), opts_(opts) {}
 
-// Topology hooks (PR 9): under warm restarts the live LP is no longer
-// dropped on a topology delta — it is marked dirty and repaired in place on
-// the next epoch (dead-path variables fixed to zero, capacity rows
-// re-synced), with the solver re-entering via dual simplex off the
-// still-dual-feasible basis. warm_restart=false in the routing LP's solver
-// options restores the drop-and-rebuild behavior as the A/B baseline.
-// KSP-cache handling is unchanged in both modes.
+// Topology hooks: a topology delta marks the live LP dirty, and the
+// next epoch repairs it in place (dead-path variables fixed to zero,
+// capacity rows re-synced), with the solver re-entering via dual simplex off
+// the still-dual-feasible basis. With no live LP there is nothing to repair
+// (nor any path set: the two are always dropped together), and the next
+// epoch builds cold.
 void LdrController::MarkLpStale() {
-  if (opts_.routing.lp.solve.warm_restart && reuse_.lp != nullptr) {
-    reuse_.lp->MarkTopologyDirty();
-  } else {
-    DropWarmState();
-  }
+  if (reuse_.lp != nullptr) reuse_.lp->MarkTopologyDirty();
 }
 
 void LdrController::OnCapacityChange() {
-  // PathIds and their cached delays are untouched; only the LP's capacity rows
-  // are stale — repaired in place under warm restarts, rebuilt cold under
-  // the baseline.
+  // PathIds and their cached delays are untouched; only the LP's capacity
+  // rows are stale — repaired in place.
   MarkLpStale();
 }
 
@@ -99,9 +94,9 @@ LdrControllerResult LdrController::RunEpoch(
   // epochs: re-optimizing after a headroom tweak — or for the next minute's
   // demands — re-enters the solver warm with demand deltas instead of
   // rebuilding the Fig. 12 problem from scratch. A topology delta between
-  // epochs drops this state (see the On* hooks), making the next epoch a
-  // cold one. Whether warm re-entry actually happened is read off the first
-  // round's outcome (IterativeLpRoute makes — and reports — that decision).
+  // epochs marks it dirty for an in-place repair (see the On* hooks).
+  // Whether warm re-entry actually happened is read off the first round's
+  // outcome (IterativeLpRoute makes — and reports — that decision).
   const PathStore& store = *cache_->store();
   std::vector<std::vector<WeightedSeries>> on_link(g.LinkCount());
   std::vector<size_t> on_link_count(g.LinkCount());
@@ -234,8 +229,8 @@ LdrControllerResult LdrController::RunEpoch(
     // restart; its path sets are history-dependent (pre-event growth plus
     // repair additions), so the placement is not the canonical one a cold
     // rebuild finds. Drop the warm state so the *next* epoch re-optimizes
-    // cold off the critical path — placement hashes reconverge bitwise
-    // with the cold A/B baseline within 2 epochs of every event.
+    // cold off the critical path — from it on, placement hashes match the
+    // cold reference (ScenarioEngineOptions::incremental = false) bitwise.
     DropWarmState();
   }
   result.outcome.fallback = result.fallback;

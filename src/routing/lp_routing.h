@@ -34,8 +34,6 @@
 namespace ldr {
 
 struct RoutingLpOptions {
-  RoutingLpOptions() { solve.warm_restart = true; }
-
   // Fraction of every link's capacity reserved (the §4 headroom dial).
   double headroom = 0.0;
   // MinMax mode: minimize max utilization first, delay as tie-break.
@@ -45,15 +43,13 @@ struct RoutingLpOptions {
   // last entry when c is out of range). With {10, 1}, class-0 traffic wins
   // contended short paths over class-1 traffic. Empty = all classes equal.
   std::vector<double> class_weights;
-  // Options of the underlying lp::Solver: pricing list sizes, per-solve
+  // Options of the underlying lp::Solver: pricing list sizes and per-solve
   // budgets (max_iters, deadline_ms — the controller's epoch decision guard; a
   // budget-exhausted solve comes back !ok() and the caller walks the
-  // fallback ladder) and warm restarts across topology events. The routing
-  // default turns warm_restart on: the controller keeps the incremental LP
-  // alive through LinkDown/LinkUp/CapacityScale, repairs it in place, and
-  // the solver re-enters via dual simplex when the warm basis is
-  // primal-infeasible-but-dual-feasible. Off, topology events drop the LP
-  // for a cold rebuild (the baseline arm).
+  // fallback ladder). The controller keeps the incremental LP alive through
+  // LinkDown/LinkUp/CapacityScale and repairs it in place; the solver
+  // re-enters via dual simplex when the warm basis is
+  // primal-infeasible-but-dual-feasible.
   lp::SolveOptions solve;
 };
 

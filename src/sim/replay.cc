@@ -2,13 +2,14 @@
 
 #include <algorithm>
 
+#include "traffic/trace.h"
+
 namespace ldr {
 
-ReplayResult ReplayTraffic(const Graph& g,
-                           const std::vector<Aggregate>& aggregates,
-                           const RoutingOutcome& outcome,
-                           const std::vector<std::vector<double>>& series_gbps,
-                           const ReplayOptions& opts) {
+ReplayResult ReplayTraffic(
+    const Graph& g, const std::vector<Aggregate>& aggregates,
+    const RoutingOutcome& outcome,
+    const std::vector<std::vector<double>>& series_gbps) {
   ReplayResult result;
   const PathStore& store = *outcome.store;
   size_t num_links = g.LinkCount();
@@ -50,8 +51,8 @@ ReplayResult ReplayTraffic(const Graph& g,
       LinkReplayStats& stats = result.links[l];
       util_sum[l] += rate / cap;
       stats.peak_utilization = std::max(stats.peak_utilization, rate / cap);
-      double arrived = rate * opts.period_sec;
-      double served = cap * opts.period_sec;
+      double arrived = rate * kSeriesPeriodSec;
+      double served = cap * kSeriesPeriodSec;
       queue_gbit[l] = std::max(0.0, queue_gbit[l] + arrived - served);
       if (queue_gbit[l] > 1e-12) ++queue_periods[l];
       double delay_ms = queue_gbit[l] / cap * 1000.0;

@@ -17,10 +17,6 @@
 
 namespace ldr {
 
-struct ReplayOptions {
-  double period_sec = 0.1;  // granularity of the rate series
-};
-
 struct LinkReplayStats {
   double max_queue_ms = 0;      // worst queueing delay behind this link
   double mean_utilization = 0;  // time-average load / capacity
@@ -38,13 +34,13 @@ struct ReplayResult {
   double worst_aggregate_delay_ms = 0;
 };
 
-// `series_gbps[a]` is aggregate a's rate series; shorter series are treated
-// as silent after they end. Fractions come from `outcome`.
+// `series_gbps[a]` is aggregate a's rate series at kSeriesPeriodSec
+// (traffic/trace.h); shorter series are treated as silent after they end.
+// Fractions come from `outcome`.
 ReplayResult ReplayTraffic(const Graph& g,
                            const std::vector<Aggregate>& aggregates,
                            const RoutingOutcome& outcome,
-                           const std::vector<std::vector<double>>& series_gbps,
-                           const ReplayOptions& opts = {});
+                           const std::vector<std::vector<double>>& series_gbps);
 
 }  // namespace ldr
 

@@ -137,7 +137,8 @@ void Scenario::AddNodeOutage(NodeId node, int down_epoch, int up_epoch) {
 std::vector<std::vector<double>> ConstantScenarioTraffic(
     const std::vector<Aggregate>& aggregates, int epochs, double epoch_sec,
     double utilization) {
-  size_t samples = static_cast<size_t>(epochs * epoch_sec * 10.0 + 0.5);
+  size_t samples =
+      static_cast<size_t>(epochs * epoch_sec / kSeriesPeriodSec + 0.5);
   std::vector<std::vector<double>> series(aggregates.size());
   for (size_t a = 0; a < aggregates.size(); ++a) {
     series[a].assign(samples, aggregates[a].demand_gbps * utilization);
@@ -409,7 +410,8 @@ size_t ScenarioEngine::UpdateAdaptiveDemand(const ReplayResult& replay,
 
 std::vector<std::vector<double>> ScenarioEngine::EpochSegment(
     int epoch) const {
-  size_t spe = static_cast<size_t>(scenario_.epoch_sec * 10.0 + 0.5);
+  size_t spe =
+      static_cast<size_t>(scenario_.epoch_sec / kSeriesPeriodSec + 0.5);
   size_t begin = static_cast<size_t>(epoch) * spe;
   std::vector<std::vector<double>> segment(scenario_.series_100ms.size());
   for (size_t a = 0; a < scenario_.series_100ms.size(); ++a) {
@@ -652,7 +654,7 @@ ScenarioReport ScenarioEngine::Run() {
     er.overloaded_links = eval.overloaded_links;
 
     ReplayResult replay =
-        ReplayTraffic(graph_, working, *outcome, segment, opts_.replay);
+        ReplayTraffic(graph_, working, *outcome, segment);
     er.worst_queue_ms = replay.worst_queue_ms;
     er.links_with_queueing = replay.links_with_queueing;
     if (!demand_scale_.empty()) {

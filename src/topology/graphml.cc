@@ -233,7 +233,7 @@ std::optional<GraphmlResult> ParseGraphml(const std::string& xml,
       if (!k_speed.empty() && data.count(k_speed) != 0) {
         double raw = std::atof(data[k_speed].c_str());
         if (raw > 0) {
-          cap = raw * opts.speed_scale;
+          cap = raw * 1e-9;  // LinkSpeedRaw is bits/s
         } else {
           ++result.edges_without_speed;
         }

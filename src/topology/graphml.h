@@ -21,10 +21,9 @@
 
 namespace ldr {
 
+// LinkSpeedRaw is bits/s in the Zoo; it is read as Gbps (x 1e-9).
 struct GraphmlOptions {
   double default_capacity_gbps = 10;
-  // Scale LinkSpeedRaw (bits/s in the Zoo) to Gbps.
-  double speed_scale = 1e-9;
 };
 
 struct GraphmlResult {

@@ -4,8 +4,11 @@
 #include <cmath>
 
 #include "traffic/fft.h"
+#include "traffic/trace.h"
 
 namespace ldr {
+
+constexpr size_t kQuantizationBins = 1024;  // levels per distribution
 
 double MaxQueueDelayMs(const std::vector<WeightedSeries>& inputs,
                        double capacity_gbps, double period_sec) {
@@ -75,16 +78,17 @@ LinkCheckResult CheckLinkMultiplexing(const std::vector<WeightedSeries>& inputs,
     return r;
   }
 
-  r.queue_delay_ms = MaxQueueDelayMs(inputs, capacity_gbps, opts.period_sec);
+  r.queue_delay_ms = MaxQueueDelayMs(inputs, capacity_gbps, kSeriesPeriodSec);
   if (r.queue_delay_ms > opts.max_queue_ms) {
     r.pass = false;
     return r;
   }
-  r.exceed_probability = ExceedProbability(inputs, capacity_gbps, opts.bins);
+  r.exceed_probability =
+      ExceedProbability(inputs, capacity_gbps, kQuantizationBins);
   // Threshold: allowed queue budget over the measurement window (the
   // paper's 10 ms / 60 s = 0.00016).
   double window_ms =
-      static_cast<double>(len) * opts.period_sec * 1000.0;
+      static_cast<double>(len) * kSeriesPeriodSec * 1000.0;
   double threshold = window_ms > 0 ? opts.max_queue_ms / window_ms : 0;
   r.pass = r.exceed_probability <= threshold;
   return r;

@@ -30,8 +30,6 @@ struct WeightedSeries {
 
 struct MultiplexOptions {
   double max_queue_ms = 10.0;
-  double period_sec = 0.1;   // measurement period of the series
-  size_t bins = 1024;        // quantization levels per distribution
 };
 
 // Worst queueing delay (ms) when the aligned sum is served at capacity.

@@ -5,6 +5,9 @@
 
 namespace ldr {
 
+constexpr double kMeanWalkSigma = 0.015;  // relative per-minute mean drift
+constexpr double kBurstRho = 0.9;  // AR(1) coefficient at sample granularity
+
 std::vector<double> SynthesizeTraceGbps(const TraceOptions& opts, Rng* rng) {
   size_t per_minute = static_cast<size_t>(60 * opts.samples_per_sec);
   size_t total = per_minute * static_cast<size_t>(opts.minutes);
@@ -13,11 +16,10 @@ std::vector<double> SynthesizeTraceGbps(const TraceOptions& opts, Rng* rng) {
 
   double level = opts.mean_gbps;
   double x = 0;  // AR(1) state
-  double rho = opts.burst_rho;
-  double noise_scale = std::sqrt(1 - rho * rho);
+  double noise_scale = std::sqrt(1 - kBurstRho * kBurstRho);
   for (int minute = 0; minute < opts.minutes; ++minute) {
     for (size_t s = 0; s < per_minute; ++s) {
-      x = rho * x + noise_scale * rng->Gaussian();
+      x = kBurstRho * x + noise_scale * rng->Gaussian();
       double v = level * (1.0 + opts.burst_amplitude * x);
       out.push_back(std::max(0.0, v));
     }
@@ -25,7 +27,7 @@ std::vector<double> SynthesizeTraceGbps(const TraceOptions& opts, Rng* rng) {
     // means don't jump arbitrarily) and the level kept within a factor ~2
     // of the configured mean so traces stay "typical of a backbone link".
     double z = std::clamp(rng->Gaussian(), -2.5, 2.5);
-    double step = 1.0 + opts.mean_walk_sigma * z;
+    double step = 1.0 + kMeanWalkSigma * z;
     level = std::clamp(level * step, opts.mean_gbps * 0.5,
                        opts.mean_gbps * 2.0);
   }

@@ -18,13 +18,15 @@
 
 namespace ldr {
 
+// Period of the measured rate series (the `*_100ms` series) that the
+// controller, the multiplexing tests and the replay read.
+inline constexpr double kSeriesPeriodSec = 0.1;
+
 struct TraceOptions {
   double mean_gbps = 2.0;         // long-run level (CAIDA links ran 1-3 Gbps)
   int minutes = 10;
-  double samples_per_sec = 10;    // 10 => 100 ms bins; 1000 => 1 ms bins
-  double mean_walk_sigma = 0.015;  // relative per-minute drift of the mean
+  double samples_per_sec = 1 / kSeriesPeriodSec;  // 1000 => 1 ms bins
   double burst_amplitude = 0.15;  // relative sub-second variability
-  double burst_rho = 0.9;         // AR(1) coefficient at sample granularity
 };
 
 // Rate samples in Gbps, minutes * 60 * samples_per_sec of them.

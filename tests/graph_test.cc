@@ -255,6 +255,37 @@ TEST(Ksp, ExhaustsFiniteGraph) {
   EXPECT_NE(gen.GetId(0), kInvalidPathId);
   EXPECT_EQ(gen.GetId(1), kInvalidPathId);
   EXPECT_EQ(gen.GetId(1), kInvalidPathId);  // stays exhausted
+
+  // The diamond's three A->D paths, walked to the end and asked past it
+  // again: the produced prefix and the store stay as they were. Past
+  // exhaustion no spur search runs again — even after A->D comes back up,
+  // the generator walked with it masked stays exhausted (a standalone
+  // generator does not follow mask changes; KspCache clears on up).
+  Graph d = Diamond();
+  PathStore dstore(&d);
+  KspGenerator walk(&dstore, 0, 3);
+  std::vector<PathId> prefix;
+  for (size_t k = 0; walk.GetId(k) != kInvalidPathId; ++k) {
+    prefix.push_back(walk.GetId(k));
+  }
+  ASSERT_EQ(prefix.size(), 3u);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(walk.GetId(3), kInvalidPathId);
+    EXPECT_EQ(walk.GetId(4), kInvalidPathId);
+  }
+  for (size_t k = 0; k < prefix.size(); ++k) EXPECT_EQ(walk.GetId(k), prefix[k]);
+  EXPECT_EQ(dstore.size(), 3u);
+
+  LinkId a_to_d = 8;  // the fifth AddBidiLink's forward link
+  ASSERT_EQ(d.link(a_to_d).src, 0);
+  ASSERT_EQ(d.link(a_to_d).dst, 3);
+  d.SetLinkDown(a_to_d, true);
+  PathStore mstore(&d);
+  KspGenerator masked(&mstore, 0, 3);
+  ASSERT_NE(masked.GetId(1), kInvalidPathId);  // A-B-D, A-C-D
+  EXPECT_EQ(masked.GetId(2), kInvalidPathId);
+  d.SetLinkDown(a_to_d, false);
+  EXPECT_EQ(masked.GetId(2), kInvalidPathId);
 }
 
 TEST(Ksp, NoPathAtAll) {

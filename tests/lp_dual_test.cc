@@ -4,17 +4,17 @@
 // optimality with dual steps instead of primal phase 1 + phase 2.
 //
 // Covered here:
-//  - the entry truth table (configured off / cold first solve / primal
-//    feasible mutation / repair under a dual-feasible basis / dual
-//    feasibility lost / genuinely infeasible repair);
+//  - the entry truth table (cold first solve / primal feasible mutation /
+//    repair under a dual-feasible basis / dual feasibility lost / genuinely
+//    infeasible repair);
 //  - dual ratio-test ties and degenerate (zero-length) dual steps;
 //  - randomized bound/rhs-perturbation parity against from-scratch cold
 //    solves, every optimum KKT-certified;
 //  - the lp.dual_infeasible failpoint forcing the primal fallback.
 //
-// The failpoint and parity suites run under both warm_restart settings:
-// with it off every repair must stay on the primal path, and the parity
-// assertions hold unchanged.
+// The parity suite runs with the failpoint disarmed and armed: armed,
+// every repair takes primal phase 1, so the same randomized sequence
+// covers that fallback too.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -30,12 +30,6 @@
 namespace ldr::lp {
 namespace {
 
-SolveOptions WithWarm(bool warm) {
-  SolveOptions so;
-  so.warm_restart = warm;
-  return so;
-}
-
 // min x0 + x1  s.t.  x0 + x1 >= rhs,  x in [0, 4] — the smallest LP whose
 // rhs repair leaves a previously optimal basis primal infeasible.
 struct TinyLp {
@@ -45,34 +39,20 @@ struct TinyLp {
   int row = -1;
 };
 
-TinyLp MakeTiny(const SolveOptions& so, double rhs = 2.0) {
+TinyLp MakeTiny() {
   TinyLp t;
-  t.solver = Solver(so);
   t.x0 = t.solver.AddColumn(0, 4, 1.0, {});
   t.x1 = t.solver.AddColumn(0, 4, 1.0, {});
-  t.row = t.solver.AddRow(RowType::kGe, rhs, {{t.x0, 1.0}, {t.x1, 1.0}});
+  t.row = t.solver.AddRow(RowType::kGe, 2.0, {{t.x0, 1.0}, {t.x1, 1.0}});
   return t;
 }
 
 // --- entry truth table ------------------------------------------------------
 
-TEST(LpDualEntry, ConfiguredOffStaysOnThePrimalPath) {
-  TinyLp t = MakeTiny(WithWarm(false));
-  Solution s0 = t.solver.Solve();
-  ASSERT_TRUE(s0.ok());
-  EXPECT_FALSE(s0.warm_restart);
-  t.solver.SetRhs(t.row, 5.0);
-  Solution s1 = t.solver.Solve();
-  ASSERT_TRUE(s1.ok());
-  EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_FALSE(s1.warm_restart);
-  EXPECT_EQ(s1.dual_pivots, 0);
-}
-
 TEST(LpDualEntry, ColdFirstSolveNeverEntersDual) {
   // ever-optimal gate: with no previously certified basis the first solve
-  // takes the primal path even with warm_restart configured on.
-  TinyLp t = MakeTiny(WithWarm(true));
+  // takes the primal path.
+  TinyLp t = MakeTiny();
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
   EXPECT_FALSE(s0.warm_restart);
@@ -82,7 +62,7 @@ TEST(LpDualEntry, ColdFirstSolveNeverEntersDual) {
 TEST(LpDualEntry, PrimalFeasibleMutationSkipsDual) {
   // AddColumn keeps the basis primal feasible (the Fig. 13 growth path);
   // there is nothing for dual simplex to repair.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.AddColumn(0, 4, 0.5, {{t.row, 1.0}});
   Solution s1 = t.solver.Solve();
@@ -93,7 +73,7 @@ TEST(LpDualEntry, PrimalFeasibleMutationSkipsDual) {
 }
 
 TEST(LpDualEntry, RhsRepairEntersDualAndRecoversOptimality) {
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);
   Solution s1 = t.solver.Solve();
@@ -107,7 +87,7 @@ TEST(LpDualEntry, LostDualFeasibilityFallsBackToPrimal) {
   // An objective mutation that makes a nonbasic column attractive breaks
   // dual feasibility; the pre-entry sweep must detect it and hand the
   // repair to primal phase 1 — still ending optimal.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny();
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
   // The variable resting at 0 is nonbasic; make it strongly attractive.
@@ -133,7 +113,7 @@ TEST(LpDualEntry, InfeasibleRepairIsReportedByThePrimalAuthority) {
   // rhs beyond the variables' combined bounds: the dual loop runs out of
   // admissible entering candidates and the primal phase-1 fallback owns the
   // infeasibility verdict.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 9.0);  // max attainable is 8
   Solution s1 = t.solver.Solve();
@@ -147,7 +127,7 @@ TEST(LpDualRatio, SymmetricTieIsADegenerateDualStep) {
   // cost is exactly 0: the dual ratio test's best step is t = 0, a
   // zero-length (degenerate) pivot. The loop must pivot through it and
   // still certify the right optimum.
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 5.0);  // the basic twin alone caps out at 4
   Solution s1 = t.solver.Solve();
@@ -168,7 +148,7 @@ TEST(LpDualRatio, ScaledTieStaysOptimal) {
     p.AddRow(RowType::kGe, rhs, {{x0, 1.0}, {x1, 2.0}});
     return p;
   };
-  Solver solver(tie(2.0), WithWarm(true));
+  Solver solver(tie(2.0));
   Solution s0 = solver.Solve();
   ASSERT_TRUE(s0.ok());
   EXPECT_EQ(KktViolation(tie(2.0), s0, &solver), "");
@@ -184,7 +164,7 @@ TEST(LpDualRatio, BoundFlipTelemetryAccumulates) {
   // A boxed column whose dual ratio admits a long step: the flip counter
   // must surface through Solution (exact counts are representation-
   // dependent; the accounting just may not go missing or negative).
-  TinyLp t = MakeTiny(WithWarm(true));
+  TinyLp t = MakeTiny();
   ASSERT_TRUE(t.solver.Solve().ok());
   t.solver.SetRhs(t.row, 7.0);
   Solution s1 = t.solver.Solve();
@@ -196,36 +176,31 @@ TEST(LpDualRatio, BoundFlipTelemetryAccumulates) {
 // --- lp.dual_infeasible failpoint -------------------------------------------
 
 TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
-  for (bool warm : {true, false}) {
-    SCOPED_TRACE(warm ? "warm_restart on" : "warm_restart off");
-    TinyLp t = MakeTiny(WithWarm(warm));
-    ASSERT_TRUE(t.solver.Solve().ok());
-    t.solver.SetRhs(t.row, 5.0);
-    util::Failpoint::Activate("lp.dual_infeasible");
-    Solution faulted = t.solver.Solve();
-    long hits = util::Failpoint::HitCount("lp.dual_infeasible");
-    util::Failpoint::DeactivateAll();
-    // The fault only suppresses the dual entry — the primal path must still
-    // deliver the optimum.
-    ASSERT_TRUE(faulted.ok());
-    EXPECT_NEAR(faulted.objective, 5.0, 1e-6);
-    EXPECT_FALSE(faulted.warm_restart);
-    EXPECT_EQ(faulted.dual_pivots, 0);
-    // The site sits inside the warm-entry gate: hit exactly when the dual
-    // restart would have engaged.
-    EXPECT_EQ(hits > 0, warm);
+  TinyLp t = MakeTiny();
+  ASSERT_TRUE(t.solver.Solve().ok());
+  t.solver.SetRhs(t.row, 5.0);
+  util::Failpoint::Activate("lp.dual_infeasible");
+  Solution faulted = t.solver.Solve();
+  long hits = util::Failpoint::HitCount("lp.dual_infeasible");
+  util::Failpoint::DeactivateAll();
+  // The fault only suppresses the dual entry — the primal path must still
+  // deliver the optimum.
+  ASSERT_TRUE(faulted.ok());
+  EXPECT_NEAR(faulted.objective, 5.0, 1e-6);
+  EXPECT_FALSE(faulted.warm_restart);
+  EXPECT_EQ(faulted.dual_pivots, 0);
+  // The site sits inside the warm-entry gate, which this repair reaches.
+  EXPECT_GT(hits, 0);
 
-    // With the failpoint cleared the next repair enters dual again (when
-    // warm_restart is on). Relaxing the rhs back to 2 drives the basic
-    // variable (carrying 1 of the 5) below its lower bound — an actual
-    // primal infeasibility, unlike a small rhs increase the basic variable
-    // could absorb within bounds.
-    t.solver.SetRhs(t.row, 2.0);
-    Solution clean = t.solver.Solve();
-    ASSERT_TRUE(clean.ok());
-    EXPECT_NEAR(clean.objective, 2.0, 1e-6);
-    EXPECT_EQ(clean.warm_restart, warm);
-  }
+  // With the failpoint cleared the next repair enters dual again. Relaxing
+  // the rhs back to 2 drives the basic variable (carrying 1 of the 5) below
+  // its lower bound — an actual primal infeasibility, unlike a small rhs
+  // increase the basic variable could absorb within bounds.
+  t.solver.SetRhs(t.row, 2.0);
+  Solution clean = t.solver.Solve();
+  ASSERT_TRUE(clean.ok());
+  EXPECT_NEAR(clean.objective, 2.0, 1e-6);
+  EXPECT_TRUE(clean.warm_restart);
 }
 
 // --- randomized perturbation parity -----------------------------------------
@@ -252,21 +227,29 @@ Problem Repaired(const bench::RoutingLpSpec& spec,
   return p;
 }
 
+// Disarms every failpoint when it goes out of scope, so an assertion that
+// returns early cannot leave lp.dual_infeasible armed for later tests.
+struct DisarmFailpoints {
+  ~DisarmFailpoints() { util::Failpoint::DeactivateAll(); }
+};
+
 // Routing-shaped LPs under randomized rhs perturbations and dead-path
-// fix/unfix cycles: after every repair the dual-restarted solver must carry
-// a KKT certificate for the accumulated state and land on the same
-// objective as a from-scratch cold solve of it — also with warm_restart off
-// (every repair then runs primal phase 1).
+// fix/unfix cycles: after every repair the warm solver must carry a KKT
+// certificate for the accumulated state and land on the same objective as a
+// from-scratch cold solve of it. The sequence runs twice: with the
+// lp.dual_infeasible failpoint disarmed (repairs go through the dual loop)
+// and armed (every repair falls back to primal phase 1).
 class LpDualPerturbParityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
   const uint64_t seed = static_cast<uint64_t>(91000 + GetParam());
-  for (bool warm_restart : {true, false}) {
-    SCOPED_TRACE(warm_restart ? "warm_restart on" : "warm_restart off");
+  for (bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "lp.dual_infeasible armed" : "disarmed");
+    DisarmFailpoints disarm;
+    if (armed) util::Failpoint::Activate("lp.dual_infeasible");
     Rng rng(seed);
     auto spec = bench::RoutingLpSpec::Random(seed, 15, 9);
-    SolveOptions warm_so = WithWarm(warm_restart);
-    bench::WarmLp warm = bench::BuildSolverBase(spec, warm_so);
+    bench::WarmLp warm = bench::BuildSolverBase(spec);
     Solution s0 = warm.solver.Solve();
     ASSERT_TRUE(s0.ok());
     EXPECT_FALSE(s0.warm_restart);
@@ -311,7 +294,7 @@ TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
         EXPECT_TRUE(sw.warm_restart);
       }
 
-      bench::WarmLp fresh = bench::BuildSolverBase(spec, warm_so);
+      bench::WarmLp fresh = bench::BuildSolverBase(spec);
       for (size_t l = 0; l < link_rhs.size(); ++l) {
         fresh.solver.SetRhs(fresh.link_rows[l], link_rhs[l]);
       }
@@ -328,12 +311,14 @@ TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
                   1e-6 * (1 + std::abs(sc.objective)))
           << "step " << step;
     }
-    if (warm_restart) {
-      // The perturbation mix reliably leaves primal-infeasible warm bases;
-      // at least one repair must have gone through the dual loop.
-      EXPECT_GT(dual_pivots_total, 0);
-    } else {
+    // The perturbation mix reliably leaves primal-infeasible warm bases:
+    // disarmed, at least one repair must have gone through the dual loop;
+    // armed, the site must have been reached and every repair kept off it.
+    if (armed) {
+      EXPECT_GT(util::Failpoint::HitCount("lp.dual_infeasible"), 0);
       EXPECT_EQ(dual_pivots_total, 0);
+    } else {
+      EXPECT_GT(dual_pivots_total, 0);
     }
   }
 }

@@ -64,11 +64,11 @@ Scenario FailureScenario(const Graph& g, int epochs = 10, int down_at = 3,
   return s;
 }
 
-// Engine options for one warm_restart setting. The routing default is on;
-// off, topology events drop the warm LP instead of repairing it in place.
-ScenarioEngineOptions WithWarmRestart(bool warm) {
+// Engine options for the default warm engine (incremental) or the cold
+// reference that drops the warm LP before every epoch.
+ScenarioEngineOptions WithIncremental(bool incremental) {
   ScenarioEngineOptions opts;
-  opts.controller.routing.lp.solve.warm_restart = warm;
+  opts.incremental = incremental;
   return opts;
 }
 
@@ -175,13 +175,12 @@ TEST(KspInvalidation, PopTimeGuardCoversUninvalidatedMasks) {
 }
 
 TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
-  for (bool warm : {true, false}) {
-    SCOPED_TRACE(warm ? "warm_restart on" : "warm_restart off");
+  for (bool drop : {false, true}) {
+    SCOPED_TRACE(drop ? "warm state dropped at the event" : "repaired");
     Topology t = FailoverNet();
     Graph& g = t.graph;
     KspCache cache(&g);
-    LdrController controller(&g, &cache,
-                             WithWarmRestart(warm).controller);
+    LdrController controller(&g, &cache);
     std::vector<Aggregate> aggs{MakeAgg(0, 1, 3.0), MakeAgg(1, 0, 2.0)};
     std::vector<std::vector<double>> segment{
         std::vector<double>(600, 3.0), std::vector<double>(600, 2.0)};
@@ -196,36 +195,35 @@ TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
     LdrControllerResult r2 = controller.RunEpoch(aggs, segment);
     EXPECT_TRUE(r2.warm_epoch);
 
-    // Fail A->B and B->A. Under warm restarts the LP is repaired in place
-    // and the epoch re-enters warm via the dual simplex; without them it
+    // Fail A->B and B->A. The LP is repaired in place and the epoch
+    // re-enters warm via the dual simplex; with the warm state dropped it
     // rebuilds cold. Either way it must never hand a path crossing the
     // failed links to the LP. Each direction is its own one-member event.
     for (LinkId l : {LinkId{0}, LinkId{1}}) {
       g.SetLinkDown(l, true);
       controller.OnLinksDown({l});
     }
+    if (drop) controller.DropWarmState();
     EXPECT_GT(controller.ksp_evictions(), 0u);
     LdrControllerResult r3 = controller.RunEpoch(aggs, segment);
-    EXPECT_EQ(r3.warm_epoch, warm);
-    EXPECT_EQ(r3.topology_repaired, warm);
+    EXPECT_EQ(r3.warm_epoch, !drop);
+    EXPECT_EQ(r3.topology_repaired, !drop);
     EXPECT_TRUE(r3.multiplex_ok);
     EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 0));
     EXPECT_FALSE(AnyAllocationCrosses(r3.outcome, 1));
     // After a repaired epoch the controller canonicalizes with one cold
-    // rebuild (the parity contract); under the cold baseline the
-    // post-event epoch re-enters warm as before. One epoch later both modes
-    // are warm.
+    // rebuild (the parity contract); after a cold event epoch the next
+    // epoch re-enters warm. One epoch later both are warm.
     LdrControllerResult r4 = controller.RunEpoch(aggs, segment);
-    EXPECT_EQ(r4.warm_epoch, !warm);
+    EXPECT_EQ(r4.warm_epoch, drop);
     EXPECT_FALSE(r4.topology_repaired);
     LdrControllerResult r5 = controller.RunEpoch(aggs, segment);
     EXPECT_TRUE(r5.warm_epoch);
   }
 }
 
-// The warm-restart setting lives in the controller's options alone: a
-// process environment that once selected the cold baseline must not turn
-// off the default in-place repair.
+// In-place repair has no switch at all: a process environment that once
+// selected a drop-and-rebuild baseline (LDR_LP_WARM) must not turn it off.
 TEST(Controller, WarmRestartIgnoresTheEnvironment) {
   setenv("LDR_LP_WARM", "cold", 1);
   Topology t = FailoverNet();
@@ -290,85 +288,55 @@ TEST(ScenarioEngine, ReportsAreThreadCountInvariant) {
   ExpectReportsIdentical(r1, r4);
 }
 
-TEST(ScenarioEngine, WarmEpochsMatchColdEpochsExactly) {
-  // incremental=false rebuilds the LP from scratch every epoch; the warm
-  // engine must install bitwise-identical placements anyway — warmth may
-  // only change solve time.
+TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
+  // fig21-style A/B: the default engine (warm re-entry, dual-simplex repair
+  // across the LinkDown/LinkUp events) against the cold reference
+  // (incremental=false), which rebuilds the LP from scratch every epoch.
+  // Warmth may only change solve time: every epoch but the two repaired
+  // ones — whose path sets are history-dependent — must place bitwise like
+  // the cold run, including the canonicalization rebuild right after each
+  // repair (PlacementParity).
   Topology t = FailoverNet();
-  ScenarioEngineOptions warm;
-  ScenarioEngineOptions cold;
-  cold.incremental = false;
-  ScenarioReport rw = ScenarioEngine(t, FailureScenario(t.graph), warm).Run();
-  ScenarioReport rc = ScenarioEngine(t, FailureScenario(t.graph), cold).Run();
-  ASSERT_EQ(rw.epochs.size(), rc.epochs.size());
-  // The warm run actually exercised warm re-entry (all event-free epochs
-  // after the first), the cold run never did.
-  EXPECT_GT(rw.warm_epochs, 0u);
-  EXPECT_EQ(rc.warm_epochs, 0u);
-  EXPECT_EQ(rc.dual_repair_epochs, 0u);
-  for (size_t e = 0; e < rw.epochs.size(); ++e) {
-    // Dual-repaired epochs are exempt from bitwise equality (see
-    // PlacementParity): their placement comes from the in-place LP's
-    // history-dependent path sets. Every other epoch — including the cold
-    // canonicalization rebuild right after a repair — must match.
-    if (!rw.epochs[e].dual_repair) {
-      EXPECT_EQ(rw.epochs[e].allocation_hash, rc.epochs[e].allocation_hash)
+  ScenarioReport rd =
+      ScenarioEngine(t, FailureScenario(t.graph), WithIncremental(true)).Run();
+  ScenarioReport rc =
+      ScenarioEngine(t, FailureScenario(t.graph), WithIncremental(false))
+          .Run();
+  ASSERT_EQ(rd.epochs.size(), rc.epochs.size());
+  for (size_t e = 0; e < rd.epochs.size(); ++e) {
+    if (!rd.epochs[e].dual_repair) {
+      EXPECT_EQ(rd.epochs[e].allocation_hash, rc.epochs[e].allocation_hash)
           << "epoch " << e;
     }
-    EXPECT_EQ(rw.epochs[e].multiplex_ok, rc.epochs[e].multiplex_ok);
+    EXPECT_TRUE(rd.epochs[e].multiplex_ok) << "epoch " << e;
+    EXPECT_TRUE(rc.epochs[e].multiplex_ok) << "epoch " << e;
   }
-}
-
-TEST(ScenarioEngine, DualRepairedEpochsReconvergeToColdHashes) {
-  // fig21-style A/B: the default engine (dual warm restarts across the
-  // LinkDown/LinkUp events) against a baseline configured with
-  // warm_restart=false, which drops and rebuilds the LP cold on every
-  // topology delta. The repaired epoch may legitimately place differently
-  // (its path sets are history-dependent); the canonicalization epoch
-  // after it rebuilds cold — so outside the 2-epoch window [event,
-  // event+1] of each event the placement hashes must match bitwise.
-  Topology t = FailoverNet();
-  ScenarioEngineOptions dual;
-  ScenarioEngineOptions baseline;
-  baseline.controller.routing.lp.solve.warm_restart = false;
-  ScenarioReport rd = ScenarioEngine(t, FailureScenario(t.graph), dual).Run();
-  ScenarioReport rb =
-      ScenarioEngine(t, FailureScenario(t.graph), baseline).Run();
-  ASSERT_EQ(rd.epochs.size(), rb.epochs.size());
-  auto in_event_window = [](int e) {
-    return (e >= 3 && e <= 4) || (e >= 6 && e <= 7);
-  };
-  for (size_t e = 0; e < rd.epochs.size(); ++e) {
-    if (in_event_window(static_cast<int>(e))) continue;
-    EXPECT_EQ(rd.epochs[e].allocation_hash, rb.epochs[e].allocation_hash)
-        << "epoch " << e;
-  }
-  // The A/B actually ran what it claims: the default engine repaired both
-  // events in place, the baseline never did.
+  EXPECT_TRUE(PlacementParity(rd, rc));
+  // The A/B actually ran what it claims: the default engine re-entered warm
+  // and repaired both events in place, the cold run did neither.
+  EXPECT_GT(rd.warm_epochs, 0u);
   EXPECT_EQ(rd.dual_repair_epochs, 2u);
-  EXPECT_EQ(rb.dual_repair_epochs, 0u);
-  for (const ScenarioEpochReport& er : rd.epochs) {
-    EXPECT_TRUE(er.multiplex_ok) << "epoch " << er.epoch;
-  }
+  EXPECT_EQ(rc.warm_epochs, 0u);
+  EXPECT_EQ(rc.dual_repair_epochs, 0u);
 }
 
 TEST(ScenarioEngine, FailureRecoveryTimeline) {
   Topology t = FailoverNet();
   Scenario s = FailureScenario(t.graph, /*epochs=*/10, /*down_at=*/3, /*up_at=*/6);
-  for (bool wr : {true, false}) {
-    SCOPED_TRACE(wr ? "warm_restart on" : "warm_restart off");
-    ScenarioEngine engine(t, s, WithWarmRestart(wr));
+  for (bool inc : {true, false}) {
+    SCOPED_TRACE(inc ? "incremental" : "cold reference");
+    ScenarioEngine engine(t, s, WithIncremental(inc));
     ScenarioReport report = engine.Run();
     ASSERT_EQ(report.epochs.size(), 10u);
 
-    // Epoch 0 cold. Under warm restarts the event epochs (3, 6) are
-    // dual-repaired and the canonicalization epochs after them (4, 7)
-    // rebuild cold; without them the event epochs are the only other cold
-    // ones. Everything else re-enters warm.
+    // Epoch 0 cold. The event epochs (3, 6) are dual-repaired and the
+    // canonicalization epochs after them (4, 7) rebuild cold. Everything
+    // else re-enters warm. The cold reference rebuilds every epoch.
     for (const ScenarioEpochReport& er : report.epochs) {
-      bool expect_repair = wr && (er.epoch == 3 || er.epoch == 6);
-      bool expect_warm = er.epoch != 0 && er.epoch != 3 && er.epoch != 6 &&
-                         !(wr && (er.epoch == 4 || er.epoch == 7));
+      bool event = er.epoch == 3 || er.epoch == 6;
+      bool expect_repair = inc && event;
+      bool expect_warm = inc && er.epoch != 0 && !event && er.epoch != 4 &&
+                         er.epoch != 7;
       EXPECT_EQ(er.warm, expect_warm) << "epoch " << er.epoch;
       EXPECT_EQ(er.dual_repair, expect_repair) << "epoch " << er.epoch;
       EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
@@ -387,13 +355,13 @@ TEST(ScenarioEngine, FailureRecoveryTimeline) {
       // the -1 never-reconverged sentinel).
       EXPECT_GE(evr.reconverge_ms, 0.0);
     }
-    EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
+    EXPECT_EQ(report.dual_repair_epochs, inc ? 2u : 0u);
 
     // Route churn: zero on event-free epochs, nonzero exactly when the
     // placement had to move (failure) and when it moved back (recovery).
     EXPECT_EQ(report.EventFreeChurnMax(), 0.0);
     EXPECT_GT(report.epochs[3].route_churn, 0.0);
-    if (wr) {
+    if (inc) {
       // The repaired LinkUp epoch keeps the (still valid) detour placement
       // — the in-place LP's path set cannot contain the restored direct
       // path; the canonicalization rebuild one epoch later moves traffic
@@ -478,7 +446,7 @@ TEST(ScenarioEngine, SrlgOutageMasksAllMembersAtomically) {
   // An SRLG over the A-C and C-B cables takes the whole detour in one
   // event: during the outage only the direct A-B cable can carry A<->B
   // traffic, and the event must land as ONE batched delta (one dual-repair
-  // epoch under warm restarts, not one per member link).
+  // epoch per event, not one per member link).
   Topology t = FailoverNet();
   Scenario s;
   s.name = "srlg-conduit";
@@ -488,20 +456,20 @@ TEST(ScenarioEngine, SrlgOutageMasksAllMembersAtomically) {
   int srlg = s.AddSrlg("detour-conduit", {2, 4});  // A-C and C-B cables
   s.AddSrlgOutage(srlg, 3, 6);
 
-  for (bool wr : {true, false}) {
-    SCOPED_TRACE(wr ? "warm_restart on" : "warm_restart off");
-    ScenarioEngine engine(t, s, WithWarmRestart(wr));
+  for (bool inc : {true, false}) {
+    SCOPED_TRACE(inc ? "incremental" : "cold reference");
+    ScenarioEngine engine(t, s, WithIncremental(inc));
     ScenarioReport report = engine.Run();
     ASSERT_EQ(report.epochs.size(), 10u);
     for (const ScenarioEpochReport& er : report.epochs) {
       EXPECT_EQ(er.event_epoch, er.epoch == 3 || er.epoch == 6);
       // One grouped delta: exactly the event epochs are dual-repaired.
-      EXPECT_EQ(er.dual_repair, wr && (er.epoch == 3 || er.epoch == 6));
+      EXPECT_EQ(er.dual_repair, inc && (er.epoch == 3 || er.epoch == 6));
       EXPECT_TRUE(er.placement_valid) << "epoch " << er.epoch;
       // The direct cable has room for both aggregates.
       EXPECT_EQ(er.congested_fraction, 0.0) << "epoch " << er.epoch;
     }
-    EXPECT_EQ(report.dual_repair_epochs, wr ? 2u : 0u);
+    EXPECT_EQ(report.dual_repair_epochs, inc ? 2u : 0u);
     // Down + up, each applied once, each reconverged.
     ASSERT_EQ(report.events.size(), 2u);
     EXPECT_EQ(report.events[0].event.type, ScenarioEvent::Type::kSrlgDown);
@@ -634,8 +602,8 @@ TEST(ScenarioEngine, SrlgPartialFailpointKeepsTheLivePrefix) {
 TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
   // The DualRepairedEpochsReconvergeToColdHashes contract for a GROUPED
   // delta: an SRLG cut repaired in place via one dual warm restart must
-  // place bitwise like the warm_restart=false baseline outside the 2-epoch
-  // [event, event+1] canonicalization windows.
+  // place bitwise like the cold reference (incremental=false) in every
+  // epoch but the repaired ones.
   Topology t = FailoverNet();
   auto make_scenario = [&]() {
     Scenario s;
@@ -649,23 +617,13 @@ TEST(ScenarioEngine, GroupedEventDualRepairReconvergesToColdArm) {
     s.AddSrlgOutage(srlg, 3, 6);
     return s;
   };
-  ScenarioEngineOptions dual;
-  ScenarioEngineOptions baseline;
-  baseline.controller.routing.lp.solve.warm_restart = false;
-  ScenarioReport rd = ScenarioEngine(t, make_scenario(), dual).Run();
-  ScenarioReport rb = ScenarioEngine(t, make_scenario(), baseline).Run();
-  ASSERT_EQ(rd.epochs.size(), rb.epochs.size());
-  auto in_event_window = [](int e) {
-    return (e >= 3 && e <= 4) || (e >= 6 && e <= 7);
-  };
-  for (size_t e = 0; e < rd.epochs.size(); ++e) {
-    if (in_event_window(static_cast<int>(e))) continue;
-    EXPECT_EQ(rd.epochs[e].allocation_hash, rb.epochs[e].allocation_hash)
-        << "epoch " << e;
-  }
+  ScenarioReport rd =
+      ScenarioEngine(t, make_scenario(), WithIncremental(true)).Run();
+  ScenarioReport rc =
+      ScenarioEngine(t, make_scenario(), WithIncremental(false)).Run();
   EXPECT_EQ(rd.dual_repair_epochs, 2u);
-  EXPECT_EQ(rb.dual_repair_epochs, 0u);
-  EXPECT_TRUE(PlacementParity(rd, rb));
+  EXPECT_EQ(rc.dual_repair_epochs, 0u);
+  EXPECT_TRUE(PlacementParity(rd, rc));
 }
 
 // A ring A-B-C-D-E-F with chords A-D, B-E, C-F: every pair keeps a route

@@ -9,9 +9,10 @@
 //             lp_pricing's corpus slice) skipped and emitted as zeros with
 //             "smoke": true at the top. All correctness markers — lp_revised
 //             objective_parity, lp_lu / lp_pricing kkt_certificate, scenario
-//             placement_parity, degradation recovery_parity — are still
-//             computed for real, so a perf refactor that breaks parity fails
-//             CI even in smoke mode.
+//             placement_parity, degradation recovery_parity, lp_dual
+//             warm_restart_parity, survivability survivability_parity — are
+//             still computed for real, so a perf refactor that breaks parity
+//             fails CI even in smoke mode.
 //
 // Sections:
 //   lp_resolve        one Fig. 13 growth round on a routing-shaped LP:
@@ -84,6 +85,12 @@
 //                     to the control run's within two epochs. recovery_parity
 //                     is correctness, not timing — ci.sh --bench-smoke gates
 //                     on it like the other parity markers.
+//   lp_dual           the same fixture runs as `scenario`, read for the
+//                     dual-simplex repair: event-epoch solve medians and
+//                     reconvergence wall clock of the default run against
+//                     the cold reference (incremental=false), the dual
+//                     telemetry totals, and warm_restart_parity (gated):
+//                     PlacementParity between the two runs.
 //
 // Timings are medians over several repetitions, in milliseconds.
 #include <algorithm>
@@ -93,7 +100,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -461,21 +467,31 @@ struct ScenarioBench {
 
 // The fig21 fixture (bench/failure_scenario.h — one definition shared with
 // the figure bench, so the JSON records the same experiment it plots), run
-// once with the persistent warm LP and once with the LP dropped before
-// every epoch.
-ScenarioBench BenchScenario() {
-  ScenarioBench out;
+// once by default (persistent warm LP, dual-simplex repair at the events)
+// and once as the cold reference (incremental=false: LP dropped before every
+// epoch). The scenario, degradation and lp_dual sections all read these two
+// runs.
+struct FixtureRuns {
   bench::FailureTimelineFixture fixture = bench::MakeFailureTimeline();
+  ScenarioReport warm;
+  ScenarioReport cold;
+};
 
-  ScenarioEngineOptions warm_opts;
-  ScenarioReport warm =
-      ScenarioEngine(fixture.zoo, fixture.scenario, warm_opts).Run();
+FixtureRuns RunFixture() {
+  FixtureRuns r;
+  r.warm = ScenarioEngine(r.fixture.zoo, r.fixture.scenario).Run();
   ScenarioEngineOptions cold_opts;
   cold_opts.incremental = false;
-  ScenarioReport cold =
-      ScenarioEngine(fixture.zoo, fixture.scenario, cold_opts).Run();
+  r.cold = ScenarioEngine(r.fixture.zoo, r.fixture.scenario, cold_opts).Run();
+  return r;
+}
 
-  out.epochs = fixture.scenario.epochs;
+ScenarioBench BenchScenario(const FixtureRuns& runs) {
+  ScenarioBench out;
+  const ScenarioReport& warm = runs.warm;
+  const ScenarioReport& cold = runs.cold;
+
+  out.epochs = runs.fixture.scenario.epochs;
   out.warm_epochs = warm.warm_epochs;
   out.warm_median_ms = warm.WarmSolveMsMedian();
   out.cold_median_ms = cold.ColdSolveMsMedian();
@@ -534,17 +550,16 @@ struct DegradationBench {
 // cable flap as `scenario`, plus two deterministic fault windows opened
 // mid-outage — lp.iter_limit (solves fail outright, driving the ladder) and
 // ksp.empty (path production starved during recovery). The control run is
-// the fixture untouched. recovery_parity — the marker ci.sh gates on —
+// the fixture's default run. recovery_parity — the marker ci.sh gates on —
 // requires (a) every epoch of both runs installed a valid placement, (b) the
 // control run never touched the ladder, and (c) from two epochs after the
 // last window closes, the faulted run's placement hashes are bitwise the
 // control run's.
-DegradationBench BenchDegradation() {
+DegradationBench BenchDegradation(const FixtureRuns& runs) {
   DegradationBench out;
-  bench::FailureTimelineFixture fixture = bench::MakeFailureTimeline();
   const int kWindowFrom = 4, kWindowUntil = 6;  // inside the [3,7) outage
 
-  Scenario faulted = fixture.scenario;
+  Scenario faulted = runs.fixture.scenario;
   FaultWindow solve_fault;
   solve_fault.failpoint = "lp.iter_limit";
   solve_fault.from_epoch = kWindowFrom;
@@ -560,9 +575,8 @@ DegradationBench BenchDegradation() {
   ksp_fault.spec.seed = 99;
   faulted.faults.push_back(ksp_fault);
 
-  ScenarioReport control =
-      ScenarioEngine(fixture.zoo, fixture.scenario, {}).Run();
-  ScenarioReport degraded = ScenarioEngine(fixture.zoo, faulted, {}).Run();
+  const ScenarioReport& control = runs.warm;
+  ScenarioReport degraded = ScenarioEngine(runs.fixture.zoo, faulted).Run();
 
   out.epochs = faulted.epochs;
   out.fallback_counts = degraded.fallback_counts;
@@ -710,7 +724,7 @@ struct LpDualBench {
   long bound_flips = 0;
   long warm_restart_solves = 0;
   // Per event: the wall clock from the event to the regained clean
-  // placement, under each A/B arm.
+  // placement, in the default run and in the cold reference.
   std::vector<double> dual_reconverge_ms;
   std::vector<double> cold_reconverge_ms;
   bool warm_restart_parity = false;
@@ -721,32 +735,22 @@ struct LpDualBench {
   }
 };
 
-// The fig21 fixture again (same single definition), A/B-ing the PR 9 dual
-// warm restart against the drop-and-rebuild baseline: the default engine
+// The dual warm restart on the fixture's two runs: the default run
 // repairs the LP in place on the cable flap's LinkDown/LinkUp and re-enters
-// via dual simplex; the baseline configures warm_restart = false, so every
-// topology delta rebuilds the LP cold (the PR 4 behavior). The
-// warm_restart_parity marker — gated by ci.sh --bench-smoke — requires the
-// two runs' placement hashes to be bitwise equal outside the two-epoch
-// window [event, event+1] of every event: the dual-repaired epoch may place
-// differently (history-dependent path sets), the canonicalization epoch
-// after it rebuilds cold and must realign.
-LpDualBench BenchLpDual() {
+// via dual simplex; the cold reference rebuilds the LP every epoch, so its
+// event epochs pay the cold rebuild a repair avoids. The
+// warm_restart_parity marker — gated by ci.sh --bench-smoke — is
+// PlacementParity between the two: every epoch but the dual-repaired ones
+// (history-dependent path sets) must place bitwise alike, including the
+// canonicalization rebuild right after each repair.
+LpDualBench BenchLpDual(const FixtureRuns& runs) {
   LpDualBench out;
-  bench::FailureTimelineFixture fixture = bench::MakeFailureTimeline();
+  const ScenarioReport& dual = runs.warm;
+  const ScenarioReport& cold = runs.cold;
 
-  ScenarioEngineOptions dual_opts;  // routing default: warm_restart on
-  ScenarioReport dual =
-      ScenarioEngine(fixture.zoo, fixture.scenario, dual_opts).Run();
-  ScenarioEngineOptions cold_opts;
-  cold_opts.controller.routing.lp.solve.warm_restart = false;
-  ScenarioReport cold =
-      ScenarioEngine(fixture.zoo, fixture.scenario, cold_opts).Run();
-
-  out.epochs = fixture.scenario.epochs;
+  out.epochs = runs.fixture.scenario.epochs;
   out.dual_repair_epochs = dual.dual_repair_epochs;
   std::vector<double> dual_ms, cold_ms;
-  std::set<size_t> exempt;  // the 2-epoch parity window of each event
   for (size_t e = 0; e < dual.epochs.size(); ++e) {
     const ScenarioEpochReport& er = dual.epochs[e];
     out.dual_pivots += er.lp_dual_pivots;
@@ -755,22 +759,15 @@ LpDualBench BenchLpDual() {
     if (!er.event_epoch) continue;
     dual_ms.push_back(er.solve_ms);
     cold_ms.push_back(cold.epochs[e].solve_ms);
-    exempt.insert(e);
-    exempt.insert(e + 1);
   }
   if (!dual_ms.empty()) out.dual_event_median_ms = MedianMs(dual_ms);
   if (!cold_ms.empty()) out.cold_event_median_ms = MedianMs(cold_ms);
 
-  bool parity = !dual.epochs.empty() && dual.epochs.size() == cold.epochs.size();
-  for (size_t e = 0; e < dual.epochs.size() && parity; ++e) {
-    if (exempt.count(e) != 0) continue;
-    parity = dual.epochs[e].allocation_hash == cold.epochs[e].allocation_hash;
-  }
-  out.warm_restart_parity = parity;
+  out.warm_restart_parity = !dual.epochs.empty() && PlacementParity(dual, cold);
   if (!out.warm_restart_parity) {
     std::fprintf(stderr,
                  "bench_to_json: dual-restart/cold placement mismatch "
-                 "outside the per-event canonicalization windows\n");
+                 "outside the dual-repaired epochs\n");
   }
   for (const ScenarioEventReport& evr : dual.events) {
     out.dual_reconverge_ms.push_back(evr.reconverge_ms);
@@ -825,18 +822,18 @@ int main(int argc, char** argv) {
     pricing_corpus = BenchPricingCorpus(&fixture);
   }
 
+  // The fig21 fixture's default and cold-reference runs feed three cheap
+  // sections that each carry a correctness gate (placement_parity,
+  // recovery_parity, warm_restart_parity), so they run in smoke mode too.
   std::fprintf(stderr, "bench_to_json: scenario...\n");
-  ScenarioBench scenario = BenchScenario();
+  FixtureRuns fixture_runs = RunFixture();
+  ScenarioBench scenario = BenchScenario(fixture_runs);
 
-  // Cheap (two 12-epoch runs) and a correctness gate, so it runs in smoke
-  // mode too — ci.sh --bench-smoke greps its recovery_parity marker.
   std::fprintf(stderr, "bench_to_json: degradation...\n");
-  DegradationBench degradation = BenchDegradation();
+  DegradationBench degradation = BenchDegradation(fixture_runs);
 
-  // Also cheap (two more 12-epoch runs) and a correctness gate
-  // (warm_restart_parity), so it runs in smoke mode too.
   std::fprintf(stderr, "bench_to_json: lp_dual...\n");
-  LpDualBench lp_dual = BenchLpDual();
+  LpDualBench lp_dual = BenchLpDual(fixture_runs);
 
   // Correctness-gated too (valid_every_epoch, survivability_parity): smoke
   // mode runs the reduced slice rather than skipping the section.
