@@ -69,25 +69,38 @@ void BM_MaxFlow(benchmark::State& state) {
 BENCHMARK(BM_MaxFlow)->Arg(4)->Arg(8);
 
 void BM_FftConvolution(benchmark::State& state) {
-  // Convolve `k` aggregate PMFs of 1024 bins each — one link's multiplexing
-  // check (paper: "all the needed convolutions in milliseconds").
+  // One link's uncorrelated-multiplexing convolution as the controller makes
+  // it: `k` aggregate PMFs over a common bin width of (sum of peaks) / 1024,
+  // so their lengths sum to ~1024 bins and the result fills one 1024-point
+  // transform (paper: "all the needed convolutions in milliseconds").
   size_t k = static_cast<size_t>(state.range(0));
   Rng rng(5);
-  std::vector<std::vector<double>> pmfs(k, std::vector<double>(1024));
-  for (auto& pmf : pmfs) {
+  std::vector<double> share(k);
+  double share_total = 0;
+  for (double& s : share) {
+    s = rng.Uniform(0.5, 1.5);
+    share_total += s;
+  }
+  std::vector<std::vector<double>> pmfs(k);
+  size_t extra_left = 1023;  // sum of (length - 1): result length 1024
+  for (size_t a = 0; a < k; ++a) {
+    size_t extra = a + 1 < k ? static_cast<size_t>(1023 * share[a] /
+                                                   share_total)
+                             : extra_left;
+    extra_left -= extra;
     double total = 0;
-    for (double& v : pmf) {
-      v = rng.NextDouble();
-      total += v;
+    for (size_t i = 0; i <= extra; ++i) {
+      pmfs[a].push_back(rng.NextDouble());
+      total += pmfs[a].back();
     }
-    for (double& v : pmf) v /= total;
+    for (double& v : pmfs[a]) v /= total;
   }
   for (auto _ : state) {
     auto out = ConvolvePmfs(pmfs);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_FftConvolution)->Arg(2)->Arg(10)->Arg(50);
+BENCHMARK(BM_FftConvolution)->Arg(4)->Arg(10)->Arg(17);
 
 }  // namespace
 

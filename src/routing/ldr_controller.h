@@ -35,7 +35,7 @@ namespace ldr {
 
 struct LdrControllerOptions {
   IterativeOptions routing;          // the LP/path-growth knobs
-  MultiplexOptions multiplex;        // queue budget, period, quantization
+  MultiplexOptions multiplex;        // queueing-delay budget (max_queue_ms)
   int max_rounds = 6;                // optimize/appraise/tweak iterations
   double scale_up = 1.1;             // Ba multiplier for failing aggregates
   double predictor_decay = 0.98;     // Algorithm 1 constants

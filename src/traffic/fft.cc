@@ -4,6 +4,54 @@
 #include <cmath>
 
 namespace ldr {
+namespace {
+
+// Radix-2 decimation-in-time FFT over split real/imaginary arrays. Its tables
+// depend only on the size, never on the sizes the plan served before.
+struct FftPlan {
+  size_t n = 0;
+  std::vector<double> wr, wi;  // stage of half-width h: e^{i*pi*j/h} at h-1+j
+  std::vector<size_t> rev;     // input i belongs at position rev[i]
+
+  void Reset(size_t size) {
+    if (size == n) return;
+    n = size;
+    wr.resize(std::max<size_t>(n, 1) - 1);
+    wi.resize(wr.size());
+    for (size_t h = 1; h < n; h <<= 1) {
+      for (size_t j = 0; j < h; ++j) {
+        double angle = M_PI * static_cast<double>(j) / static_cast<double>(h);
+        wr[h - 1 + j] = std::cos(angle);
+        wi[h - 1 + j] = std::sin(angle);
+      }
+    }
+    rev.assign(n, 0);
+    for (size_t i = 1; i < n; ++i) {
+      rev[i] = (rev[i >> 1] >> 1) | ((i & 1) ? n >> 1 : 0);
+    }
+  }
+
+  // In place, bit-reversed in, natural out; kernel e^{+2*pi*i*k/n} (unscaled).
+  void Transform(double* re, double* im, bool invert) const {
+    const double sign = invert ? -1.0 : 1.0;
+    for (size_t h = 1; h < n; h <<= 1) {
+      for (size_t i = 0; i < n; i += 2 * h) {
+        for (size_t a = i, b = i + h, t = h - 1; a < i + h; ++a, ++b, ++t) {
+          const double cr = wr[t];
+          const double ci = sign * wi[t];
+          double vr = re[b] * cr - im[b] * ci;
+          double vi = re[b] * ci + im[b] * cr;
+          re[b] = re[a] - vr;
+          im[b] = im[a] - vi;
+          re[a] += vr;
+          im[a] += vi;
+        }
+      }
+    }
+  }
+};
+
+}  // namespace
 
 size_t NextPowerOfTwo(size_t n) {
   size_t p = 1;
@@ -13,32 +61,16 @@ size_t NextPowerOfTwo(size_t n) {
 
 void Fft(std::vector<std::complex<double>>* data, bool invert) {
   auto& a = *data;
-  size_t n = a.size();
-  if (n <= 1) return;
-  // Bit-reversal permutation.
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
+  FftPlan plan;
+  plan.Reset(a.size());
+  std::vector<double> re(a.size()), im(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    re[plan.rev[i]] = a[i].real();
+    im[plan.rev[i]] = a[i].imag();
   }
-  for (size_t len = 2; len <= n; len <<= 1) {
-    double angle = 2 * M_PI / static_cast<double>(len) * (invert ? -1 : 1);
-    std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    for (size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1);
-      for (size_t j = 0; j < len / 2; ++j) {
-        std::complex<double> u = a[i + j];
-        std::complex<double> v = a[i + j + len / 2] * w;
-        a[i + j] = u + v;
-        a[i + j + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (invert) {
-    for (auto& x : a) x /= static_cast<double>(n);
-  }
+  plan.Transform(re.data(), im.data(), invert);
+  double scale = invert ? 1.0 / static_cast<double>(a.size()) : 1.0;
+  for (size_t i = 0; i < a.size(); ++i) a[i] = {re[i] * scale, im[i] * scale};
 }
 
 std::vector<double> ConvolvePmfs(
@@ -49,20 +81,46 @@ std::vector<double> ConvolvePmfs(
     if (p.empty()) return {};
     out_len += p.size() - 1;
   }
-  size_t fft_len = NextPowerOfTwo(out_len);
-  std::vector<std::complex<double>> acc(fft_len, 0.0);
-  acc[0] = 1.0;  // identity PMF (all mass at 0)
-  Fft(&acc, false);
-  std::vector<std::complex<double>> cur(fft_len);
-  for (const auto& p : pmfs) {
-    std::fill(cur.begin(), cur.end(), std::complex<double>(0));
-    for (size_t i = 0; i < p.size(); ++i) cur[i] = p[i];
-    Fft(&cur, false);
-    for (size_t i = 0; i < fft_len; ++i) acc[i] *= cur[i];
+  const size_t n = NextPowerOfTwo(out_len);
+  thread_local FftPlan plan;
+  thread_local std::vector<double> zr, zi, acc_r, acc_i;
+  plan.Reset(n);
+  acc_r.assign(n / 2 + 1, 1.0);  // the product spectrum is Hermitian:
+  acc_i.assign(n / 2 + 1, 0.0);  // bins 0..n/2 determine it
+  for (size_t a = 0; a < pmfs.size(); a += 2) {
+    const bool paired = a + 1 < pmfs.size();
+    zr.assign(n, 0.0);
+    zi.assign(n, 0.0);
+    for (size_t i = 0; i < pmfs[a].size(); ++i) zr[plan.rev[i]] = pmfs[a][i];
+    for (size_t i = 0; paired && i < pmfs[a + 1].size(); ++i) {
+      zi[plan.rev[i]] = pmfs[a + 1][i];
+    }
+    plan.Transform(zr.data(), zi.data(), false);
+    for (size_t k = 0, m = 0; k <= n / 2; ++k, m = n - k) {
+      double pr = zr[k];
+      double pi = zi[k];
+      if (paired) {  // X = (Z[k] + conj Z[m]) / 2, Y = (Z[k] - conj Z[m]) / 2i
+        double xr = 0.5 * (zr[k] + zr[m]);
+        double xi = 0.5 * (zi[k] - zi[m]);
+        double yr = 0.5 * (zi[k] + zi[m]);
+        double yi = 0.5 * (zr[m] - zr[k]);
+        pr = xr * yr - xi * yi;
+        pi = xr * yi + xi * yr;
+      }
+      double r = acc_r[k] * pr - acc_i[k] * pi;
+      acc_i[k] = acc_r[k] * pi + acc_i[k] * pr;
+      acc_r[k] = r;
+    }
   }
-  Fft(&acc, true);
+  for (size_t k = 0; k < n; ++k) {
+    zr[plan.rev[k]] = acc_r[std::min(k, n - k)];
+    zi[plan.rev[k]] = k > n / 2 ? -acc_i[n - k] : acc_i[k];
+  }
+  plan.Transform(zr.data(), zi.data(), true);
   std::vector<double> out(out_len);
-  for (size_t i = 0; i < out_len; ++i) out[i] = std::max(0.0, acc[i].real());
+  for (size_t i = 0; i < out_len; ++i) {
+    out[i] = std::max(0.0, zr[i] * (1.0 / static_cast<double>(n)));
+  }
   return out;
 }
 

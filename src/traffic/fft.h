@@ -12,14 +12,15 @@
 
 namespace ldr {
 
-// In-place iterative Cooley-Tukey; size must be a power of two.
+// In-place radix-2 FFT (the inverse divides by n); size a power of two.
 void Fft(std::vector<std::complex<double>>* a, bool invert);
 
 size_t NextPowerOfTwo(size_t n);
 
 // Convolution of real non-negative sequences (PMFs over a shared bin
 // width). Result length = sum of lengths - (count - 1); tiny negative
-// numerical residues are clamped to zero.
+// numerical residues are clamped to zero. Two PMFs share each transform;
+// with per-thread scratch, a call allocates only its result.
 std::vector<double> ConvolvePmfs(const std::vector<std::vector<double>>& pmfs);
 
 // Quantizes rate samples (Gbps) into a PMF over bins of `bin_gbps`, bin i
@@ -27,8 +28,10 @@ std::vector<double> ConvolvePmfs(const std::vector<std::vector<double>>& pmfs);
 std::vector<double> QuantizeToPmf(const std::vector<double>& samples_gbps,
                                   double bin_gbps);
 
-// P(sum > threshold) for a PMF over the given bin width: total mass of bins
-// whose *lower edge* is at or above the threshold (conservative).
+// Mass of the bins whose lower edge i * bin_gbps is at or above the
+// threshold. As P(sum > threshold) over QuantizeToPmf's floor bins this
+// under-counts (samples sit up to a bin low; the bin straddling the
+// threshold is dropped), so it is no bound: see ROADMAP.md item 3.
 double TailProbability(const std::vector<double>& pmf, double bin_gbps,
                        double threshold_gbps);
 

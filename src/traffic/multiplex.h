@@ -36,11 +36,6 @@ struct MultiplexOptions {
 double MaxQueueDelayMs(const std::vector<WeightedSeries>& inputs,
                        double capacity_gbps, double period_sec);
 
-// P(sum of independent aggregates > capacity) via FFT convolution of
-// per-aggregate PMFs (common bin width derived from the peak of the sum).
-double ExceedProbability(const std::vector<WeightedSeries>& inputs,
-                         double capacity_gbps, size_t bins);
-
 struct LinkCheckResult {
   bool pass = true;
   bool skipped_peak_test = false;  // sum of peaks fit; tests skipped

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,7 +31,9 @@
 #include "graph/path_store.h"
 #include "sim/corpus_runner.h"
 #include "topology/zoo_corpus.h"
+#include "traffic/fft.h"
 #include "util/failpoint.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace ldr {
@@ -282,6 +285,44 @@ TEST(Concurrency, ParallelForWorkerSlotExclusivity) {
   long total = 0;
   for (long c : scratch) total += c;
   EXPECT_EQ(total, 256);
+}
+
+// ConvolvePmfs keeps its FFT plan and scratch per thread. Four threads
+// alternate between inputs that need 8-, 1024- and 2048-point transforms,
+// so every thread's plan rebuilds on most calls; each result must be
+// bitwise equal to the serial one.
+TEST(Concurrency, ThreadLocalFftScratchAcrossSizes) {
+  Rng rng(23);
+  auto pmfs_of = [&rng](size_t k, size_t len) {
+    std::vector<std::vector<double>> pmfs(k, std::vector<double>(len));
+    for (auto& pmf : pmfs) {
+      for (double& v : pmf) v = rng.NextDouble() / static_cast<double>(len);
+    }
+    return pmfs;
+  };
+  // Output lengths 7, 1000 and 1500 (k * (len - 1) + 1).
+  const std::vector<std::vector<std::vector<double>>> inputs = {
+      pmfs_of(3, 3), pmfs_of(9, 112), pmfs_of(4, 375)};
+  std::vector<std::vector<double>> serial;
+  for (const auto& pmfs : inputs) serial.push_back(ConvolvePmfs(pmfs));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t call = 0; call < 24; ++call) {
+        size_t which = (call + t) % inputs.size();
+        std::vector<double> out = ConvolvePmfs(inputs[which]);
+        const std::vector<double>& want = serial[which];
+        if (out.size() != want.size() ||
+            std::memcmp(out.data(), want.data(),
+                        out.size() * sizeof(double)) != 0) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -222,10 +222,9 @@ TEST(Controller, StalePathsNeverReachTheLpAfterLinkDown) {
   }
 }
 
-// In-place repair has no switch at all: a process environment that once
-// selected a drop-and-rebuild baseline (LDR_LP_WARM) must not turn it off.
-TEST(Controller, WarmRestartIgnoresTheEnvironment) {
-  setenv("LDR_LP_WARM", "cold", 1);
+// A LinkDown and the matching LinkUp are each repaired in place (dual
+// simplex on the live LP), and both repaired epochs place cleanly.
+TEST(Controller, RepairsLinkDownAndUpInPlace) {
   Topology t = FailoverNet();
   Graph& g = t.graph;
   KspCache cache(&g);
@@ -241,7 +240,6 @@ TEST(Controller, WarmRestartIgnoresTheEnvironment) {
   g.SetLinksDown({0, 1}, false);
   controller.OnLinksUp({0, 1});
   LdrControllerResult up = controller.RunEpoch(aggs, segment);
-  unsetenv("LDR_LP_WARM");
   EXPECT_TRUE(down.topology_repaired);
   EXPECT_TRUE(up.topology_repaired);
   EXPECT_TRUE(down.multiplex_ok);

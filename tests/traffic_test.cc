@@ -172,37 +172,6 @@ TEST(Fft, ImpulseHasFlatSpectrum) {
   }
 }
 
-TEST(Fft, ConvolutionMatchesDirect) {
-  Rng rng(7);
-  std::vector<double> p1(5), p2(9), p3(3);
-  auto fill = [&](std::vector<double>* p) {
-    double total = 0;
-    for (double& v : *p) {
-      v = rng.Uniform(0, 1);
-      total += v;
-    }
-    for (double& v : *p) v /= total;
-  };
-  fill(&p1);
-  fill(&p2);
-  fill(&p3);
-  auto fft_result = ConvolvePmfs({p1, p2, p3});
-  // Direct convolution.
-  auto direct2 = [](const std::vector<double>& a,
-                    const std::vector<double>& b) {
-    std::vector<double> out(a.size() + b.size() - 1, 0.0);
-    for (size_t i = 0; i < a.size(); ++i) {
-      for (size_t j = 0; j < b.size(); ++j) out[i + j] += a[i] * b[j];
-    }
-    return out;
-  };
-  auto direct = direct2(direct2(p1, p2), p3);
-  ASSERT_EQ(fft_result.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(fft_result[i], direct[i], 1e-9);
-  }
-}
-
 TEST(Fft, ConvolvedPmfSumsToOne) {
   std::vector<double> p1{0.5, 0.5};
   std::vector<double> p2{0.25, 0.5, 0.25};
@@ -304,16 +273,141 @@ TEST(Multiplex, ManyVariableAggregatesFailProbabilisticTest) {
 }
 
 TEST(Multiplex, ExceedProbabilityMatchesAnalyticCase) {
-  // Two aggregates, each 0 or 1 Gbps with p=0.5 (independent): P(sum=2) =
-  // 0.25. Capacity 1.5 -> exceed prob = P(sum >= 2) = 0.25.
+  // Two aggregates, each 0 or 1 Gbps with p=0.5, never on together: the
+  // aligned sum never exceeds 1 Gbps, so test B passes on a 1.5 Gbps link,
+  // but the independence test sees P(sum = 2) = 0.25 and fails it.
   std::vector<double> s1, s2;
   for (int i = 0; i < 600; ++i) {
     s1.push_back(i % 2 == 0 ? 1.0 : 0.0);
-    s2.push_back(i % 4 < 2 ? 1.0 : 0.0);  // uncorrelated pattern
+    s2.push_back(i % 2 == 1 ? 1.0 : 0.0);
   }
   std::vector<WeightedSeries> in{{&s1, 1.0}, {&s2, 1.0}};
-  double prob = ExceedProbability(in, 1.5, 1024);
-  EXPECT_NEAR(prob, 0.25, 0.02);
+  LinkCheckResult r = CheckLinkMultiplexing(in, 1.5, {});
+  EXPECT_DOUBLE_EQ(r.queue_delay_ms, 0.0);
+  EXPECT_NEAR(r.exceed_probability, 0.25, 1e-12);
+  EXPECT_FALSE(r.pass);
+}
+
+// --- Independent oracles for the FFT appraisal ---
+
+// O(n^2) convolution, sharing no code with the FFT path.
+std::vector<double> DirectConvolution(
+    const std::vector<std::vector<double>>& pmfs) {
+  std::vector<double> out{1.0};
+  for (const std::vector<double>& p : pmfs) {
+    std::vector<double> next(out.size() + p.size() - 1, 0.0);
+    for (size_t i = 0; i < out.size(); ++i) {
+      for (size_t j = 0; j < p.size(); ++j) next[i + j] += out[i] * p[j];
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+// A PMF like the appraisal's: 600 samples counted into `len` bins, the top
+// bin holding the peak, each count times 1/600.
+std::vector<double> SampledPmf(size_t len, Rng* rng) {
+  std::vector<double> pmf(len, 0.0);
+  pmf[len - 1] = 1.0;
+  double mode = rng->Uniform(0, static_cast<double>(len));
+  for (int s = 1; s < 600; ++s) {
+    double v = mode + rng->Gaussian() * static_cast<double>(len) / 6;
+    if (rng->Chance(0.05)) v = rng->Uniform(0, static_cast<double>(len));
+    v = std::min(std::max(v, 0.0), static_cast<double>(len - 1));
+    pmf[static_cast<size_t>(v)] += 1.0;
+  }
+  for (double& p : pmf) p *= 1.0 / 600.0;
+  return pmf;
+}
+
+// `k` PMFs whose convolution has exactly `out_len` bins.
+std::vector<std::vector<double>> SampledPmfs(size_t k, size_t out_len,
+                                             Rng* rng) {
+  std::vector<size_t> extra(k, 0);  // len - 1 per PMF; sums to out_len - 1
+  for (size_t b = 0; b + 1 < out_len; ++b) ++extra[rng->NextIndex(k)];
+  std::vector<std::vector<double>> pmfs;
+  for (size_t e : extra) pmfs.push_back(SampledPmf(e + 1, rng));
+  return pmfs;
+}
+
+TEST(Fft, ConvolvePmfsMatchesDirectConvolution) {
+  Rng rng(19);
+  struct Case {
+    size_t k, out_len;
+  };
+  // Odd k leaves one PMF unpaired; out_len 1025 crosses 1024 -> 2048.
+  const Case cases[] = {{3, 15},    {1, 700},   {2, 1024},
+                        {3, 1024},  {4, 1024},  {10, 913},
+                        {17, 1024}, {3, 1025},  {17, 1025}};
+  for (const Case& c : cases) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<std::vector<double>> pmfs = SampledPmfs(c.k, c.out_len, &rng);
+      std::vector<double> fft = ConvolvePmfs(pmfs);
+      std::vector<double> direct = DirectConvolution(pmfs);
+      ASSERT_EQ(fft.size(), c.out_len);
+      ASSERT_EQ(direct.size(), c.out_len);
+      for (size_t i = 0; i < c.out_len; ++i) {
+        ASSERT_NEAR(fft[i], direct[i], 1e-12)
+            << "k=" << c.k << " out_len=" << c.out_len << " bin " << i;
+      }
+    }
+  }
+}
+
+// CheckLinkMultiplexing against the same three tests built from public
+// pieces and a direct convolution, over seeded random links.
+TEST(Multiplex, VerdictsMatchDirectConvolutionOracle) {
+  Rng rng(1906);
+  MultiplexOptions opts;
+  const double threshold = opts.max_queue_ms / (600 * kSeriesPeriodSec * 1000);
+  int fft_tests = 0, fft_fails = 0, near_threshold = 0;
+  for (int link = 0; link < 1000; ++link) {
+    size_t k = static_cast<size_t>(rng.UniformInt(4, 18));
+    std::vector<std::vector<double>> series(k, std::vector<double>(600));
+    std::vector<WeightedSeries> in;
+    for (std::vector<double>& s : series) {
+      double mean = rng.Uniform(0.2, 2.0);
+      for (double& v : s) {
+        v = std::max(0.0, mean * (1 + 0.3 * rng.Gaussian()));
+        if (rng.Chance(0.01)) v *= 3;
+      }
+      in.push_back({&s, rng.Uniform(0.1, 1.0)});
+    }
+    double peak_sum = 0, mean_sum = 0;
+    for (const WeightedSeries& w : in) {
+      double peak = 0;
+      for (double v : *w.series_gbps) peak = std::max(peak, v * w.weight);
+      peak_sum += peak;
+      mean_sum += Mean(*w.series_gbps) * w.weight;
+    }
+    double capacity = rng.Uniform(mean_sum, (mean_sum + peak_sum) / 2);
+    LinkCheckResult r = CheckLinkMultiplexing(in, capacity, opts);
+    if (MaxQueueDelayMs(in, capacity, kSeriesPeriodSec) > opts.max_queue_ms) {
+      EXPECT_FALSE(r.pass) << "link " << link;
+      continue;
+    }
+    ++fft_tests;
+    double bin = peak_sum / 1024;
+    std::vector<std::vector<double>> pmfs;
+    for (const WeightedSeries& w : in) {
+      std::vector<double> scaled;
+      for (double v : *w.series_gbps) scaled.push_back(v * w.weight);
+      pmfs.push_back(QuantizeToPmf(scaled, bin));
+    }
+    double tail = TailProbability(DirectConvolution(pmfs), bin, capacity);
+    EXPECT_NEAR(r.exceed_probability, tail, 1e-12) << "link " << link;
+    if (std::abs(tail - threshold) <= 1e-12) {
+      ++near_threshold;
+      continue;
+    }
+    EXPECT_EQ(r.pass, tail <= threshold) << "link " << link;
+    if (tail > threshold) ++fft_fails;
+  }
+  EXPECT_LE(near_threshold, 3);
+  // Both verdicts of the FFT test must be well represented.
+  EXPECT_GE(fft_tests, 300);
+  EXPECT_GE(fft_fails, 100);
+  EXPECT_GE(fft_tests - fft_fails, 100);
 }
 
 }  // namespace
