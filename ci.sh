@@ -33,10 +33,9 @@
 #                kkt_certificate (every solve of the basis-size sweep and
 #                of the pricing shapes carries a KKT optimality certificate
 #                from the independent checker), scenario
-#                placement_parity, degradation recovery_parity, lp_dual
-#                warm_restart_parity (the default run places bitwise like
+#                placement_parity (the default run places bitwise like
 #                the incremental=false cold reference in every epoch but
-#                the dual-repaired ones),
+#                the dual-repaired ones), degradation recovery_parity,
 #                survivability survivability_parity (replaying a failure
 #                campaign from its seed installs bitwise-identical
 #                placements) — is false.
@@ -200,7 +199,7 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   trap 'rm -f "$PROBE_1" "$PROBE_4" "$SMOKE_JSON"' EXIT
   "$BUILD_DIR/bench_to_json" --smoke "$SMOKE_JSON" >&2
   for marker in objective_parity kkt_certificate placement_parity \
-      recovery_parity warm_restart_parity survivability_parity; do
+      recovery_parity survivability_parity; do
     if grep -q "\"$marker\": false" "$SMOKE_JSON"; then
       echo "ci.sh: bench smoke FAILED ($marker is false)" >&2
       exit 1
@@ -220,6 +219,6 @@ if [ "$BENCH_SMOKE" = 1 ]; then
       exit 1
     fi
   done
-  echo "ci.sh: bench smoke OK (objective/kkt/placement/recovery/warm-restart/survivability markers true;" \
+  echo "ci.sh: bench smoke OK (objective/kkt/placement/recovery/survivability markers true;" \
       "ldr_bench steady_mux/cold_grid/failover correct, 0 failed ops)" >&2
 fi

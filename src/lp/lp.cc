@@ -25,6 +25,22 @@ std::string ToString(Status s) {
   return "?";
 }
 
+void SolveStats::Merge(const SolveStats& o) {
+  lp_columns_priced += o.lp_columns_priced;
+  lp_iterations += o.lp_iterations;
+  lp_pivots += o.lp_pivots;
+  lp_ftran_nnz += o.lp_ftran_nnz;
+  lp_basis_bytes = std::max(lp_basis_bytes, o.lp_basis_bytes);
+  lp_lu_nnz = std::max(lp_lu_nnz, o.lp_lu_nnz);
+  lp_eta_count = std::max(lp_eta_count, o.lp_eta_count);
+  lp_fill_ratio = std::max(lp_fill_ratio, o.lp_fill_ratio);
+  lp_refactorizations += o.lp_refactorizations;
+  lp_pivot_recoveries += o.lp_pivot_recoveries;
+  lp_dual_pivots += o.lp_dual_pivots;
+  lp_bound_flips += o.lp_bound_flips;
+  lp_warm_restart += o.lp_warm_restart;
+}
+
 int Problem::AddVariable(double lo, double hi, double obj) {
   obj_.push_back(obj);
   lo_.push_back(lo);
@@ -266,32 +282,27 @@ class Solver::Impl {
   }
 
   Solution Solve() {
+    stats_ = {};
     Solution sol = SolveImpl();
-    sol.columns_priced = columns_priced_;
-    sol.pivot_recoveries = pivot_recoveries_;
-    sol.ftran_nnz = ftran_nnz_;
-    sol.pivots = pivots_;
-    sol.refactorizations = refactorizations_;
-    sol.dual_pivots = dual_pivots_;
-    sol.bound_flips = bound_flips_;
-    sol.warm_restart = warm_restart_used_;
+    stats_.lp_iterations = iter_;
     // Resident factorized footprint: the L/U arrays, the pivot sequence,
     // and the update file — everything FTRAN/BTRAN touch.
-    sol.basis_bytes = prow_.capacity() * sizeof(int) +
-                      pcol_.capacity() * sizeof(int) +
-                      upiv_.capacity() * sizeof(double) +
-                      l_start_.capacity() * sizeof(int) +
-                      l_dst_.capacity() * sizeof(int) +
-                      l_mult_.capacity() * sizeof(double) +
-                      u_start_.capacity() * sizeof(int) +
-                      u_ent_.capacity() * sizeof(std::pair<int, double>) +
-                      file_.capacity() * sizeof(FileOp) +
-                      file_ent_.capacity() * sizeof(std::pair<int, double>);
-    sol.lu_nnz = lu_nnz_;
-    sol.eta_count = static_cast<int>(file_.size());
-    sol.fill_ratio = lu_fill_base_ > 0 ? static_cast<double>(lu_nnz_) /
-                                             static_cast<double>(lu_fill_base_)
-                                       : 0.0;
+    stats_.lp_basis_bytes =
+        prow_.capacity() * sizeof(int) + pcol_.capacity() * sizeof(int) +
+        upiv_.capacity() * sizeof(double) +
+        l_start_.capacity() * sizeof(int) + l_dst_.capacity() * sizeof(int) +
+        l_mult_.capacity() * sizeof(double) +
+        u_start_.capacity() * sizeof(int) +
+        u_ent_.capacity() * sizeof(std::pair<int, double>) +
+        file_.capacity() * sizeof(FileOp) +
+        file_ent_.capacity() * sizeof(std::pair<int, double>);
+    stats_.lp_lu_nnz = lu_nnz_;
+    stats_.lp_eta_count = static_cast<int>(file_.size());
+    stats_.lp_fill_ratio =
+        lu_fill_base_ > 0 ? static_cast<double>(lu_nnz_) /
+                                static_cast<double>(lu_fill_base_)
+                          : 0.0;
+    static_cast<SolveStats&>(sol) = stats_;
     return sol;
   }
 
@@ -299,14 +310,6 @@ class Solver::Impl {
   Solution SolveImpl() {
     Solution sol;
     iter_ = 0;
-    columns_priced_ = 0;
-    pivot_recoveries_ = 0;
-    ftran_nnz_ = 0;
-    pivots_ = 0;
-    refactorizations_ = 0;
-    dual_pivots_ = 0;
-    bound_flips_ = 0;
-    warm_restart_used_ = false;
     // Mutations between Solve() calls (AddColumn/AddRow/AddToRow/SetRhs/
     // AddToObjective) are not tracked against the duals; rebuilding them
     // lazily once per Solve is far cheaper than one old-style dense pricing
@@ -393,7 +396,7 @@ class Solver::Impl {
         dual_ok = DualFeasible();
       }
       if (dual_ok) {
-        warm_restart_used_ = true;
+        stats_.lp_warm_restart = 1;
         int stall = 0;
         double prev_infeas = kInfinity;
         while (iter_ < limit && stall <= kBlandThreshold) {
@@ -416,7 +419,6 @@ class Solver::Impl {
         }
         if (deadline_hit_) {
           sol.status = Status::kDeadline;
-          sol.iterations = iter_;
           return sol;
         }
       }
@@ -432,13 +434,11 @@ class Solver::Impl {
       if (!Iterate(/*phase1=*/true, &degenerate_run)) {
         sol.status =
             deadline_hit_ ? Status::kDeadline : Status::kInfeasible;
-        sol.iterations = iter_;
         return sol;
       }
     }
     if (HasInfeasibleBasic()) {
       sol.status = iter_ >= limit ? Status::kIterLimit : Status::kInfeasible;
-      sol.iterations = iter_;
       return sol;
     }
 
@@ -458,7 +458,6 @@ class Solver::Impl {
       StepResult r = Step(entering, d_enter, /*phase1=*/false, &degenerate_run);
       if (r == StepResult::kUnbounded) {
         sol.status = Status::kUnbounded;
-        sol.iterations = iter_;
         return sol;
       }
       if (r == StepResult::kStuck) {
@@ -467,7 +466,6 @@ class Solver::Impl {
         // callers rebuild from scratch or walk the fallback ladder on
         // !ok().
         sol.status = deadline_hit_ ? Status::kDeadline : Status::kIterLimit;
-        sol.iterations = iter_;
         return sol;
       }
       // Feasibility must be preserved in phase 2; if numerics broke it,
@@ -481,7 +479,6 @@ class Solver::Impl {
           if (!Iterate(true, &degenerate_run)) {
             sol.status =
                 deadline_hit_ ? Status::kDeadline : Status::kInfeasible;
-            sol.iterations = iter_;
             return sol;
           }
         }
@@ -489,7 +486,6 @@ class Solver::Impl {
     }
     if (iter_ >= limit && sol.status != Status::kOptimal) {
       sol.status = Status::kIterLimit;
-      sol.iterations = iter_;
       return sol;
     }
 
@@ -501,7 +497,6 @@ class Solver::Impl {
     }
     sol.objective = 0;
     for (size_t j = 0; j < n_; ++j) sol.objective += cost_[j] * sol.values[j];
-    sol.iterations = iter_;
     return sol;
   }
 
@@ -546,10 +541,10 @@ class Solver::Impl {
     luw_.assign(m_, 0.0);
     if (ref < 0) {
       luw_[static_cast<size_t>(~ref)] = 1.0;
-      ++ftran_nnz_;
+      ++stats_.lp_ftran_nnz;
     } else {
       const auto& col = acol_[static_cast<size_t>(ref)];
-      ftran_nnz_ += static_cast<long>(col.size());
+      stats_.lp_ftran_nnz += static_cast<long>(col.size());
       for (const auto& [r, c] : col) luw_[static_cast<size_t>(r)] += c;
     }
     LuFtran(&luw_, &ftran_);
@@ -868,7 +863,7 @@ class Solver::Impl {
   // Reduced cost of one nonbasic ref against the *sparse original* column
   // (a slack's column is e_k): O(nnz) per column, independent of m.
   double ReducedCost(bool phase1, int ref) {
-    ++columns_priced_;
+    ++stats_.lp_columns_priced;
     if (phase1) {
       if (ref < 0) return -y1_[static_cast<size_t>(~ref)];
       double acc = 0;
@@ -1048,7 +1043,7 @@ class Solver::Impl {
   // element): counted, then recovered by refactorization instead of
   // poisoning the basis.
   StepResult RecoverPivot() {
-    ++pivot_recoveries_;
+    ++stats_.lp_pivot_recoveries;
     return Refactored();
   }
 
@@ -1090,7 +1085,7 @@ class Solver::Impl {
     double pivot = ftran_[r];
     if (!(std::abs(pivot) > kMinPivot)) return false;
     ++updates_since_refactor_;
-    ++pivots_;
+    ++stats_.lp_pivots;
     FileOp op;
     op.kind = FileOp::kEta;
     op.pos = static_cast<int>(r);
@@ -1280,7 +1275,7 @@ class Solver::Impl {
       // guaranteed structural here.
       value_[static_cast<size_t>(entering)] = new_q_value;
       StateOf(entering) = (dir > 0) ? VarState::kAtUpper : VarState::kAtLower;
-      ++bound_flips_;
+      ++stats_.lp_bound_flips;
       return StepResult::kBoundFlip;
     }
 
@@ -1402,7 +1397,7 @@ class Solver::Impl {
       value_[j] += move;
       vstate_[j] = vstate_[j] == VarState::kAtLower ? VarState::kAtUpper
                                                     : VarState::kAtLower;
-      ++bound_flips_;
+      ++stats_.lp_bound_flips;
       ++first_live;
     }
 
@@ -1446,7 +1441,7 @@ class Solver::Impl {
     }
     if (!RawPivot(r)) return RecoverPivot();
     SwapBasis(r, e, new_e_value, leave_bound);
-    ++dual_pivots_;
+    ++stats_.lp_dual_pivots;
 
     // Same per-pivot dual maintenance as Step: the entering reduced cost
     // times row r of the *new* B^-1.
@@ -1486,7 +1481,7 @@ class Solver::Impl {
       refactor_singular_ = true;
       return;
     }
-    ++refactorizations_;
+    ++stats_.lp_refactorizations;
     for (int attempt = 0;; ++attempt) {
       if (EliminateLU()) break;
       if (attempt >= 4 || !RepairSingularBasis()) {
@@ -1887,15 +1882,9 @@ class Solver::Impl {
   };
   std::vector<Fresh> fresh_;
 
-  // Telemetry surfaced through Solution.
-  long columns_priced_ = 0;
-  int pivot_recoveries_ = 0;
-  long ftran_nnz_ = 0;
-  int pivots_ = 0;
-  int refactorizations_ = 0;
-  int dual_pivots_ = 0;
-  int bound_flips_ = 0;
-  bool warm_restart_used_ = false;
+  // Telemetry of the live solve, reset on entry to Solve() and surfaced
+  // through Solution.
+  SolveStats stats_;
 
   // Warm-restart state: ever_optimal_ records that a previous SolveImpl
   // reached kOptimal, which is what makes the current basis a candidate

@@ -146,57 +146,69 @@ struct SolveOptions {
   // within one iteration of expiring. The check runs between pivots — the
   // basis is left consistent and the solver stays usable (warm re-entry or
   // forced refactorization both work afterwards). Negative disables the
-  // deadline. This is the controller's per-epoch decision guard: a solve
-  // that would blow the epoch budget surfaces as kDeadline and the caller
-  // walks the fallback ladder instead of stalling the epoch.
+  // deadline. No production caller sets one: the controller solves without
+  // a deadline, and its per-epoch decision guard is ValidatePlacement plus
+  // the fallback ladder in LdrController::RunEpoch. A kDeadline solve comes
+  // back !ok() and walks that same ladder.
   double deadline_ms = -1;
 };
 
-struct Solution {
+// Simplex telemetry of one solve, or of many folded together with Merge().
+// Every layer that reports LP work (Solution, RoutingLpResult,
+// RoutingOutcome, the scenario epoch report) derives from this one record,
+// so a field added here reaches all of them with no copy to write.
+struct SolveStats {
+  // Pricing load: nonbasic columns whose reduced cost was evaluated
+  // (candidate re-pricing + refresh sweeps + optimality sweeps).
+  // lp_columns_priced / lp_iterations is the per-iteration load the
+  // candidate list exists to shrink below the n + m a full sweep prices.
+  long lp_columns_priced = 0;
+  long lp_iterations = 0;
+  // Basis-changing pivots (iterations minus bound flips); each costs one
+  // eta append + one BTRAN.
+  long lp_pivots = 0;
+  // Sparse input nonzeros fed through FTRAN (entering-column solves
+  // B^-1·A_j).
+  long lp_ftran_nnz = 0;
+  // Resident bytes of the factorized state (L/U arrays plus the update
+  // file) at the end of a solve; merged records keep the peak.
+  size_t lp_basis_bytes = 0;
+  // Stored nonzeros in L + U (pivots included) after the last sparse
+  // refactorization; merged records keep the peak.
+  long lp_lu_nnz = 0;
+  // Update-file operations (etas + row extensions) resident at the end of a
+  // solve — bounded by the eta-file refactorization triggers; merged
+  // records keep the peak.
+  int lp_eta_count = 0;
+  // lp_lu_nnz / nnz(B) at the last sparse refactorization: the Markowitz
+  // fill-in factor (1.0 = no fill); merged records keep the peak.
+  double lp_fill_ratio = 0;
+  // Full refactorizations (interval/drift triggers, eta-file bounds, and
+  // numerical recoveries).
+  int lp_refactorizations = 0;
+  // Pivots that hit a numerically-zero pivot element and recovered by
+  // forced refactorization instead of corrupting the basis; nonzero flags a
+  // numerically near-degenerate instance.
+  int lp_pivot_recoveries = 0;
+  // Dual-simplex pivots run repairing a primal-infeasible warm basis (0 for
+  // every primal-only solve).
+  long lp_dual_pivots = 0;
+  // Boxed nonbasic variables flipped bound-to-bound: primal ratio-test flips
+  // plus the dual long-step flips.
+  long lp_bound_flips = 0;
+  // Solves that entered the dual-simplex warm restart instead of primal
+  // phase 1 (0 or 1 for a single solve).
+  int lp_warm_restart = 0;
+
+  // Folds another record in: counters add, the four peaks (basis bytes, LU
+  // nnz, eta count, fill ratio) take the max.
+  void Merge(const SolveStats& o);
+};
+
+struct Solution : SolveStats {
   Status status = Status::kInfeasible;
   double objective = 0;
   std::vector<double> values;  // one per variable; empty unless optimal
-  int iterations = 0;
-  // Pricing telemetry: nonbasic columns whose reduced cost was evaluated
-  // over the whole solve (candidate re-pricing + refresh sweeps + optimality
-  // sweeps). columns_priced / iterations is the per-iteration pricing load
-  // the candidate list exists to shrink below the n + m a full sweep prices.
-  long columns_priced = 0;
-  // Pivots that hit a numerically-zero pivot element and recovered by forced
-  // refactorization instead of corrupting the basis.
-  int pivot_recoveries = 0;
-  // Revised-simplex work/memory telemetry:
-  // Resident bytes of the factorized state at the end of the solve — the
-  // L/U arrays plus the update file.
-  size_t basis_bytes = 0;
-  // Total sparse input nonzeros fed through FTRAN (entering-column solves
-  // B^-1·A_j) over the whole solve.
-  long ftran_nnz = 0;
-  // Basis-changing pivots over the solve: simplex basis changes (iterations
-  // minus bound flips). Each costs one eta append + one BTRAN.
-  int pivots = 0;
-  // LU-factorization telemetry:
-  // Stored nonzeros in L + U (pivots included) after the last sparse
-  // refactorization.
-  long lu_nnz = 0;
-  // Update-file operations (etas + row extensions) resident when the solve
-  // returned — bounded by the eta-file refactorization triggers.
-  int eta_count = 0;
-  // lu_nnz / nnz(B) at the last sparse refactorization: the Markowitz
-  // fill-in factor (1.0 = no fill).
-  double fill_ratio = 0;
-  // Full refactorizations performed during this solve (interval/drift
-  // triggers, eta-file bounds, and numerical recoveries).
-  int refactorizations = 0;
-  // Dual-simplex pivots run while repairing a primal-infeasible warm basis
-  // (0 for every primal-only solve).
-  int dual_pivots = 0;
-  // Boxed nonbasic variables flipped bound-to-bound over the solve: primal
-  // ratio-test flips plus the dual long-step flips.
-  int bound_flips = 0;
-  // True when this solve entered the dual-simplex warm restart instead of
-  // primal phase 1.
-  bool warm_restart = false;
 
   bool ok() const { return status == Status::kOptimal; }
 };

@@ -80,7 +80,6 @@ LinkBasedResult SolveLinkBased(const Graph& g,
   result.solve_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-  result.lp_iterations = sol.iterations;
   if (!sol.ok()) return result;
   result.solved = true;
   result.max_overload = sol.values[static_cast<size_t>(omax)];

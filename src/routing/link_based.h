@@ -21,7 +21,6 @@ struct LinkBasedResult {
   double total_delay_gbps_ms = 0;
   double max_overload = 0;
   double solve_ms = 0;
-  int lp_iterations = 0;
 };
 
 // Solves min sum_l delay_l * flow_l subject to per-source flow conservation

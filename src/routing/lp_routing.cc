@@ -222,19 +222,7 @@ RoutingLpResult IncrementalRoutingLp::Solve(
 
   lp::Solution sol = solver_.Solve();
   result.status = sol.status;
-  result.columns_priced = sol.columns_priced;
-  result.iterations = sol.iterations;
-  result.pivots = sol.pivots;
-  result.ftran_nnz = sol.ftran_nnz;
-  result.basis_bytes = sol.basis_bytes;
-  result.lu_nnz = sol.lu_nnz;
-  result.eta_count = sol.eta_count;
-  result.fill_ratio = sol.fill_ratio;
-  result.refactorizations = sol.refactorizations;
-  result.pivot_recoveries = sol.pivot_recoveries;
-  result.dual_pivots = sol.dual_pivots;
-  result.bound_flips = sol.bound_flips;
-  result.warm_restart = sol.warm_restart;
+  static_cast<lp::SolveStats&>(result) = sol;
   if (!sol.ok()) {
     // kIterLimit/kDeadline carry no usable values — never extract fractions
     // from them; callers walk the fallback ladder on !ok().
@@ -448,25 +436,6 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
     return acc;
   };
 
-  // Telemetry must reflect every solve that ran, including failed attempts
-  // and the ladder retries below — the rung that finally produced the
-  // placement contributes its pivots/ftran_nnz like any other round.
-  auto accumulate = [&outcome](const RoutingLpResult& r) {
-    outcome.lp_columns_priced += r.columns_priced;
-    outcome.lp_iterations += r.iterations;
-    outcome.lp_pivots += r.pivots;
-    outcome.lp_ftran_nnz += r.ftran_nnz;
-    outcome.lp_basis_bytes = std::max(outcome.lp_basis_bytes, r.basis_bytes);
-    outcome.lp_lu_nnz = std::max(outcome.lp_lu_nnz, r.lu_nnz);
-    outcome.lp_eta_count = std::max(outcome.lp_eta_count, r.eta_count);
-    outcome.lp_fill_ratio = std::max(outcome.lp_fill_ratio, r.fill_ratio);
-    outcome.lp_refactorizations += r.refactorizations;
-    outcome.lp_pivot_recoveries += r.pivot_recoveries;
-    outcome.lp_dual_pivots += r.dual_pivots;
-    outcome.lp_bound_flips += r.bound_flips;
-    if (r.warm_restart) ++outcome.lp_warm_restart;
-  };
-
   RoutingLpResult res;
   RoutingLpResult best_res;
   std::vector<std::vector<PathId>> best_paths;
@@ -490,7 +459,9 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
   for (int round = 0; round < opts.max_rounds; ++round) {
     ++outcome.lp_rounds;
     res = ilp->Solve(paths);
-    accumulate(res);
+    // Telemetry merges every solve that ran, failed attempts and the ladder
+    // retries below included.
+    outcome.Merge(res);
     if (!res.ok()) {
       ++outcome.lp_failures;
       // Degradation ladder, rung 1: most in-place solve failures are
@@ -498,7 +469,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
       // solver and retry once before giving up on it.
       ilp->ForceRefactorize();
       RoutingLpResult retry = ilp->Solve(paths);
-      accumulate(retry);
+      outcome.Merge(retry);
       if (retry.ok()) {
         res = retry;
         outcome.fallback =
@@ -513,7 +484,7 @@ RoutingOutcome IterativeLpRoute(const Graph& g,
       // epoch) run against the healthy instance.
       auto rebuilt = build();
       RoutingLpResult cold = rebuilt->Solve(paths);
-      accumulate(cold);
+      outcome.Merge(cold);
       if (cold.ok()) {
         res = cold;
         outcome.fallback =

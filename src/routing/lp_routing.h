@@ -44,7 +44,7 @@ struct RoutingLpOptions {
   // contended short paths over class-1 traffic. Empty = all classes equal.
   std::vector<double> class_weights;
   // Options of the underlying lp::Solver: pricing list sizes and per-solve
-  // budgets (max_iters, deadline_ms — the controller's epoch decision guard; a
+  // budgets (max_iters, deadline_ms — unset outside the tests; a
   // budget-exhausted solve comes back !ok() and the caller walks the
   // fallback ladder). The controller keeps the incremental LP alive through
   // LinkDown/LinkUp/CapacityScale and repairs it in place; the solver
@@ -53,8 +53,9 @@ struct RoutingLpOptions {
   lp::SolveOptions solve;
 };
 
-// Result of one LP solve over explicit path sets.
-struct RoutingLpResult {
+// Result of one LP solve over explicit path sets; the inherited record is
+// that solve's simplex telemetry.
+struct RoutingLpResult : lp::SolveStats {
   // The lp::Solver verdict — kIterLimit/kDeadline must never be consumed
   // as optimal; fractions and levels are filled only when ok().
   lp::Status status = lp::Status::kIterLimit;
@@ -67,31 +68,6 @@ struct RoutingLpResult {
   // Per-link overload/utilization implied by the solution (same scale as
   // omax), indexed by LinkId.
   std::vector<double> link_level;
-  // Simplex telemetry from this solve (see lp::Solution): how many nonbasic
-  // columns were priced and how many iterations ran.
-  long columns_priced = 0;
-  int iterations = 0;
-  // Revised-simplex telemetry (see lp::Solution): basis-changing pivots,
-  // sparse nonzeros fed through FTRAN, and the resident bytes of the
-  // solver's factorized state (L/U + update file).
-  int pivots = 0;
-  long ftran_nnz = 0;
-  size_t basis_bytes = 0;
-  // Sparse-LU telemetry (see lp::Solution).
-  long lu_nnz = 0;
-  int eta_count = 0;
-  double fill_ratio = 0;
-  int refactorizations = 0;
-  // Tiny-pivot events the solver survived by forcing a refactorization
-  // (see lp::Solution::pivot_recoveries; nonzero means the instance is
-  // numerically near-degenerate and worth a look).
-  int pivot_recoveries = 0;
-  // Warm-restart telemetry (see lp::Solution): dual-simplex pivots run
-  // repairing a primal-infeasible warm basis, bound-to-bound flips of boxed
-  // variables, and whether this solve entered the dual restart at all.
-  int dual_pivots = 0;
-  int bound_flips = 0;
-  bool warm_restart = false;
 
   bool ok() const { return status == lp::Status::kOptimal; }
 };

@@ -18,6 +18,7 @@
 
 #include "graph/graph.h"
 #include "graph/path_store.h"
+#include "lp/lp.h"
 #include "tm/traffic_matrix.h"
 
 namespace ldr {
@@ -42,7 +43,11 @@ enum class FallbackRung : uint8_t {
 
 const char* ToString(FallbackRung rung);
 
-struct RoutingOutcome {
+// The inherited record is the simplex telemetry of every LP solve that ran
+// to produce the outcome (all rounds, failed attempts and fallback-ladder
+// retries included), merged with lp::SolveStats::Merge; zero for non-LP
+// schemes.
+struct RoutingOutcome : lp::SolveStats {
   // The arena the allocation PathIds index into. Outlives the outcome for
   // scheme-produced results (it belongs to the scheme's KspCache);
   // hand-built outcomes (tests, replay harnesses) must point this at the
@@ -61,34 +66,6 @@ struct RoutingOutcome {
   // set by the one place that makes that decision (IterativeLpRoute), so
   // warm/cold telemetry upstream cannot drift from the actual behavior.
   bool reused_warm = false;
-  // Simplex pricing telemetry accumulated over all LP rounds: columns whose
-  // reduced cost was evaluated, and simplex iterations run. The ratio is the
-  // per-iteration pricing load partial pricing shrinks (0/0 for non-LP
-  // schemes).
-  long lp_columns_priced = 0;
-  long lp_iterations = 0;
-  // Revised-simplex telemetry over all LP rounds: basis-changing pivots,
-  // FTRAN input nonzeros (the entering-column solves), and the peak
-  // resident bytes of the solver's factorization (L/U + update file).
-  long lp_pivots = 0;
-  long lp_ftran_nnz = 0;
-  size_t lp_basis_bytes = 0;
-  // Sparse-LU telemetry over all LP rounds: peak factor nonzeros, peak
-  // update-file length, peak fill-in ratio (nnz(L+U) / nnz(B)), and total
-  // Markowitz refactorizations across solves.
-  long lp_lu_nnz = 0;
-  int lp_eta_count = 0;
-  double lp_fill_ratio = 0;
-  int lp_refactorizations = 0;
-  // Tiny-pivot recoveries (forced refactorizations) across all LP rounds;
-  // nonzero flags a numerically near-degenerate epoch.
-  int lp_pivot_recoveries = 0;
-  // Warm-restart telemetry (PR 9) over all LP rounds: dual-simplex pivots
-  // run repairing primal-infeasible warm bases, boxed-variable bound flips,
-  // and how many solves entered the dual warm restart at all.
-  long lp_dual_pivots = 0;
-  long lp_bound_flips = 0;
-  int lp_warm_restart = 0;
   // True when this call repaired a live LP in place after a topology event
   // (IncrementalRoutingLp::MarkTopologyDirty) instead of rebuilding cold.
   bool topology_repaired = false;

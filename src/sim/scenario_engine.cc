@@ -617,9 +617,7 @@ ScenarioReport ScenarioEngine::Run() {
       // dual_repair, not warm, so the warm population stays comparable.
       er.warm = ctrl.warm_epoch && !ctrl.topology_repaired;
       er.dual_repair = ctrl.topology_repaired;
-      er.lp_dual_pivots = ctrl.outcome.lp_dual_pivots;
-      er.lp_bound_flips = ctrl.outcome.lp_bound_flips;
-      er.lp_warm_restart = ctrl.outcome.lp_warm_restart;
+      static_cast<lp::SolveStats&>(er) = ctrl.outcome;
       er.rounds = ctrl.rounds;
       er.multiplex_ok = ctrl.multiplex_ok;
       er.failing_links = ctrl.failing_links_last_round;

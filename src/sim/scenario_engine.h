@@ -153,7 +153,9 @@ std::vector<std::vector<double>> ConstantScenarioTraffic(
     const std::vector<Aggregate>& aggregates, int epochs, double epoch_sec,
     double utilization = 1.0);
 
-struct ScenarioEpochReport {
+// The inherited record is the LP telemetry of the epoch's solves (the
+// controller's RoutingOutcome totals; zero for scheme drivers).
+struct ScenarioEpochReport : lp::SolveStats {
   int epoch = 0;
   // An event fired at this epoch, or a demand surge started/expired — i.e.
   // the epoch's inputs differ from the previous epoch's beyond measurement.
@@ -163,12 +165,6 @@ struct ScenarioEpochReport {
   // the dual-simplex warm restart (PR 9; LDR driver only). Mutually
   // exclusive with `warm`: epochs are cold / warm / dual-repaired.
   bool dual_repair = false;
-  // LP warm-restart telemetry rolled up from the epoch's solves
-  // (RoutingOutcome totals; zero for scheme drivers): dual pivots, dual
-  // long-step bound flips, and solves that entered the dual restart.
-  long lp_dual_pivots = 0;
-  long lp_bound_flips = 0;
-  int lp_warm_restart = 0;
   double solve_ms = 0;    // routing computation wall-clock
   int rounds = 0;         // controller optimize/appraise rounds (1 = clean)
   bool multiplex_ok = false;

@@ -254,7 +254,7 @@ TEST_F(FaultInjectionTest, ZeroDeadlineReturnsKDeadlinePromptly) {
                   .count();
   EXPECT_EQ(sol.status, lp::Status::kDeadline);
   EXPECT_FALSE(sol.ok());
-  EXPECT_EQ(sol.iterations, 0);  // checked on entry, before any pivot
+  EXPECT_EQ(sol.lp_iterations, 0);  // checked on entry, before any pivot
   // Generous bound (sanitized builds are slow), but "promptly" must mean
   // well under any real epoch budget.
   EXPECT_LT(ms, 5000.0);

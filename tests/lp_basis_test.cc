@@ -80,8 +80,8 @@ TEST_P(LpBasisMutationKktTest, EverySolveCertifiedAndRowDualsReadOnly) {
     EXPECT_EQ(KktViolation(p, so, &observed), "") << "step " << step;
     EXPECT_EQ(so.values, sp.values) << "step " << step;
     EXPECT_EQ(so.objective, sp.objective) << "step " << step;
-    EXPECT_EQ(so.iterations, sp.iterations) << "step " << step;
-    EXPECT_EQ(so.pivots, sp.pivots) << "step " << step;
+    EXPECT_EQ(so.lp_iterations, sp.lp_iterations) << "step " << step;
+    EXPECT_EQ(so.lp_pivots, sp.lp_pivots) << "step " << step;
   };
 
   for (int j = 0; j < 4; ++j) add_column();
@@ -141,10 +141,10 @@ TEST(LpBasisTelemetry, LuFieldsPopulated) {
   auto spec = bench::RoutingLpSpec::Random(77, 60, 30);
   Solution s = Solve(bench::BuildProblem(spec, /*with_growth=*/true));
   ASSERT_TRUE(s.ok());
-  EXPECT_GT(s.lu_nnz, 0);
-  EXPECT_GE(s.fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
-  EXPECT_GE(s.refactorizations, 1);
-  EXPECT_GT(s.basis_bytes, 0u);
+  EXPECT_GT(s.lp_lu_nnz, 0);
+  EXPECT_GE(s.lp_fill_ratio, 1.0);  // nnz(L+U) can only add to nnz(B)
+  EXPECT_GE(s.lp_refactorizations, 1);
+  EXPECT_GT(s.lp_basis_bytes, 0u);
 }
 
 // --- eta-file growth bound --------------------------------------------------
@@ -160,15 +160,15 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
   bench::WarmLp warm = bench::BuildSolverBase(spec, so);
   Solution s0 = warm.solver.Solve();
   ASSERT_TRUE(s0.ok());
-  EXPECT_GT(s0.pivots, 8);  // enough pivots that the cap had to fire
-  EXPECT_GE(s0.refactorizations, 2);
-  EXPECT_LE(s0.eta_count, 8);
+  EXPECT_GT(s0.lp_pivots, 8);  // enough pivots that the cap had to fire
+  EXPECT_GE(s0.lp_refactorizations, 2);
+  EXPECT_LE(s0.lp_eta_count, 8);
 
   // Warm growth rounds keep respecting the cap.
   bench::AppendGrowth(spec, &warm);
   Solution s1 = warm.solver.Solve();
   ASSERT_TRUE(s1.ok());
-  EXPECT_LE(s1.eta_count, 8);
+  EXPECT_LE(s1.lp_eta_count, 8);
 
   // Same LP with the trigger left automatic: the file still ends bounded by
   // the documented max(64, m/2) ops ceiling.
@@ -176,7 +176,7 @@ TEST(LpBasisEtaFile, RefactorizationTriggerBoundsUpdateFile) {
   ASSERT_TRUE(sauto.ok());
   long rows = static_cast<long>(
       bench::BuildProblem(spec, true).RowCount());
-  EXPECT_LE(sauto.eta_count, std::max<long>(64, rows / 2));
+  EXPECT_LE(sauto.lp_eta_count, std::max<long>(64, rows / 2));
 }
 
 // --- near-singular refactorization ------------------------------------------

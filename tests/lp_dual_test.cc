@@ -55,8 +55,8 @@ TEST(LpDualEntry, ColdFirstSolveNeverEntersDual) {
   TinyLp t = MakeTiny();
   Solution s0 = t.solver.Solve();
   ASSERT_TRUE(s0.ok());
-  EXPECT_FALSE(s0.warm_restart);
-  EXPECT_EQ(s0.dual_pivots, 0);
+  EXPECT_FALSE(s0.lp_warm_restart);
+  EXPECT_EQ(s0.lp_dual_pivots, 0);
 }
 
 TEST(LpDualEntry, PrimalFeasibleMutationSkipsDual) {
@@ -68,8 +68,8 @@ TEST(LpDualEntry, PrimalFeasibleMutationSkipsDual) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 1.0, 1e-6);  // the cheap new column takes over
-  EXPECT_FALSE(s1.warm_restart);
-  EXPECT_EQ(s1.dual_pivots, 0);
+  EXPECT_FALSE(s1.lp_warm_restart);
+  EXPECT_EQ(s1.lp_dual_pivots, 0);
 }
 
 TEST(LpDualEntry, RhsRepairEntersDualAndRecoversOptimality) {
@@ -79,8 +79,8 @@ TEST(LpDualEntry, RhsRepairEntersDualAndRecoversOptimality) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_TRUE(s1.warm_restart);
-  EXPECT_GT(s1.dual_pivots, 0);
+  EXPECT_TRUE(s1.lp_warm_restart);
+  EXPECT_GT(s1.lp_dual_pivots, 0);
 }
 
 TEST(LpDualEntry, LostDualFeasibilityFallsBackToPrimal) {
@@ -96,8 +96,8 @@ TEST(LpDualEntry, LostDualFeasibilityFallsBackToPrimal) {
   t.solver.SetRhs(t.row, 5.0);
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
-  EXPECT_FALSE(s1.warm_restart);
-  EXPECT_EQ(s1.dual_pivots, 0);
+  EXPECT_FALSE(s1.lp_warm_restart);
+  EXPECT_EQ(s1.lp_dual_pivots, 0);
   // Cold reference on the mutated problem: cheap var (cost -4) runs to its
   // bound, the other fills the constraint.
   Problem p;
@@ -133,7 +133,7 @@ TEST(LpDualRatio, SymmetricTieIsADegenerateDualStep) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 5.0, 1e-6);
-  EXPECT_TRUE(s1.warm_restart);
+  EXPECT_TRUE(s1.lp_warm_restart);
 }
 
 TEST(LpDualRatio, ScaledTieStaysOptimal) {
@@ -170,7 +170,7 @@ TEST(LpDualRatio, BoundFlipTelemetryAccumulates) {
   Solution s1 = t.solver.Solve();
   ASSERT_TRUE(s1.ok());
   EXPECT_NEAR(s1.objective, 7.0, 1e-6);
-  EXPECT_GE(s1.bound_flips, 0);
+  EXPECT_GE(s1.lp_bound_flips, 0);
 }
 
 // --- lp.dual_infeasible failpoint -------------------------------------------
@@ -187,8 +187,8 @@ TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
   // deliver the optimum.
   ASSERT_TRUE(faulted.ok());
   EXPECT_NEAR(faulted.objective, 5.0, 1e-6);
-  EXPECT_FALSE(faulted.warm_restart);
-  EXPECT_EQ(faulted.dual_pivots, 0);
+  EXPECT_FALSE(faulted.lp_warm_restart);
+  EXPECT_EQ(faulted.lp_dual_pivots, 0);
   // The site sits inside the warm-entry gate, which this repair reaches.
   EXPECT_GT(hits, 0);
 
@@ -200,7 +200,7 @@ TEST(LpDualFailpoint, ForcedDualLossFallsBackAndRecovers) {
   Solution clean = t.solver.Solve();
   ASSERT_TRUE(clean.ok());
   EXPECT_NEAR(clean.objective, 2.0, 1e-6);
-  EXPECT_TRUE(clean.warm_restart);
+  EXPECT_TRUE(clean.lp_warm_restart);
 }
 
 // --- randomized perturbation parity -----------------------------------------
@@ -252,7 +252,7 @@ TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
     bench::WarmLp warm = bench::BuildSolverBase(spec);
     Solution s0 = warm.solver.Solve();
     ASSERT_TRUE(s0.ok());
-    EXPECT_FALSE(s0.warm_restart);
+    EXPECT_FALSE(s0.lp_warm_restart);
 
     // Cumulative mutation state, replayed into each cold reference.
     // BuildSolverBase variable layout: omax = 0, base path k = 1 + k.
@@ -289,9 +289,9 @@ TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
       ASSERT_TRUE(sw.ok()) << ToString(sw.status) << " step " << step;
       Problem p = Repaired(spec, warm.link_rows, link_rhs, fixed);
       EXPECT_EQ(KktViolation(p, sw, &warm.solver), "") << "step " << step;
-      dual_pivots_total += sw.dual_pivots;
-      if (sw.dual_pivots > 0) {
-        EXPECT_TRUE(sw.warm_restart);
+      dual_pivots_total += sw.lp_dual_pivots;
+      if (sw.lp_dual_pivots > 0) {
+        EXPECT_TRUE(sw.lp_warm_restart);
       }
 
       bench::WarmLp fresh = bench::BuildSolverBase(spec);
@@ -306,7 +306,7 @@ TEST_P(LpDualPerturbParityTest, DualRestartMatchesColdSolves) {
       Solution sc = fresh.solver.Solve();
       ASSERT_TRUE(sc.ok()) << ToString(sc.status) << " step " << step;
       EXPECT_EQ(KktViolation(p, sc, &fresh.solver), "") << "step " << step;
-      EXPECT_FALSE(sc.warm_restart);  // first solve: primal, by the gate
+      EXPECT_FALSE(sc.lp_warm_restart);  // first solve: primal, by the gate
       EXPECT_NEAR(sw.objective, sc.objective,
                   1e-6 * (1 + std::abs(sc.objective)))
           << "step " << step;

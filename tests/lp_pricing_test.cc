@@ -106,9 +106,9 @@ TEST(LpPricing, PricesFewerColumnsPerIterationThanAFullSweepAtScale) {
         RandomBoundedLp(static_cast<uint64_t>(600 + seed), 500, 120);
     lp::Solution s = SolveCertified(p, {});
     ASSERT_TRUE(s.ok()) << "seed " << seed;
-    ASSERT_GT(s.iterations, 0);
-    EXPECT_LT(static_cast<double>(s.columns_priced) /
-                  static_cast<double>(s.iterations),
+    ASSERT_GT(s.lp_iterations, 0);
+    EXPECT_LT(static_cast<double>(s.lp_columns_priced) /
+                  static_cast<double>(s.lp_iterations),
               static_cast<double>(p.VariableCount()))
         << "seed " << seed;
   }
@@ -247,8 +247,8 @@ TEST(LpPricing, ZooCorpusSliceMatchesColdBuildAndPricesFewerColumns) {
       for (const auto& plist : reuse.paths) {
         if (plist.size() > 1) path_columns += plist.size();
       }
-      priced += static_cast<double>(cb.cold.columns_priced);
-      full_sweeps += static_cast<double>(cb.cold.iterations) *
+      priced += static_cast<double>(cb.cold.lp_columns_priced);
+      full_sweeps += static_cast<double>(cb.cold.lp_iterations) *
                      static_cast<double>(path_columns);
     }
   }

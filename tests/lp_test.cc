@@ -551,7 +551,7 @@ TEST_P(LpWarmStartTest, IncrementalAddColumnMatchesColdSolve) {
   // Growth can only help: more columns never worsen a minimization.
   EXPECT_LE(second.objective, first.objective + 1e-6);
   // The warm re-solve should need far fewer pivots than the cold build-up.
-  EXPECT_LT(second.iterations, std::max(1, first.iterations));
+  EXPECT_LT(second.lp_iterations, std::max(1L, first.lp_iterations));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpWarmStartTest, ::testing::Range(1, 25));
@@ -826,7 +826,7 @@ TEST(LpSolver, TieWindowWarmResolvesMatchCold) {
 // of magnitude, a long mutation/re-solve epoch must never corrupt state —
 // every warm solve matches a cold rebuild. If factorization drift ever produces a
 // numerically-zero pivot, the solver must recover through forced
-// refactorization (counted in Solution::pivot_recoveries) instead of
+// refactorization (counted in Solution::lp_pivot_recoveries) instead of
 // dividing by it, which is what the old NDEBUG-stripped assert allowed.
 TEST(LpSolver, PathologicalScalesStayConsistentWithRefactorGuardDisabled) {
   SolveOptions opt;
@@ -1089,12 +1089,70 @@ TEST(LpSolver, WarmResolveInnerLoopIsAllocationFree) {
   Solution s = solver.Solve();
   g_count_allocations.store(false);
   ASSERT_TRUE(s.ok());
-  EXPECT_GT(s.iterations, 0);  // the loop actually ran
+  EXPECT_GT(s.lp_iterations, 0);  // the loop actually ran
   // Solution::values is the only per-solve buffer; everything the iterations
   // touch is reused. A small slack covers one-off scratch growth, but the
-  // count must not scale with s.iterations.
+  // count must not scale with s.lp_iterations.
   EXPECT_LE(g_allocation_count.load(), 8)
-      << "inner loop allocated; iterations=" << s.iterations;
+      << "inner loop allocated; iterations=" << s.lp_iterations;
+}
+
+TEST(SolveStats, MergeAddsCountersAndKeepsPeaks) {
+  SolveStats a;
+  a.lp_columns_priced = 100;
+  a.lp_iterations = 10;
+  a.lp_pivots = 8;
+  a.lp_ftran_nnz = 40;
+  a.lp_basis_bytes = 4096;
+  a.lp_lu_nnz = 50;
+  a.lp_eta_count = 3;
+  a.lp_fill_ratio = 1.5;
+  a.lp_refactorizations = 1;
+  a.lp_pivot_recoveries = 0;
+  a.lp_dual_pivots = 0;
+  a.lp_bound_flips = 2;
+  a.lp_warm_restart = 0;
+
+  SolveStats b;
+  b.lp_columns_priced = 7;
+  b.lp_iterations = 5;
+  b.lp_pivots = 4;
+  b.lp_ftran_nnz = 9;
+  b.lp_basis_bytes = 8192;
+  b.lp_lu_nnz = 30;
+  b.lp_eta_count = 6;
+  b.lp_fill_ratio = 1.25;
+  b.lp_refactorizations = 2;
+  b.lp_pivot_recoveries = 1;
+  b.lp_dual_pivots = 3;
+  b.lp_bound_flips = 1;
+  b.lp_warm_restart = 1;
+
+  SolveStats c;  // a solve that entered the dual restart and did little else
+  c.lp_iterations = 1;
+  c.lp_dual_pivots = 1;
+  c.lp_warm_restart = 1;
+
+  SolveStats total;
+  total.Merge(a);
+  total.Merge(b);
+  total.Merge(c);
+  // Counters add.
+  EXPECT_EQ(total.lp_columns_priced, 107);
+  EXPECT_EQ(total.lp_iterations, 16);
+  EXPECT_EQ(total.lp_pivots, 12);
+  EXPECT_EQ(total.lp_ftran_nnz, 49);
+  EXPECT_EQ(total.lp_refactorizations, 3);
+  EXPECT_EQ(total.lp_pivot_recoveries, 1);
+  EXPECT_EQ(total.lp_dual_pivots, 4);
+  EXPECT_EQ(total.lp_bound_flips, 3);
+  // The peaks take the max, whichever record holds it.
+  EXPECT_EQ(total.lp_basis_bytes, 8192u);
+  EXPECT_EQ(total.lp_lu_nnz, 50);
+  EXPECT_EQ(total.lp_eta_count, 6);
+  EXPECT_EQ(total.lp_fill_ratio, 1.5);
+  // Two of the three solves entered the dual restart.
+  EXPECT_EQ(total.lp_warm_restart, 2);
 }
 
 TEST(Lp, ModerateSizePerformance) {

@@ -354,6 +354,12 @@ TEST(ScenarioEngine, FailureRecoveryTimeline) {
       EXPECT_GE(evr.reconverge_ms, 0.0);
     }
     EXPECT_EQ(report.dual_repair_epochs, inc ? 2u : 0u);
+    if (inc) {
+      // The LinkDown repair re-enters the live LP through the dual-simplex
+      // restart, and its epoch report carries that solve's telemetry.
+      EXPECT_GE(report.epochs[3].lp_warm_restart, 1);
+      EXPECT_GT(report.epochs[3].lp_dual_pivots, 0);
+    }
 
     // Route churn: zero on event-free epochs, nonzero exactly when the
     // placement had to move (failure) and when it moved back (recovery).

@@ -9,10 +9,9 @@
 //             lp_pricing's corpus slice) skipped and emitted as zeros with
 //             "smoke": true at the top. All correctness markers — lp_revised
 //             objective_parity, lp_lu / lp_pricing kkt_certificate, scenario
-//             placement_parity, degradation recovery_parity, lp_dual
-//             warm_restart_parity, survivability survivability_parity — are
-//             still computed for real, so a perf refactor that breaks parity
-//             fails CI even in smoke mode.
+//             placement_parity, degradation recovery_parity, survivability
+//             survivability_parity — are still computed for real, so a perf
+//             refactor that breaks parity fails CI even in smoke mode.
 //
 // Sections:
 //   lp_resolve        one Fig. 13 growth round on a routing-shaped LP:
@@ -88,9 +87,9 @@
 //   lp_dual           the same fixture runs as `scenario`, read for the
 //                     dual-simplex repair: event-epoch solve medians and
 //                     reconvergence wall clock of the default run against
-//                     the cold reference (incremental=false), the dual
-//                     telemetry totals, and warm_restart_parity (gated):
-//                     PlacementParity between the two runs.
+//                     the cold reference (incremental=false) and the dual
+//                     telemetry totals. Its placement check is the
+//                     scenario section's placement_parity.
 //
 // Timings are medians over several repetitions, in milliseconds.
 #include <algorithm>
@@ -263,8 +262,8 @@ PricingRun BenchPricingShapes(int aggregates, int links, int reps) {
                    violation.c_str());
       continue;
     }
-    out.columns += s.columns_priced;
-    out.iters += s.iterations;
+    out.columns += s.lp_columns_priced;
+    out.iters += s.lp_iterations;
     ++out.solved;
   }
   if (!times.empty()) out.ms = MedianMs(times);
@@ -352,10 +351,10 @@ RevisedStats BenchRevisedResolve(int aggregates, int links, int reps) {
       continue;
     }
     ++out.reps;
-    out.iters += sw.iterations;
-    out.pivots += sw.pivots;
-    out.ftran_nnz += sw.ftran_nnz;
-    out.basis_bytes = sw.basis_bytes;
+    out.iters += sw.lp_iterations;
+    out.pivots += sw.lp_pivots;
+    out.ftran_nnz += sw.lp_ftran_nnz;
+    out.basis_bytes = sw.lp_basis_bytes;
     lp::Solution sc =
         lp::Solve(bench::BuildProblem(spec, /*with_growth=*/true));
     if (!sc.ok() || std::abs(sw.objective - sc.objective) >
@@ -382,10 +381,10 @@ RevisedStats BenchRevisedShapes(int aggregates, int links, int reps) {
       continue;
     }
     ++out.reps;
-    out.iters += s.iterations;
-    out.pivots += s.pivots;
-    out.ftran_nnz += s.ftran_nnz;
-    out.basis_bytes = s.basis_bytes;
+    out.iters += s.lp_iterations;
+    out.pivots += s.lp_pivots;
+    out.ftran_nnz += s.lp_ftran_nnz;
+    out.basis_bytes = s.lp_basis_bytes;
   }
   return out;
 }
@@ -437,13 +436,13 @@ LuSweepPoint BenchLuSweepPoint(int groups, int links, int reps) {
                    out.rows, violation.c_str());
       continue;
     }
-    out.lu_pivots += sl.pivots;
-    out.lu_basis_bytes = sl.basis_bytes;
-    out.lu_nnz = sl.lu_nnz;
-    out.fill_ratio = sl.fill_ratio;
-    out.eta_count = sl.eta_count;
-    out.refactorizations = sl.refactorizations;
-    out.pivot_recoveries += sl.pivot_recoveries;
+    out.lu_pivots += sl.lp_pivots;
+    out.lu_basis_bytes = sl.lp_basis_bytes;
+    out.lu_nnz = sl.lp_lu_nnz;
+    out.fill_ratio = sl.lp_fill_ratio;
+    out.eta_count = sl.lp_eta_count;
+    out.refactorizations = sl.lp_refactorizations;
+    out.pivot_recoveries += sl.lp_pivot_recoveries;
   }
   return out;
 }
@@ -518,7 +517,7 @@ ScenarioBench BenchScenario(const FixtureRuns& runs) {
       up_seen = true;
     }
   }
-  out.placement_parity = PlacementParity(warm, cold);
+  out.placement_parity = !warm.epochs.empty() && PlacementParity(warm, cold);
   out.ksp_evictions = warm.ksp_evictions;
   if (!out.placement_parity) {
     std::fprintf(stderr,
@@ -718,8 +717,8 @@ struct LpDualBench {
   // dual warm restart exists to make cheap.
   double dual_event_median_ms = 0;
   double cold_event_median_ms = 0;
-  // Warm-run telemetry totals (the lp::Solution counters threaded through
-  // RoutingOutcome into the epoch reports).
+  // Warm-run telemetry totals, summed over the epoch reports' inherited
+  // lp::SolveStats.
   long dual_pivots = 0;
   long bound_flips = 0;
   long warm_restart_solves = 0;
@@ -727,7 +726,6 @@ struct LpDualBench {
   // placement, in the default run and in the cold reference.
   std::vector<double> dual_reconverge_ms;
   std::vector<double> cold_reconverge_ms;
-  bool warm_restart_parity = false;
   double speedup() const {
     return dual_event_median_ms > 0
                ? cold_event_median_ms / dual_event_median_ms
@@ -738,11 +736,9 @@ struct LpDualBench {
 // The dual warm restart on the fixture's two runs: the default run
 // repairs the LP in place on the cable flap's LinkDown/LinkUp and re-enters
 // via dual simplex; the cold reference rebuilds the LP every epoch, so its
-// event epochs pay the cold rebuild a repair avoids. The
-// warm_restart_parity marker — gated by ci.sh --bench-smoke — is
-// PlacementParity between the two: every epoch but the dual-repaired ones
-// (history-dependent path sets) must place bitwise alike, including the
-// canonicalization rebuild right after each repair.
+// event epochs pay the cold rebuild a repair avoids. That every epoch but
+// the dual-repaired ones places bitwise alike in the two runs is the
+// scenario section's placement_parity marker.
 LpDualBench BenchLpDual(const FixtureRuns& runs) {
   LpDualBench out;
   const ScenarioReport& dual = runs.warm;
@@ -763,12 +759,6 @@ LpDualBench BenchLpDual(const FixtureRuns& runs) {
   if (!dual_ms.empty()) out.dual_event_median_ms = MedianMs(dual_ms);
   if (!cold_ms.empty()) out.cold_event_median_ms = MedianMs(cold_ms);
 
-  out.warm_restart_parity = !dual.epochs.empty() && PlacementParity(dual, cold);
-  if (!out.warm_restart_parity) {
-    std::fprintf(stderr,
-                 "bench_to_json: dual-restart/cold placement mismatch "
-                 "outside the dual-repaired epochs\n");
-  }
   for (const ScenarioEventReport& evr : dual.events) {
     out.dual_reconverge_ms.push_back(evr.reconverge_ms);
   }
@@ -823,8 +813,8 @@ int main(int argc, char** argv) {
   }
 
   // The fig21 fixture's default and cold-reference runs feed three cheap
-  // sections that each carry a correctness gate (placement_parity,
-  // recovery_parity, warm_restart_parity), so they run in smoke mode too.
+  // sections, two of which carry a correctness gate (placement_parity,
+  // recovery_parity), so they run in smoke mode too.
   std::fprintf(stderr, "bench_to_json: scenario...\n");
   FixtureRuns fixture_runs = RunFixture();
   ScenarioBench scenario = BenchScenario(fixture_runs);
@@ -999,10 +989,10 @@ int main(int argc, char** argv) {
       lp_dual.cold_event_median_ms, lp_dual.speedup(), lp_dual.dual_pivots,
       lp_dual.bound_flips, lp_dual.warm_restart_solves);
   emit_reconverge("dual_reconverge_ms", lp_dual.dual_reconverge_ms, true);
-  emit_reconverge("cold_reconverge_ms", lp_dual.cold_reconverge_ms, true);
-  std::fprintf(f, "    \"warm_restart_parity\": %s%s\n  },\n",
-               lp_dual.warm_restart_parity ? "true" : "false",
-               single_core ? ", \"invalid_single_core\": true" : "");
+  emit_reconverge("cold_reconverge_ms", lp_dual.cold_reconverge_ms,
+                  single_core);
+  std::fprintf(f, "%s  },\n",
+               single_core ? "    \"invalid_single_core\": true\n" : "");
   // Availability / congestion are deterministic simulation outputs, not
   // wall-clock, so the section carries no single-core marker.
   std::fprintf(f,
@@ -1077,10 +1067,10 @@ int main(int argc, char** argv) {
       degradation.recovery_parity ? "yes" : "NO");
   std::printf(
       "lp_dual       event epochs dual %.3f ms  cold %.3f ms  speedup %.1fx  "
-      "repaired %zu  pivots %ld  flips %ld  parity %s\n",
+      "repaired %zu  pivots %ld  flips %ld\n",
       lp_dual.dual_event_median_ms, lp_dual.cold_event_median_ms,
       lp_dual.speedup(), lp_dual.dual_repair_epochs, lp_dual.dual_pivots,
-      lp_dual.bound_flips, lp_dual.warm_restart_parity ? "yes" : "NO");
+      lp_dual.bound_flips);
   for (const DriverSurvivability& d : survivability.drivers) {
     std::printf(
         "survivability %-3s  %zu campaigns  avail %.3f (min %.3f)  "

@@ -1,12 +1,11 @@
 // ldr_lint — the repo's custom invariant linter (PR 8).
 //
 // The repo carries hand-maintained conventions that no compiler checks:
-// failpoint sites must stay in sync with the documented registry, LP
-// telemetry must be threaded end-to-end, every ctest registration needs a
-// TIMEOUT, and the LP inner-loop files must stay allocation-free and
-// tolerance-disciplined. ldr_lint parses those conventions straight out of
-// the tree (plain text scanning, no compiler dependency, runs in well under
-// a second) and fails the build on violation.
+// failpoint sites must stay in sync with the documented registry, every
+// ctest registration needs a TIMEOUT, and the LP inner-loop files must stay
+// allocation-free and tolerance-disciplined. ldr_lint parses those
+// conventions straight out of the tree (plain text scanning, no compiler
+// dependency, runs in well under a second) and fails the build on violation.
 //
 // Usage:
 //   ldr_lint [repo-root]   lint the tree (default root: .); exit 1 on any
@@ -21,9 +20,6 @@
 //   ldr-failpoint-registry  every LDR_FAILPOINT("site") string in src/
 //                           appears in the "Known sites" block of
 //                           src/util/failpoint.h, and vice versa
-//   ldr-telemetry-thread    every telemetry field of lp::Solution has an
-//                           lp_-prefixed RoutingOutcome member and is
-//                           emitted by tools/bench_to_json.cc
 //   ldr-ctest-timeout       every add_test() in CMakeLists.txt is followed
 //                           by a TIMEOUT property registration
 //   ldr-lp-alloc            no naked new/malloc/calloc/realloc in src/lp/
@@ -299,91 +295,7 @@ void CheckFailpointRegistry(const Tree& tree) {
   }
 }
 
-// --- rule 2: ldr-telemetry-thread ------------------------------------------
-
-// Telemetry fields of lp::Solution: every data member except the solution
-// payload itself (status/objective/values). Parsed from the struct body.
-std::vector<std::pair<std::string, size_t>> SolutionTelemetryFields(
-    const std::string& lp_header) {
-  std::vector<std::pair<std::string, size_t>> fields;
-  std::string code = StripCommentsAndStrings(lp_header);
-  size_t start = code.find("struct Solution");
-  if (start == std::string::npos) return fields;
-  size_t brace = code.find('{', start);
-  if (brace == std::string::npos) return fields;
-  int depth = 1;
-  size_t end = brace + 1;
-  while (end < code.size() && depth > 0) {
-    if (code[end] == '{') ++depth;
-    if (code[end] == '}') --depth;
-    ++end;
-  }
-  std::string body = code.substr(brace + 1, end - brace - 2);
-  size_t body_line =
-      1 + static_cast<size_t>(std::count(
-              code.begin(), code.begin() + static_cast<long>(brace), '\n'));
-  static const std::set<std::string> kExcluded = {"status", "objective",
-                                                 "values"};
-  size_t line = body_line;
-  for (const std::string& raw : SplitLines(body)) {
-    ++line;
-    // A data member: `<type tokens> <name> = <init>;` or `<type> <name>;`
-    // with no '(' (excludes member functions).
-    if (raw.find('(') != std::string::npos) continue;
-    size_t semi = raw.find(';');
-    if (semi == std::string::npos) continue;
-    std::string decl = raw.substr(0, semi);
-    size_t eq = decl.find('=');
-    if (eq != std::string::npos) decl = decl.substr(0, eq);
-    // name = last identifier in decl
-    size_t e = decl.find_last_not_of(" \t");
-    if (e == std::string::npos) continue;
-    size_t b = e;
-    while (b > 0 && IsIdentChar(decl[b - 1])) --b;
-    if (b == e + 1) continue;
-    std::string name = decl.substr(b, e - b + 1);
-    if (name.empty() || !std::islower(static_cast<unsigned char>(name[0]))) {
-      continue;
-    }
-    if (kExcluded.count(name)) continue;
-    fields.emplace_back(name, line);
-  }
-  return fields;
-}
-
-void CheckTelemetryThreading(const Tree& tree) {
-  auto lp = tree.find("src/lp/lp.h");
-  auto scheme = tree.find("src/routing/scheme.h");
-  auto bench = tree.find("tools/bench_to_json.cc");
-  if (lp == tree.end() || scheme == tree.end() || bench == tree.end()) {
-    Report("src/lp/lp.h", 0, "ldr-telemetry-thread",
-           "lp.h / scheme.h / bench_to_json.cc missing from tree");
-    return;
-  }
-  auto fields = SolutionTelemetryFields(lp->second);
-  if (fields.empty()) {
-    Report("src/lp/lp.h", 0, "ldr-telemetry-thread",
-           "could not parse any telemetry fields from lp::Solution");
-    return;
-  }
-  std::string scheme_code = StripCommentsAndStrings(scheme->second);
-  for (const auto& [name, line] : fields) {
-    if (!ContainsWord(scheme_code, "lp_" + name)) {
-      Report("src/lp/lp.h", line, "ldr-telemetry-thread",
-             "lp::Solution::" + name +
-                 " has no RoutingOutcome::lp_" + name +
-                 " member (src/routing/scheme.h)");
-    }
-    if (!ContainsWord(bench->second, name) &&
-        !ContainsWord(bench->second, "lp_" + name)) {
-      Report("src/lp/lp.h", line, "ldr-telemetry-thread",
-             "lp::Solution::" + name +
-                 " is never emitted by tools/bench_to_json.cc");
-    }
-  }
-}
-
-// --- rule 3: ldr-ctest-timeout ---------------------------------------------
+// --- rule 2: ldr-ctest-timeout ---------------------------------------------
 
 void CheckCtestTimeouts(const Tree& tree) {
   auto it = tree.find("CMakeLists.txt");
@@ -417,7 +329,7 @@ void CheckCtestTimeouts(const Tree& tree) {
   }
 }
 
-// --- rules 4+5: src/lp discipline ------------------------------------------
+// --- rules 3+4: src/lp discipline ------------------------------------------
 
 void CheckLpAllocationAndFloatEq(const Tree& tree) {
   for (const auto& [path, content] : tree) {
@@ -488,7 +400,7 @@ void CheckLpAllocationAndFloatEq(const Tree& tree) {
   }
 }
 
-// --- rule 6: ldr-nolint-reason ---------------------------------------------
+// --- rule 5: ldr-nolint-reason ---------------------------------------------
 
 void CheckNolintReasons(const Tree& tree) {
   for (const auto& [path, content] : tree) {
@@ -537,7 +449,6 @@ void CheckNolintReasons(const Tree& tree) {
 
 void RunAllRules(const Tree& tree) {
   CheckFailpointRegistry(tree);
-  CheckTelemetryThreading(tree);
   CheckCtestTimeouts(tree);
   CheckLpAllocationAndFloatEq(tree);
   CheckNolintReasons(tree);
@@ -603,30 +514,6 @@ std::vector<Fixture> SelfTestFixtures() {
     f.good["src/lp/lp.cc"] =
         "int F() { if (LDR_FAILPOINT(\"lp.iter_limit\")) return 1;\n"
         "  return 0; }\n";
-    fixtures.push_back(std::move(f));
-  }
-
-  // ldr-telemetry-thread: a Solution field with no RoutingOutcome twin and
-  // no bench emitter fires twice; threading it through silences the rule.
-  {
-    Fixture f;
-    f.rule = "ldr-telemetry-thread";
-    const char kLpH[] =
-        "struct Solution {\n"
-        "  Status status = Status::kInfeasible;\n"
-        "  double objective = 0;\n"
-        "  std::vector<double> values;\n"
-        "  long ghost_counter = 0;\n"
-        "  bool ok() const { return true; }\n"
-        "};\n";
-    f.bad["src/lp/lp.h"] = kLpH;
-    f.bad["src/routing/scheme.h"] = "struct RoutingOutcome {\n};\n";
-    f.bad["tools/bench_to_json.cc"] = "int main() {}\n";
-    f.good["src/lp/lp.h"] = kLpH;
-    f.good["src/routing/scheme.h"] =
-        "struct RoutingOutcome {\n  long lp_ghost_counter = 0;\n};\n";
-    f.good["tools/bench_to_json.cc"] =
-        "// emits ghost_counter\nlong ghost_counter = o.lp_ghost_counter;\n";
     fixtures.push_back(std::move(f));
   }
 
@@ -723,8 +610,6 @@ int RunSelfTest() {
 void PrintRules() {
   std::printf(
       "ldr-failpoint-registry  LDR_FAILPOINT sites <-> documented registry\n"
-      "ldr-telemetry-thread    lp::Solution fields -> RoutingOutcome::lp_* "
-      "-> bench_to_json\n"
       "ldr-ctest-timeout       every add_test carries a TIMEOUT property\n"
       "ldr-lp-alloc            no naked new/malloc in src/lp/\n"
       "ldr-float-eq            no tolerance-free ==/!= on float literals in "
