@@ -160,18 +160,22 @@ fi
 
 # Scenario determinism probe: the ScenarioEngine is serial by design and
 # must produce byte-identical reports at any LDR_THREADS setting. The
-# walkthrough prints a full failure/recovery/surge timeline (timings go to
-# stderr, so stdout is diffable).
+# walkthrough prints a full failure/recovery/surge timeline, and
+# survivability_bench the seeded correlated-failure campaigns under LDR, B4
+# and SP — Yen under KSP-cache eviction included (timings go to stderr, so
+# stdout is diffable).
 PROBE_1=$(mktemp)
 PROBE_4=$(mktemp)
 trap 'rm -f "$PROBE_1" "$PROBE_4"' EXIT
-LDR_THREADS=1 "$BUILD_DIR/scenario_walkthrough" > "$PROBE_1" 2>/dev/null
-LDR_THREADS=4 "$BUILD_DIR/scenario_walkthrough" > "$PROBE_4" 2>/dev/null
-if ! diff -u "$PROBE_1" "$PROBE_4" >&2; then
-  echo "ci.sh: scenario determinism probe FAILED (LDR_THREADS=1 vs 4)" >&2
-  exit 1
-fi
-echo "ci.sh: scenario determinism probe OK" >&2
+for probe in scenario_walkthrough survivability_bench; do
+  LDR_THREADS=1 "$BUILD_DIR/$probe" > "$PROBE_1" 2>/dev/null
+  LDR_THREADS=4 "$BUILD_DIR/$probe" > "$PROBE_4" 2>/dev/null
+  if ! diff -u "$PROBE_1" "$PROBE_4" >&2; then
+    echo "ci.sh: scenario determinism probe FAILED ($probe, LDR_THREADS=1 vs 4)" >&2
+    exit 1
+  fi
+done
+echo "ci.sh: scenario determinism probe OK (scenario_walkthrough, survivability_bench)" >&2
 
 if [ "$SOAK" = 1 ]; then
   # Fault-campaign soak: the randomized (but seed-fixed, replayable) fault

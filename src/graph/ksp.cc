@@ -44,9 +44,13 @@ void KspGenerator::GenerateCandidatesFromLast() {
   if (excl.links.empty()) excl.links.assign(g_->LinkCount(), false);
   if (excl.nodes.empty()) excl.nodes.assign(g_->NodeCount(), false);
 
-  // Root path delay accumulator.
+  // Spur only from the deviation node on (see the header), still summing
+  // the root delay link by link from the source.
   double root_delay = 0;
-  for (size_t i = 0; i < prev_links.size(); ++i) {
+  for (size_t i = 0; i < last_deviation_; ++i) {
+    root_delay += g_->link(prev_links[i]).delay_ms;
+  }
+  for (size_t i = last_deviation_; i < prev_links.size(); ++i) {
     NodeId spur_node = prev_nodes[i];
 
     // Exclude links that would retrace any already-produced path sharing the
@@ -73,7 +77,7 @@ void KspGenerator::GenerateCandidatesFromLast() {
       }
     }
 
-    SpTree spur_tree = ShortestPathTree(*g_, spur_node, excl);
+    SpTree spur_tree = ShortestPathTree(*g_, spur_node, excl, dst_);
     std::optional<std::vector<LinkId>> spur = spur_tree.PathTo(*g_, dst_);
     if (spur.has_value() && !spur->empty()) {
       std::vector<LinkId> total = root;
@@ -83,6 +87,7 @@ void KspGenerator::GenerateCandidatesFromLast() {
         c.delay_ms =
             root_delay + spur_tree.distance_ms[static_cast<size_t>(dst_)];
         c.links = std::move(total);
+        c.deviation = i;
         candidates_.insert(std::move(c));
       }
     }
@@ -124,6 +129,7 @@ bool KspGenerator::ProduceNext() {
       continue;
     }
     produced_.push_back(store_->Intern(it->links));
+    last_deviation_ = it->deviation;
     candidates_.erase(it);
     return true;
   }

@@ -38,7 +38,10 @@ class KspGenerator {
   // in non-decreasing delay order. Ids are stable for the store's lifetime.
   // Each produced path is spurred once, under the mask of that moment: past
   // exhaustion no search reruns, and a standalone generator does not follow
-  // mask changes (KspCache evicts on down and clears on up instead).
+  // mask changes (KspCache evicts on down and clears on up instead). A
+  // standalone generator whose graph is masked mid-life may therefore
+  // produce fewer paths than exist: neither a discarded masked candidate's
+  // spur nor the spurs the deviation rule skips are re-run under the mask.
   PathId GetId(size_t k);
 
   // True if any *queued candidate* path crosses `link`. Produced paths are
@@ -57,13 +60,23 @@ class KspGenerator {
   struct Candidate {
     double delay_ms;
     std::vector<LinkId> links;
+    size_t deviation;  // spur position it came from (not part of the order)
     bool operator<(const Candidate& o) const {
       if (delay_ms != o.delay_ms) return delay_ms < o.delay_ms;
       return links < o.links;
     }
   };
 
-  // Generates candidates spurred from the most recent produced path.
+  // Generates candidates spurred from the most recent produced path P, at
+  // its deviation position d and after only (Lawler 1972): P shares its
+  // parent's first d links (d = 0 for the first path). For i < d the root
+  // R = P[0, i) is the parent's, so the spur at i would exclude the same
+  // root nodes and the same next links E(R) as the last spur already run
+  // at R (a path that adds a link to E(R) deviates at or before i, so it
+  // was spurred at R before the next production). It would return a path
+  // seen_ holds: skipping it changes no candidate and no production order.
+  // Exact while the mask is fixed between productions, as for every
+  // KspCache user (evict on down, clear on up); see GetId otherwise.
   void GenerateCandidatesFromLast();
   bool ProduceNext();
 
@@ -74,6 +87,7 @@ class KspGenerator {
   ExclusionSet base_excl_;
   std::vector<PathId> produced_;         // interned, in production order
   size_t spurred_ = 0;                   // produced paths already spurred
+  size_t last_deviation_ = 0;            // produced_.back()'s deviation
   std::set<Candidate> candidates_;       // ordered; also deduplicates
   std::set<std::vector<LinkId>> seen_;   // all produced + candidate link seqs
 };

@@ -12,7 +12,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 using QueueEntry = std::pair<double, NodeId>;  // (distance, node)
 }  // namespace
 
-SpTree ShortestPathTree(const Graph& g, NodeId src, const ExclusionSet& excl) {
+SpTree ShortestPathTree(const Graph& g, NodeId src, const ExclusionSet& excl,
+                        NodeId stop_at) {
   SpTree tree;
   size_t n = g.NodeCount();
   tree.distance_ms.assign(n, kInf);
@@ -28,6 +29,7 @@ SpTree ShortestPathTree(const Graph& g, NodeId src, const ExclusionSet& excl) {
     auto [dist, node] = pq.top();
     pq.pop();
     if (dist > tree.distance_ms[static_cast<size_t>(node)]) continue;
+    if (node == stop_at) break;
     for (LinkId lid : g.OutLinks(node)) {
       if (excl.LinkExcluded(lid)) continue;
       const Link& l = g.link(lid);
@@ -61,7 +63,7 @@ std::optional<std::vector<LinkId>> ShortestPath(const Graph& g, NodeId src,
                                                 NodeId dst,
                                                 const ExclusionSet& excl) {
   if (src == dst) return std::vector<LinkId>{};
-  SpTree tree = ShortestPathTree(g, src, excl);
+  SpTree tree = ShortestPathTree(g, src, excl, dst);
   return tree.PathTo(g, dst);
 }
 

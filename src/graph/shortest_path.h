@@ -41,8 +41,17 @@ struct SpTree {
   std::optional<std::vector<LinkId>> PathTo(const Graph& g, NodeId dst) const;
 };
 
+// With `stop_at` set, the search ends when it settles that node: only
+// stop_at and the nodes popped before it hold their final entries (the rest
+// may be infinite or tentative). stop_at's distance and parent chain are
+// bitwise the full tree's, because Dijkstra fixes them at that pop: delays
+// are non-negative, so every later pop is at least as far, and relaxation
+// is strict (nd < dist - 1e-15), so no later pop rewrites a settled entry.
+// Point-to-point callers (ShortestPath, Yen's spur searches) pass their
+// destination; every caller reading several nodes keeps the full tree.
 SpTree ShortestPathTree(const Graph& g, NodeId src,
-                        const ExclusionSet& excl = {});
+                        const ExclusionSet& excl = {},
+                        NodeId stop_at = kInvalidNode);
 
 // Delay of the shortest path between every ordered pair, as a dense
 // NodeCount x NodeCount matrix (infinity where unreachable). Row-major.

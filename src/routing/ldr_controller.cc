@@ -102,12 +102,14 @@ LdrControllerResult LdrController::RunEpoch(
   std::vector<size_t> on_link_count(g.LinkCount());
   std::vector<bool> failing(g.LinkCount());
 
+  lp::SolveStats lp_stats;  // every round's LP work, not only the last's
   for (int round = 0; round < opts_.max_rounds; ++round) {
     result.rounds = round + 1;
     // (2) Latency-optimal placement for current Ba estimates.
     result.outcome =
         IterativeLpRoute(g, working, cache_, opts_.routing, &reuse_);
     result.solve_ms_total += result.outcome.solve_ms;
+    lp_stats.Merge(result.outcome);
     if (round == 0) {
       result.warm_epoch = result.outcome.reused_warm;
       result.topology_repaired = result.outcome.topology_repaired;
@@ -189,6 +191,8 @@ LdrControllerResult LdrController::RunEpoch(
       }
     }
   }
+
+  static_cast<lp::SolveStats&>(result.outcome) = lp_stats;
 
   // Per-epoch decision guard (PR 6): never install an invalid placement.
   // What reaches here is a clean LP outcome (possibly repaired in place by

@@ -43,6 +43,9 @@ struct LdrControllerOptions {
 };
 
 struct LdrControllerResult {
+  // The installed placement. Its LP telemetry (the lp::SolveStats base) is
+  // merged over all rounds of the epoch; everything else is the final
+  // round's.
   RoutingOutcome outcome;
   // Final per-aggregate demand estimates Ba (after prediction and scaling).
   std::vector<double> demand_estimate_gbps;

@@ -85,6 +85,33 @@ TEST(Controller, CorrelatedBurstsForceRerouteOrScaleUp) {
             2 * hedged - 1e-9);
 }
 
+TEST(Controller, EpochLpTelemetryCoversEveryRound) {
+  // The same epoch on fresh controllers, cut to one round and run to the
+  // default budget. Both first rounds are the same cold solve, so an epoch
+  // record merged over its rounds reports at least the one-round work; a
+  // record holding only the last (warm, cheaper) round reports less. Three
+  // aggregates overload the direct link, so the cold round must pivot.
+  Graph g = SmallNet(10);
+  std::vector<Aggregate> aggs{MakeAgg(0, 1), MakeAgg(0, 1), MakeAgg(0, 1)};
+  std::vector<double> bursty = ConstantSeries(4.0);
+  for (size_t i = 0; i < bursty.size(); i += 50) {
+    for (size_t j = i; j < std::min(bursty.size(), i + 5); ++j) bursty[j] = 7.0;
+  }
+  std::vector<std::vector<double>> history{bursty, bursty, bursty};
+  LdrControllerOptions one_round;
+  one_round.max_rounds = 1;
+  KspCache one_cache(&g);
+  LdrControllerResult one =
+      RunLdrController(g, aggs, history, &one_cache, one_round);
+  KspCache multi_cache(&g);
+  LdrControllerResult multi = RunLdrController(g, aggs, history, &multi_cache);
+  ASSERT_EQ(one.rounds, 1);
+  ASSERT_GT(multi.rounds, 1);
+  EXPECT_GT(one.outcome.lp_iterations, 0);
+  EXPECT_GE(multi.outcome.lp_iterations, one.outcome.lp_iterations);
+  EXPECT_GE(multi.outcome.lp_pivots, one.outcome.lp_pivots);
+}
+
 TEST(Controller, ScaleUpTargetsOnlyCrossingAggregates) {
   // One bursty pair on a tight link, one smooth aggregate elsewhere: only
   // the former's Ba should grow.

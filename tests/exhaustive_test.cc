@@ -24,6 +24,13 @@
 namespace ldr {
 namespace {
 
+// Delay of a link sequence, summed first link to last.
+double DelayOf(const Graph& g, const std::vector<LinkId>& links) {
+  double d = 0;
+  for (LinkId l : links) d += g.link(l).delay_ms;
+  return d;
+}
+
 // All simple paths src->dst by DFS, sorted by (delay, links).
 std::vector<std::vector<LinkId>> AllSimplePaths(const Graph& g, NodeId src,
                                                 NodeId dst) {
@@ -46,14 +53,9 @@ std::vector<std::vector<LinkId>> AllSimplePaths(const Graph& g, NodeId src,
     visited[static_cast<size_t>(u)] = false;
   };
   dfs(src);
-  auto delay_of = [&](const std::vector<LinkId>& links) {
-    double d = 0;
-    for (LinkId l : links) d += g.link(l).delay_ms;
-    return d;
-  };
   std::sort(out.begin(), out.end(),
             [&](const auto& a, const auto& b) {
-              double da = delay_of(a), db = delay_of(b);
+              double da = DelayOf(g, a), db = DelayOf(g, b);
               if (da != db) return da < db;
               return a < b;
             });
@@ -81,11 +83,6 @@ TEST_P(KspExhaustiveTest, MatchesBruteForceEnumeration) {
 
   PathStore store(&g);
   KspGenerator gen(&store, src, dst);
-  auto delay_of = [&](const std::vector<LinkId>& links) {
-    double d = 0;
-    for (LinkId l : links) d += g.link(l).delay_ms;
-    return d;
-  };
   // Yen must produce exactly the same multiset of paths, in delay order
   // (ties may be ordered differently; compare delays positionally and the
   // full sets at the end).
@@ -95,8 +92,8 @@ TEST_P(KspExhaustiveTest, MatchesBruteForceEnumeration) {
     ASSERT_NE(p, kInvalidPathId) << "Yen exhausted early at k=" << k;
     LinkSpan links = store.Links(p);
     std::vector<LinkId> seq(links.begin(), links.end());
-    EXPECT_NEAR(delay_of(seq), delay_of(expected[k]), 1e-9) << "k=" << k;
-    EXPECT_EQ(store.DelayMs(p), delay_of(seq)) << "k=" << k;
+    EXPECT_NEAR(DelayOf(g, seq), DelayOf(g, expected[k]), 1e-9) << "k=" << k;
+    EXPECT_EQ(store.DelayMs(p), DelayOf(g, seq)) << "k=" << k;
     produced.insert(std::move(seq));
   }
   EXPECT_EQ(gen.GetId(expected.size()), kInvalidPathId)
@@ -107,6 +104,139 @@ TEST_P(KspExhaustiveTest, MatchesBruteForceEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KspExhaustiveTest, ::testing::Range(1, 11));
+
+// Textbook Yen (1971), written apart from KspGenerator: every produced path
+// is spurred at every position, each spur search settles the full tree, and
+// candidates are ordered by (delay, links) like the generator's. It is the
+// reference for the generator's deviation rule and stopped searches.
+std::vector<std::vector<LinkId>> TextbookYen(const Graph& g, NodeId src,
+                                             NodeId dst) {
+  std::vector<std::vector<LinkId>> produced;
+  auto first = ShortestPathTree(g, src).PathTo(g, dst);
+  if (!first.has_value() || first->empty()) return produced;
+  produced.push_back(*first);
+  std::set<std::vector<LinkId>> seen = {*first};
+  std::set<std::pair<double, std::vector<LinkId>>> candidates;
+  while (true) {
+    const std::vector<LinkId> last = produced.back();
+    std::vector<NodeId> nodes = {src};
+    for (LinkId l : last) nodes.push_back(g.link(l).dst);
+    double root_delay = 0;
+    for (size_t i = 0; i < last.size(); ++i) {
+      std::vector<LinkId> root(
+          last.begin(), last.begin() + static_cast<std::ptrdiff_t>(i));
+      ExclusionSet excl;
+      excl.links.assign(g.LinkCount(), false);
+      excl.nodes.assign(g.NodeCount(), false);
+      for (const auto& p : produced) {
+        if (p.size() > i && std::equal(root.begin(), root.end(), p.begin())) {
+          excl.links[static_cast<size_t>(p[i])] = true;
+        }
+      }
+      for (size_t j = 0; j < i; ++j) {
+        excl.nodes[static_cast<size_t>(nodes[j])] = true;
+      }
+      SpTree tree = ShortestPathTree(g, nodes[i], excl);
+      auto spur = tree.PathTo(g, dst);
+      if (spur.has_value() && !spur->empty()) {
+        std::vector<LinkId> total = root;
+        total.insert(total.end(), spur->begin(), spur->end());
+        if (seen.insert(total).second) {
+          candidates.emplace(
+              root_delay + tree.distance_ms[static_cast<size_t>(dst)], total);
+        }
+      }
+      root_delay += g.link(last[i]).delay_ms;
+    }
+    if (candidates.empty()) return produced;
+    produced.push_back(candidates.begin()->second);
+    candidates.erase(candidates.begin());
+  }
+}
+
+// Every path a generator yields, in production order.
+std::vector<std::vector<LinkId>> Drain(const PathStore& store,
+                                       KspGenerator* gen) {
+  std::vector<std::vector<LinkId>> out;
+  for (size_t k = 0;; ++k) {
+    PathId p = gen->GetId(k);
+    if (p == kInvalidPathId) return out;
+    LinkSpan links = store.Links(p);
+    out.emplace_back(links.begin(), links.end());
+  }
+}
+
+// Checks one pair's production against the brute-force enumeration (delay
+// sequence and count) and against textbook Yen (link sequences).
+void ExpectMatchesReferences(const Graph& g, NodeId src, NodeId dst,
+                             const std::vector<std::vector<LinkId>>& got,
+                             const std::string& what) {
+  auto brute = AllSimplePaths(g, src, dst);
+  ASSERT_EQ(got.size(), brute.size()) << what;
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(DelayOf(g, got[k]), DelayOf(g, brute[k])) << what << " k=" << k;
+  }
+  EXPECT_EQ(got, TextbookYen(g, src, dst)) << what;
+}
+
+// Cached and standalone generators against both references on graphs whose
+// integer delays force exact ties, before a failure, across a masked link
+// (KspCache::InvalidateLinks evicts; survivors keep their state) and after
+// the restore (KspCache::Clear).
+class KspTextbookTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KspTextbookTest, CachedAndStandaloneMatchTextbookYen) {
+  Rng rng(static_cast<uint64_t>(7000 + GetParam()));
+  Graph g;
+  const int n = 7;
+  for (int i = 0; i < n; ++i) g.AddNode("n" + std::to_string(i));
+  for (int i = 0; i < n; ++i) {
+    g.AddBidiLink(i, (i + 1) % n, 1.0 + static_cast<double>(rng.NextIndex(3)),
+                  10);
+  }
+  for (int i = 0; i < 5; ++i) {
+    NodeId u = static_cast<NodeId>(rng.NextIndex(n));
+    NodeId v = static_cast<NodeId>(rng.NextIndex(n));
+    if (u != v && !g.HasLink(u, v)) {
+      g.AddBidiLink(u, v, 1.0 + static_cast<double>(rng.NextIndex(3)), 10);
+    }
+  }
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {0, 3}, {3, 0}, {1, 5}, {6, 2}, {4, 1}};
+  auto label = [&](const char* phase, NodeId s, NodeId d) {
+    return std::string(phase) + " " + std::to_string(s) + "->" +
+           std::to_string(d) + " seed " + std::to_string(GetParam());
+  };
+
+  KspCache cache(&g);
+  for (auto [s, d] : pairs) {
+    PathStore store(&g);
+    KspGenerator standalone(&store, s, d);
+    ExpectMatchesReferences(g, s, d, Drain(store, &standalone),
+                            label("standalone", s, d));
+    // Cached generators only walk part way here, so the failure below
+    // meets generators holding queued candidates.
+    cache.Get(s, d)->GetId(2);
+  }
+
+  // Fail the first link of 0->3's shortest path.
+  LinkId failed = cache.store()->Links(cache.Get(0, 3)->GetId(0))[0];
+  g.SetLinkDown(failed, true);
+  EXPECT_GE(cache.InvalidateLinks({failed}), 1u);
+  for (auto [s, d] : pairs) {
+    ExpectMatchesReferences(g, s, d, Drain(*cache.store(), cache.Get(s, d)),
+                            label("masked", s, d));
+  }
+
+  g.SetLinkDown(failed, false);
+  cache.Clear();
+  for (auto [s, d] : pairs) {
+    ExpectMatchesReferences(g, s, d, Drain(*cache.store(), cache.Get(s, d)),
+                            label("restored", s, d));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KspTextbookTest, ::testing::Range(1, 21));
 
 // Max-flow on the same small graphs equals the brute-force minimum cut over
 // all 2^(n-2) vertex partitions.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "graph/graph.h"
@@ -160,6 +161,73 @@ TEST(ShortestPath, SelfPathIsEmpty) {
   auto sp = ShortestPath(g, 2, 2);
   ASSERT_TRUE(sp.has_value());
   EXPECT_TRUE(sp->empty());
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+// A search stopped at dst returns the full tree's path and distance to dst
+// bitwise. Small integer delays (zero included) make equal-distance ties
+// common, so a stop before dst is settled would show as a different parent
+// chain or a tentative distance; masked links and random link/node
+// exclusions cover the skipped-entry paths of the search.
+TEST(ShortestPath, StoppedSearchMatchesFullTreeBitwise) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Graph g;
+    const int n = 14;
+    for (int i = 0; i < n; ++i) g.AddNode("n" + std::to_string(i));
+    for (int i = 0; i < 3 * n; ++i) {
+      NodeId u = static_cast<NodeId>(rng.NextIndex(n));
+      NodeId v = static_cast<NodeId>(rng.NextIndex(n));
+      if (u == v) continue;
+      double delay = static_cast<double>(rng.NextIndex(4));
+      if (rng.Chance(0.5)) {
+        g.AddBidiLink(u, v, delay, 10);
+      } else {
+        g.AddLink(u, v, delay, 10);
+      }
+    }
+    for (size_t l = 0; l < g.LinkCount(); ++l) {
+      if (rng.Chance(0.1)) g.SetLinkDown(static_cast<LinkId>(l), true);
+    }
+    for (int variant = 0; variant < 3; ++variant) {
+      ExclusionSet excl;
+      if (variant >= 1) {
+        excl.links.assign(g.LinkCount(), false);
+        for (size_t l = 0; l < g.LinkCount(); ++l) {
+          excl.links[l] = rng.Chance(0.15);
+        }
+      }
+      if (variant >= 2) {
+        excl.nodes.assign(g.NodeCount(), false);
+        for (size_t v = 0; v < g.NodeCount(); ++v) {
+          excl.nodes[v] = rng.Chance(0.1);
+        }
+      }
+      for (NodeId src = 0; src < n; ++src) {
+        SpTree full = ShortestPathTree(g, src, excl);
+        for (NodeId dst = 0; dst < n; ++dst) {
+          if (dst == src) continue;
+          SpTree stopped = ShortestPathTree(g, src, excl, dst);
+          auto want = full.PathTo(g, dst);
+          EXPECT_EQ(stopped.PathTo(g, dst), want)
+              << "seed " << seed << " variant " << variant << " " << src
+              << "->" << dst;
+          EXPECT_EQ(Bits(stopped.distance_ms[static_cast<size_t>(dst)]),
+                    Bits(full.distance_ms[static_cast<size_t>(dst)]))
+              << "seed " << seed << " variant " << variant << " " << src
+              << "->" << dst;
+          EXPECT_EQ(ShortestPath(g, src, dst, excl), want)
+              << "seed " << seed << " variant " << variant << " " << src
+              << "->" << dst;
+        }
+      }
+    }
+  }
 }
 
 TEST(AllPairs, MatchesPointQueries) {

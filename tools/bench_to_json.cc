@@ -5,7 +5,7 @@
 //   bench_to_json [--smoke] [output-path]     (default: BENCH_lp.json)
 //
 //   --smoke   CI smoke mode (ci.sh --bench-smoke): reduced repetitions, the
-//             slow corpus-wide sections (thread_scaling, path_store,
+//             slow sections (thread_scaling, path_store, ksp_cold,
 //             lp_pricing's corpus slice) skipped and emitted as zeros with
 //             "smoke": true at the top. All correctness markers — lp_revised
 //             objective_parity, lp_lu / lp_pricing kkt_certificate, scenario
@@ -21,11 +21,18 @@
 //                     pairs: medians of each side, and the median, min and
 //                     max of the per-pair speedups (meaningless on a 1-core
 //                     container; see invalid_single_core)
-//   path_store        corpus wall-clock plus PathStore interning telemetry:
-//                     allocation_refs is how many PathAllocation handles the
-//                     corpus produced (each a PathId, not a copied link
-//                     vector), unique_paths how many distinct paths were
-//                     actually stored; hit rate = 1 - unique/refs
+//   path_store        PathStore interning telemetry of the thread_scaling
+//                     corpus: allocation_refs is how many PathAllocation
+//                     handles the corpus produced (each a PathId, not a
+//                     copied link vector), unique_paths how many distinct
+//                     paths were actually stored; hit rate = 1 - unique/refs
+//   ksp_cold          the Yen work of a cold LDR route at perfbench's
+//                     cold_grid shape (MakeGrid 10x10 seed 1, three
+//                     MakeScaledWorkloads matrices): producing each
+//                     aggregate's grown path set, as IterativeLpRoute leaves
+//                     it in an LpReuseContext, on a fresh KspCache. One run
+//                     produces all three matrices; median, min and max over
+//                     the runs, and the paths one run produces
 //   lp_revised        revised-simplex tracking: per-pivot cost and resident
 //                     solver memory on the lp_resolve_large warm round and
 //                     the shape_partial cold solve. basis_bytes is the
@@ -225,6 +232,60 @@ ThreadScaling BenchThreadScaling(const std::vector<Topology>& corpus,
   out.speedup = MedianMs(speedups);
   out.speedup_min = *std::min_element(speedups.begin(), speedups.end());
   out.speedup_max = *std::max_element(speedups.begin(), speedups.end());
+  return out;
+}
+
+// --- ksp_cold ---------------------------------------------------------------
+
+struct KspCold {
+  int runs = 0;
+  double median_ms = 0;
+  double min_ms = 0;
+  double max_ms = 0;
+  size_t paths_produced = 0;  // per run
+};
+
+KspCold BenchKspCold(int runs) {
+  Rng rng(1);
+  Topology topo = MakeGrid("grid-10x10", 10, 10, 0.25, 0.06,
+                           CentralEuropeRegion(), &rng, {100, 40, 0.25});
+  const Graph& g = topo.graph;
+  std::vector<std::vector<Aggregate>> matrices;
+  {
+    KspCache cache(&g);
+    WorkloadOptions w;
+    w.num_instances = 3;
+    matrices = MakeScaledWorkloads(topo, &cache, w);
+  }
+  // The grown path sets: one cold route per matrix.
+  std::vector<std::vector<std::vector<PathId>>> grown;
+  for (const std::vector<Aggregate>& aggs : matrices) {
+    KspCache cache(&g);
+    LpReuseContext reuse;
+    IterativeLpRoute(g, aggs, &cache, IterativeOptions{}, &reuse);
+    grown.push_back(std::move(reuse.paths));
+  }
+  KspCold out;
+  std::vector<double> times;
+  for (int r = 0; r < runs; ++r) {
+    size_t produced = 0;
+    double t0 = NowMs();
+    for (size_t m = 0; m < matrices.size(); ++m) {
+      KspCache fresh(&g);
+      for (size_t a = 0; a < matrices[m].size() && a < grown[m].size(); ++a) {
+        KspGenerator* gen = fresh.Get(matrices[m][a].src, matrices[m][a].dst);
+        for (size_t k = 0; k < grown[m][a].size(); ++k) {
+          if (gen->GetId(k) != kInvalidPathId) ++produced;
+        }
+      }
+    }
+    times.push_back(NowMs() - t0);
+    out.paths_produced = produced;
+  }
+  out.runs = runs;
+  out.median_ms = MedianMs(times);
+  out.min_ms = *std::min_element(times.begin(), times.end());
+  out.max_ms = *std::max_element(times.begin(), times.end());
   return out;
 }
 
@@ -843,6 +904,11 @@ int main(int argc, char** argv) {
     scaling = BenchThreadScaling(corpus, copts, /*pairs=*/5, &allocation_refs,
                                  &unique_paths);
   }
+  KspCold ksp_cold;
+  if (!smoke) {
+    std::fprintf(stderr, "bench_to_json: ksp_cold...\n");
+    ksp_cold = BenchKspCold(/*runs=*/7);
+  }
   double hit_rate =
       allocation_refs > unique_paths
           ? 1.0 - static_cast<double>(unique_paths) /
@@ -879,12 +945,16 @@ int main(int argc, char** argv) {
                corpus.size(), hw_threads,
                single_core ? ", \"invalid_single_core\": true" : "");
   std::fprintf(f,
-               "  \"path_store\": {\"corpus_ms\": %.1f, "
-               "\"allocation_refs\": %llu, \"unique_paths\": %llu, "
-               "\"intern_hit_rate\": %.4f},\n",
-               scaling.threads1_ms,
+               "  \"path_store\": {\"allocation_refs\": %llu, "
+               "\"unique_paths\": %llu, \"intern_hit_rate\": %.4f},\n",
                static_cast<unsigned long long>(allocation_refs),
                static_cast<unsigned long long>(unique_paths), hit_rate);
+  std::fprintf(f,
+               "  \"ksp_cold\": {\"matrices\": 3, \"n\": %d, "
+               "\"median_ms\": %.3f, \"min_ms\": %.3f, \"max_ms\": %.3f, "
+               "\"paths_produced\": %zu},\n",
+               ksp_cold.runs, ksp_cold.median_ms, ksp_cold.min_ms,
+               ksp_cold.max_ms, ksp_cold.paths_produced);
   // Same 1-core caveat as thread_scaling: epoch solve medians measured on a
   // loaded single-core container are scheduling noise, so they carry the
   // same marker instead of becoming a perf baseline.
@@ -1037,6 +1107,7 @@ int main(int argc, char** argv) {
       "threads 1->4  %.1f ms -> %.1f ms  speedup %.2fx (%.2f-%.2f)\n"
       "path_store    %llu allocation refs -> %llu unique paths  "
       "hit rate %.1f%%\n"
+      "ksp_cold      %.3f ms (%.3f-%.3f, n=%d)  %zu paths\n"
       "lp_pricing    shapes %.1f cols/iter (%.3f ms)  "
       "corpus %.1f cols/iter (%.1f ms)  kkt %s\n"
       "scenario      warm %.3f ms  cold %.3f ms  speedup %.1fx  "
@@ -1056,8 +1127,10 @@ int main(int argc, char** argv) {
       scaling.speedup_min, scaling.speedup_max,
       static_cast<unsigned long long>(allocation_refs),
       static_cast<unsigned long long>(unique_paths), hit_rate * 100,
-      pricing_shapes.per_iter(), pricing_shapes.ms, pricing_corpus.per_iter(),
-      pricing_corpus.ms, pricing_shapes.kkt_certificate ? "yes" : "NO",
+      ksp_cold.median_ms, ksp_cold.min_ms, ksp_cold.max_ms, ksp_cold.runs,
+      ksp_cold.paths_produced, pricing_shapes.per_iter(), pricing_shapes.ms,
+      pricing_corpus.per_iter(), pricing_corpus.ms,
+      pricing_shapes.kkt_certificate ? "yes" : "NO",
       scenario.warm_median_ms, scenario.cold_median_ms, scenario.speedup(),
       scenario.churn_event_free, scenario.reconverge_down,
       scenario.reconverge_up, scenario.placement_parity ? "yes" : "NO",
