@@ -1,7 +1,6 @@
 #include "lp/lp.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 
@@ -19,8 +18,6 @@ std::string ToString(Status s) {
       return "unbounded";
     case Status::kIterLimit:
       return "iteration-limit";
-    case Status::kDeadline:
-      return "deadline";
   }
   return "?";
 }
@@ -336,22 +333,6 @@ class Solver::Impl {
       return sol;
     }
 
-    // Wall-clock deadline: armed before the (potentially expensive)
-    // refactorization so a 0 ms budget returns promptly. Re-checked between
-    // pivots in Step(), never inside one — the basis stays consistent.
-    deadline_hit_ = false;
-    deadline_set_ = opt_.deadline_ms >= 0;
-    if (deadline_set_) {
-      deadline_at_ = Clock::now() +
-                     std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             opt_.deadline_ms));
-      if (DeadlineExceeded()) {
-        sol.status = Status::kDeadline;
-        return sol;
-      }
-    }
-
     // Periodic refactorization: every incremental update (pivot, appended
     // row, rhs shift) compounds error in the factorization; a long-lived
     // controller-epoch solver can run thousands of them without ever hitting
@@ -417,10 +398,6 @@ class Solver::Impl {
           }
           prev_infeas = infeas;
         }
-        if (deadline_hit_) {
-          sol.status = Status::kDeadline;
-          return sol;
-        }
       }
     }
 
@@ -432,8 +409,7 @@ class Solver::Impl {
       if (!HasInfeasibleBasic()) break;
       EnsurePhase1Duals();
       if (!Iterate(/*phase1=*/true, &degenerate_run)) {
-        sol.status =
-            deadline_hit_ ? Status::kDeadline : Status::kInfeasible;
+        sol.status = Status::kInfeasible;
         return sol;
       }
     }
@@ -461,11 +437,10 @@ class Solver::Impl {
         return sol;
       }
       if (r == StepResult::kStuck) {
-        // Numerical breakdown (recovery refactorization went singular) or
-        // the wall-clock deadline expired between pivots: report failure —
-        // callers rebuild from scratch or walk the fallback ladder on
-        // !ok().
-        sol.status = deadline_hit_ ? Status::kDeadline : Status::kIterLimit;
+        // Numerical breakdown (recovery refactorization went singular):
+        // report failure — callers rebuild from scratch or walk the fallback
+        // ladder on !ok().
+        sol.status = Status::kIterLimit;
         return sol;
       }
       // Feasibility must be preserved in phase 2; if numerics broke it,
@@ -477,8 +452,7 @@ class Solver::Impl {
         while (iter_ < limit && HasInfeasibleBasic()) {
           EnsurePhase1Duals();
           if (!Iterate(true, &degenerate_run)) {
-            sol.status =
-                deadline_hit_ ? Status::kDeadline : Status::kInfeasible;
+            sol.status = Status::kInfeasible;
             return sol;
           }
         }
@@ -1009,20 +983,14 @@ class Solver::Impl {
     return true;
   }
 
-  // Shared head of Step and DualStep, run between pivots. Deadline check:
-  // the basis is untouched, so reporting kStuck here (mapped to kDeadline by
-  // SolveImpl via deadline_hit_) leaves the solver consistent and
-  // warm-resumable. Update-file bound: once the file outgrows its op/entry
-  // caps, fold it into a fresh factorization before pivoting further — this
-  // is what keeps both replay cost and resident memory bounded over a long
-  // solve. refactor_interval < 0 disables it along with the drift guard
-  // (the file then grows with the pivot count but stays exact). Returns the
-  // step's result when it ends here; otherwise counts the iteration.
+  // Shared head of Step and DualStep, run between pivots. Update-file
+  // bound: once the file outgrows its op/entry caps, fold it into a fresh
+  // factorization before pivoting further — this is what keeps both replay
+  // cost and resident memory bounded over a long solve. refactor_interval
+  // < 0 disables it along with the drift guard (the file then grows with
+  // the pivot count but stays exact). Returns the step's result when it
+  // ends here; otherwise counts the iteration.
   std::optional<StepResult> BeforePivot() {
-    if (DeadlineExceeded()) {
-      deadline_hit_ = true;
-      return StepResult::kStuck;
-    }
     if (factor_valid_ && opt_.refactor_interval >= 0 && NeedsEtaRefactor()) {
       return Refactored();
     }
@@ -1922,17 +1890,6 @@ class Solver::Impl {
   std::vector<int> lu_mark_;
   std::vector<char> row_done_, pos_done_, slack_used_;
   int iter_ = 0;
-
-  // Wall-clock deadline state for the live Solve() (see
-  // SolveOptions::deadline_ms). deadline_hit_ distinguishes a kStuck that
-  // means "deadline expired" from a genuine numerical breakdown.
-  using Clock = std::chrono::steady_clock;
-  bool deadline_set_ = false;
-  bool deadline_hit_ = false;
-  Clock::time_point deadline_at_{};
-  bool DeadlineExceeded() const {
-    return deadline_set_ && Clock::now() >= deadline_at_;
-  }
 };
 
 Solver::Solver(const SolveOptions& options) : impl_(new Impl(options)) {}  // NOLINT(ldr-lp-alloc): pimpl construction at Solver birth, not the pivot loop

@@ -62,7 +62,7 @@ inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 enum class RowType { kLe, kGe, kEq };
 
-enum class Status { kOptimal, kInfeasible, kUnbounded, kIterLimit, kDeadline };
+enum class Status { kOptimal, kInfeasible, kUnbounded, kIterLimit };
 
 std::string ToString(Status s);
 
@@ -140,17 +140,6 @@ struct SolveOptions {
   // exact sparse columns before optimizing, bounding floating-point drift.
   // 0 means max(256, 8 * rows). Negative disables the guard.
   int refactor_interval = 0;
-  // Wall-clock budget for one Solve() call, in milliseconds. Checked on
-  // entry (before any refactorization) and at every simplex iteration, so a
-  // 0 deadline returns Status::kDeadline promptly and a positive one stops
-  // within one iteration of expiring. The check runs between pivots — the
-  // basis is left consistent and the solver stays usable (warm re-entry or
-  // forced refactorization both work afterwards). Negative disables the
-  // deadline. No production caller sets one: the controller solves without
-  // a deadline, and its per-epoch decision guard is ValidatePlacement plus
-  // the fallback ladder in LdrController::RunEpoch. A kDeadline solve comes
-  // back !ok() and walks that same ladder.
-  double deadline_ms = -1;
 };
 
 // Simplex telemetry of one solve, or of many folded together with Merge().

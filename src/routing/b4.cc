@@ -9,6 +9,9 @@ namespace ldr {
 
 namespace {
 
+// Paths an aggregate considers before it is declared stuck.
+constexpr size_t kMaxPathsPerAggregate = 16;
+
 struct AggState {
   size_t path_idx = 0;       // current preferred path (KSP order)
   double remaining = 0;      // unplaced demand, Gbps
@@ -19,11 +22,10 @@ struct AggState {
 
 }  // namespace
 
-B4Scheme::B4Scheme(const Graph* g, KspCache* cache, B4Options options)
-    : g_(g), cache_(cache), opt_(options) {
-  name_ = opt_.headroom == 0
-              ? "B4"
-              : "B4(h=" + std::to_string(opt_.headroom) + ")";
+B4Scheme::B4Scheme(const Graph* g, KspCache* cache, double headroom)
+    : g_(g), cache_(cache), headroom_(headroom) {
+  name_ = headroom_ == 0 ? "B4"
+                         : "B4(h=" + std::to_string(headroom_) + ")";
 }
 
 RoutingOutcome B4Scheme::Route(const std::vector<Aggregate>& aggregates) {
@@ -33,7 +35,7 @@ RoutingOutcome B4Scheme::Route(const std::vector<Aggregate>& aggregates) {
   std::vector<double> load(num_links, 0.0);
   auto scaled_cap = [&](size_t l) {
     return g_->link(static_cast<LinkId>(l)).capacity_gbps *
-           (1.0 - opt_.headroom);
+           (1.0 - headroom_);
   };
   auto true_cap = [&](size_t l) {
     return g_->link(static_cast<LinkId>(l)).capacity_gbps;
@@ -62,7 +64,7 @@ RoutingOutcome B4Scheme::Route(const std::vector<Aggregate>& aggregates) {
   auto advance = [&](size_t a) {
     while (!st[a].stuck) {
       PathId p = gen[a]->GetId(st[a].path_idx);
-      if (p == kInvalidPathId || st[a].path_idx >= opt_.max_paths_per_aggregate) {
+      if (p == kInvalidPathId || st[a].path_idx >= kMaxPathsPerAggregate) {
         st[a].stuck = true;
         return;
       }
@@ -124,10 +126,10 @@ RoutingOutcome B4Scheme::Route(const std::vector<Aggregate>& aggregates) {
   }
 
   // Second pass: place leftovers into the reserved headroom (true capacity).
-  if (opt_.use_headroom_for_leftovers && opt_.headroom > 0) {
+  if (headroom_ > 0) {
     for (size_t a = 0; a < aggregates.size(); ++a) {
       if (st[a].remaining <= kTiny) continue;
-      for (size_t pi = 0; pi < opt_.max_paths_per_aggregate; ++pi) {
+      for (size_t pi = 0; pi < kMaxPathsPerAggregate; ++pi) {
         PathId p = gen[a]->GetId(pi);
         if (p == kInvalidPathId) break;
         double headroom_left = std::numeric_limits<double>::infinity();

@@ -9,7 +9,7 @@
 // path-diverse topologies (Fig. 5) and what costs it latency (Fig. 6).
 //
 // Headroom (§6): the waterfill runs against capacity * (1 - headroom); a
-// second pass may then place still-unsatisfied traffic into the reserved
+// second pass then places still-unsatisfied traffic into the reserved
 // headroom ("B4 eats into the supposedly reserved headroom"). Anything that
 // still does not fit is forced onto the shortest path, producing measurable
 // congestion.
@@ -21,25 +21,16 @@
 
 namespace ldr {
 
-struct B4Options {
-  double headroom = 0.0;
-  // Cap on paths considered per aggregate before it is declared stuck.
-  size_t max_paths_per_aggregate = 16;
-  // Second pass placing leftovers into reserved headroom (on by default,
-  // matching the paper's observation; irrelevant when headroom == 0).
-  bool use_headroom_for_leftovers = true;
-};
-
 class B4Scheme : public RoutingScheme {
  public:
-  B4Scheme(const Graph* g, KspCache* cache, B4Options options = {});
+  B4Scheme(const Graph* g, KspCache* cache, double headroom = 0);
   std::string name() const override { return name_; }
   RoutingOutcome Route(const std::vector<Aggregate>& aggregates) override;
 
  private:
   const Graph* g_;
   KspCache* cache_;
-  B4Options opt_;
+  double headroom_;
   std::string name_;
 };
 

@@ -10,11 +10,9 @@ namespace ldr {
 std::vector<double> AdvancePredictors(
     std::vector<MeanRatePredictor>* predictors,
     const std::vector<std::vector<double>>& segment_100ms,
-    const LdrControllerOptions& opts) {
+    const LdrControllerOptions&) {
   if (predictors->size() != segment_100ms.size()) {
-    predictors->assign(segment_100ms.size(),
-                       MeanRatePredictor(opts.predictor_decay,
-                                         opts.predictor_hedge));
+    predictors->assign(segment_100ms.size(), MeanRatePredictor());
   }
   std::vector<double> demand(segment_100ms.size(), 0.0);
   for (size_t a = 0; a < segment_100ms.size(); ++a) {
@@ -83,7 +81,7 @@ LdrControllerResult LdrController::RunEpoch(
   // as in the deployed loop. Hoisted out of the retry loop: the measured
   // segment never changes across rounds.
   result.demand_estimate_gbps =
-      AdvancePredictors(&predictors_, segment_100ms, opts_);
+      AdvancePredictors(&predictors_, segment_100ms);
 
   std::vector<Aggregate> working = aggregates;
   for (size_t a = 0; a < working.size(); ++a) {

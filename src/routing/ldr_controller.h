@@ -38,8 +38,6 @@ struct LdrControllerOptions {
   MultiplexOptions multiplex;        // queueing-delay budget (max_queue_ms)
   int max_rounds = 6;                // optimize/appraise/tweak iterations
   double scale_up = 1.1;             // Ba multiplier for failing aggregates
-  double predictor_decay = 0.98;     // Algorithm 1 constants
-  double predictor_hedge = 1.1;
 };
 
 struct LdrControllerResult {
@@ -74,10 +72,12 @@ struct LdrControllerResult {
 // them if the aggregate count changed) and returns the demand estimates.
 // Shared by LdrController::RunEpoch and the scenario engine's baseline
 // drivers, so every driver in a scenario sees identical demand inputs.
+// The options argument reads nothing (Algorithm 1's constants are fixed);
+// it stays so existing three-argument callers compile.
 std::vector<double> AdvancePredictors(
     std::vector<MeanRatePredictor>* predictors,
     const std::vector<std::vector<double>>& segment_100ms,
-    const LdrControllerOptions& opts);
+    const LdrControllerOptions& = {});
 
 // Persistent controller: one instance per (graph, cache), driven epoch by
 // epoch. State carried across RunEpoch calls: per-aggregate predictors

@@ -60,8 +60,7 @@ IncrementalRoutingLp::IncrementalRoutingLp(
     : store_(&store),
       g_(&store.graph()),
       opts_(opts),
-      aggs_(aggregates),
-      solver_(opts.solve) {
+      aggs_(aggregates) {
   cap_scale_ = 1.0 - opts_.headroom;
   size_t num_links = g_->LinkCount();
   npaths_.assign(aggs_.size(), 0);
@@ -224,8 +223,8 @@ RoutingLpResult IncrementalRoutingLp::Solve(
   result.status = sol.status;
   static_cast<lp::SolveStats&>(result) = sol;
   if (!sol.ok()) {
-    // kIterLimit/kDeadline carry no usable values — never extract fractions
-    // from them; callers walk the fallback ladder on !ok().
+    // A failed solve carries no usable values — never extract fractions
+    // from it; callers walk the fallback ladder on !ok().
     return result;
   }
 

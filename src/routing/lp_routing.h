@@ -43,21 +43,13 @@ struct RoutingLpOptions {
   // last entry when c is out of range). With {10, 1}, class-0 traffic wins
   // contended short paths over class-1 traffic. Empty = all classes equal.
   std::vector<double> class_weights;
-  // Options of the underlying lp::Solver: pricing list sizes and per-solve
-  // budgets (max_iters, deadline_ms — unset outside the tests; a
-  // budget-exhausted solve comes back !ok() and the caller walks the
-  // fallback ladder). The controller keeps the incremental LP alive through
-  // LinkDown/LinkUp/CapacityScale and repairs it in place; the solver
-  // re-enters via dual simplex when the warm basis is
-  // primal-infeasible-but-dual-feasible.
-  lp::SolveOptions solve;
 };
 
 // Result of one LP solve over explicit path sets; the inherited record is
 // that solve's simplex telemetry.
 struct RoutingLpResult : lp::SolveStats {
-  // The lp::Solver verdict — kIterLimit/kDeadline must never be consumed
-  // as optimal; fractions and levels are filled only when ok().
+  // The lp::Solver verdict — kIterLimit must never be consumed as optimal;
+  // fractions and levels are filled only when ok().
   lp::Status status = lp::Status::kIterLimit;
   // fractions[a][p] for the paths passed in; aggregates with one path get
   // the implicit fraction 1.

@@ -34,9 +34,7 @@ const SchemeEntry kSchemeTable[] = {
      }},
     {kSchemeB4Headroom,
      [](const Graph* g, KspCache* c) -> std::unique_ptr<RoutingScheme> {
-       B4Options opts;
-       opts.headroom = 0.1;
-       return std::make_unique<B4Scheme>(g, c, opts);
+       return std::make_unique<B4Scheme>(g, c, 0.1);
      }},
     {kSchemeOptimal,
      [](const Graph* g, KspCache* c) -> std::unique_ptr<RoutingScheme> {
@@ -123,7 +121,7 @@ TopologyRun RunTopologyOnWorkloads(
   run.links = topology.graph.LinkCount();
   if (run.nodes > opts.max_nodes) return run;
 
-  run.llpd = ComputeLlpd(topology.graph, opts.apa);
+  run.llpd = ComputeLlpd(topology.graph);
   std::vector<double> apsp = AllPairsShortestDelay(topology.graph);
 
   for (const std::string& id : opts.scheme_ids) {

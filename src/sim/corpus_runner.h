@@ -72,7 +72,6 @@ struct TopologyRun {
 
 struct CorpusRunOptions {
   WorkloadOptions workload;
-  ApaOptions apa;
   std::vector<std::string> scheme_ids{kSchemeSp};
   // Topologies with more nodes than this are skipped (bench scaling knob).
   size_t max_nodes = 64;

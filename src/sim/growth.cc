@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "metrics/llpd.h"
+
 namespace ldr {
 
 namespace {
@@ -29,11 +31,10 @@ std::vector<GrowthStep> GreedyLlpdAugment(Topology* t,
   size_t to_add = std::max<size_t>(
       1, static_cast<size_t>(std::ceil(
              static_cast<double>(undirected_links) * opts.link_fraction)));
-  double capacity =
-      opts.capacity_gbps > 0 ? opts.capacity_gbps : MedianCapacity(t->graph);
+  double capacity = MedianCapacity(t->graph);
 
   for (size_t added = 0; added < to_add; ++added) {
-    double llpd_before = ComputeLlpd(t->graph, opts.apa);
+    double llpd_before = ComputeLlpd(t->graph);
 
     // Candidate absent pairs.
     std::vector<std::pair<NodeId, NodeId>> candidates;
@@ -58,7 +59,7 @@ std::vector<GrowthStep> GreedyLlpdAugment(Topology* t,
     for (const auto& [a, b] : candidates) {
       Topology trial = *t;
       trial.AddCable(a, b, capacity);
-      double llpd = ComputeLlpd(trial.graph, opts.apa);
+      double llpd = ComputeLlpd(trial.graph);
       if (llpd > best.llpd_after) {
         best.llpd_after = llpd;
         best.a = a;

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "metrics/llpd.h"
 #include "topology/topology.h"
 #include "util/random.h"
 
@@ -17,9 +16,6 @@ namespace ldr {
 
 struct GrowthOptions {
   double link_fraction = 0.05;  // grow undirected link count by this much
-  // Capacity of added links; <= 0 means the median capacity of the network.
-  double capacity_gbps = 0;
-  ApaOptions apa;
   // Candidate pairs evaluated per added link (sampled when the full set of
   // absent pairs is larger). Keeps the search tractable on bigger networks.
   size_t max_candidates = 150;

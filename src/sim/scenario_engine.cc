@@ -247,8 +247,7 @@ ScenarioEngine::ScenarioEngine(const Topology& topology, Scenario scenario,
     // LP construction a post-event cold start runs — a fresh
     // IncrementalRoutingLp, solved once and discarded. Both engines share
     // one builder, so the parity check compares warmth, not builders.
-    controller_ =
-        std::make_unique<LdrController>(&graph_, &cache_, opts_.controller);
+    controller_ = std::make_unique<LdrController>(&graph_, &cache_);
   } else {
     scheme_ = MakeScheme(opts_.scheme_id, &graph_, &cache_);
   }
@@ -629,7 +628,7 @@ ScenarioReport ScenarioEngine::Run() {
       // (persistent predictors), then a from-scratch Route — B4/SP have no
       // warm state to keep.
       std::vector<double> demand =
-          AdvancePredictors(&predictors_, segment, opts_.controller);
+          AdvancePredictors(&predictors_, segment);
       for (size_t a = 0; a < working.size(); ++a) {
         working[a].demand_gbps = demand[a];
       }

@@ -313,7 +313,6 @@ struct AdaptiveDemandOptions {
 };
 
 struct ScenarioEngineOptions {
-  LdrControllerOptions controller;
   // Empty: drive the full LDR controller loop. Otherwise a MakeScheme id
   // ("SP", "B4", ...) re-routed from scratch each epoch on the same
   // predicted demands — the comparison drivers of the failure benches.

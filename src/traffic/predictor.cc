@@ -5,7 +5,7 @@
 namespace ldr {
 
 double MeanRatePredictor::Update(double measured_mean) {
-  double scaled_est = measured_mean * hedge_;
+  double scaled_est = measured_mean * kHedge;
   if (!primed_) {
     prediction_ = scaled_est;
     primed_ = true;
@@ -14,16 +14,14 @@ double MeanRatePredictor::Update(double measured_mean) {
   if (scaled_est > prediction_) {
     prediction_ = scaled_est;
   } else {
-    prediction_ = std::max(prediction_ * decay_, scaled_est);
+    prediction_ = std::max(prediction_ * kDecay, scaled_est);
   }
   return prediction_;
 }
 
-std::vector<double> PredictionRatios(const std::vector<double>& minute_means,
-                                     double decay_multiplier,
-                                     double fixed_hedge) {
+std::vector<double> PredictionRatios(const std::vector<double>& minute_means) {
   std::vector<double> ratios;
-  MeanRatePredictor pred(decay_multiplier, fixed_hedge);
+  MeanRatePredictor pred;
   for (size_t i = 0; i + 1 < minute_means.size(); ++i) {
     double predicted = pred.Update(minute_means[i]);
     if (predicted > 0) {

@@ -12,9 +12,9 @@ namespace ldr {
 
 class MeanRatePredictor {
  public:
-  explicit MeanRatePredictor(double decay_multiplier = 0.98,
-                             double fixed_hedge = 1.1)
-      : decay_(decay_multiplier), hedge_(fixed_hedge) {}
+  // Algorithm 1's constants: 2% decay per minute, 10% hedge.
+  static constexpr double kDecay = 0.98;
+  static constexpr double kHedge = 1.1;
 
   // Feeds the value measured over the last minute; returns (and stores) the
   // prediction for the next minute. The first call simply hedges the first
@@ -25,8 +25,6 @@ class MeanRatePredictor {
   bool primed() const { return primed_; }
 
  private:
-  double decay_;
-  double hedge_;
   double prediction_ = 0;
   bool primed_ = false;
 };
@@ -34,9 +32,7 @@ class MeanRatePredictor {
 // Runs the predictor over a series of per-minute means; returns, for each
 // minute i >= 1, the ratio measured[i] / predicted[i] — the quantity whose
 // CDF is the paper's Fig. 9.
-std::vector<double> PredictionRatios(const std::vector<double>& minute_means,
-                                     double decay_multiplier = 0.98,
-                                     double fixed_hedge = 1.1);
+std::vector<double> PredictionRatios(const std::vector<double>& minute_means);
 
 }  // namespace ldr
 

@@ -224,9 +224,7 @@ TEST(B4Properties, HeadroomIrrelevantUnderLowLoad) {
   const Graph& g = sc.topology.graph;
   KspCache cache(&g);
   B4Scheme plain(&g, &cache);
-  B4Options opts;
-  opts.headroom = 0.1;
-  B4Scheme hr(&g, &cache, opts);
+  B4Scheme hr(&g, &cache, /*headroom=*/0.1);
   RoutingOutcome a = plain.Route(sc.aggregates);
   RoutingOutcome b = hr.Route(sc.aggregates);
   EXPECT_TRUE(a.feasible);

@@ -371,10 +371,8 @@ TEST(B4, HeadroomReducesCongestion) {
                               MakeAgg(v, gn, 8)};
   std::vector<double> apsp = AllPairsShortestDelay(g);
 
-  B4Scheme plain(&g, &cache, {});
-  B4Options opts;
-  opts.headroom = 0.1;
-  B4Scheme with_headroom(&g, &cache, opts);
+  B4Scheme plain(&g, &cache);
+  B4Scheme with_headroom(&g, &cache, /*headroom=*/0.1);
   EvalResult plain_eval = Evaluate(g, aggs, plain.Route(aggs), apsp);
   EvalResult headroom_eval =
       Evaluate(g, aggs, with_headroom.Route(aggs), apsp);

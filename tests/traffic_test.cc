@@ -87,7 +87,7 @@ TEST(Trace, DownsampleAverages) {
 // --- Algorithm 1 ---
 
 TEST(Predictor, ExactAlgorithmSemantics) {
-  MeanRatePredictor p(0.98, 1.1);
+  MeanRatePredictor p;
   // First measurement primes: prediction = 10 * 1.1 = 11.
   EXPECT_DOUBLE_EQ(p.Update(10), 11.0);
   // Growth: scaled_est 22 > 11 -> prediction 22.
@@ -99,10 +99,10 @@ TEST(Predictor, ExactAlgorithmSemantics) {
 }
 
 TEST(Predictor, DecayFloorsAtScaledEstimate) {
-  MeanRatePredictor p(0.5, 1.1);  // fast decay to hit the floor
-  p.Update(10);                   // 11
-  p.Update(9);                    // max(5.5, 9.9) = 9.9
-  EXPECT_DOUBLE_EQ(p.prediction(), 9.9);
+  MeanRatePredictor p;
+  p.Update(10);   // 11
+  p.Update(9.9);  // max(11 * 0.98, 9.9 * 1.1) = max(10.78, 10.89)
+  EXPECT_DOUBLE_EQ(p.prediction(), 9.9 * 1.1);
 }
 
 TEST(Predictor, ConstantTrafficRatio) {

@@ -11,9 +11,13 @@
 //       --classes <w0,w1,...>   §8 class weights (each > 0); splits each
 //                               aggregate evenly across classes with these
 //                               delay weights (ldr scheme only)
-//       Unknown options, options without a value and out-of-range or
-//       non-finite values exit 2 with the usage text.
+//       Unknown options, options without a value, out-of-range or
+//       non-finite values and options the scheme ignores (--headroom
+//       outside b4/ldr, --classes outside ldr) exit 2 with the usage text.
 //   ldrctl corpus                          list the built-in synthetic zoo
+//
+// llpd, dot and corpus take no further arguments; extra ones exit 2 with
+// the usage text.
 //
 // Topology files may be the native text format or Topology Zoo GraphML
 // (detected by a leading '<').
@@ -122,13 +126,15 @@ std::optional<double> ParseNumber(const char* text) {
 }
 
 // Parses `route` options. Unknown flags, flags without a value, values that
-// are not finite numbers and values that would route nonsense (negative
-// demand, headroom that leaves no capacity) all print an error and return
-// nullopt, so the caller exits 2 with the usage text instead of routing.
+// are not finite numbers, values that would route nonsense (negative
+// demand, headroom that leaves no capacity) and flags the chosen scheme
+// would ignore all print an error and return nullopt, so the caller exits 2
+// with the usage text instead of routing.
 std::optional<RouteOptions> ParseRouteOptions(int argc, char** argv) {
   static const char* const kFlags[] = {"--scheme", "--headroom", "--load",
                                        "--locality", "--seed", "--classes"};
   RouteOptions o;
+  bool headroom_set = false;
   for (int i = 0; i < argc; i += 2) {
     const char* flag = argv[i];
     if (std::none_of(std::begin(kFlags), std::end(kFlags),
@@ -171,6 +177,7 @@ std::optional<RouteOptions> ParseRouteOptions(int argc, char** argv) {
         return bad("a fraction in [0, 1)");
       }
       o.headroom = *v;
+      headroom_set = true;
     } else if (!std::strcmp(flag, "--load")) {
       std::optional<double> v = ParseNumber(value);
       if (!v.has_value() || *v <= 0) return bad("a positive number");
@@ -180,6 +187,15 @@ std::optional<RouteOptions> ParseRouteOptions(int argc, char** argv) {
       if (!v.has_value() || *v < 0) return bad("a non-negative number");
       o.locality = *v;
     }
+  }
+  const std::string& scheme = o.scheme_name;
+  const char* ignored = nullptr;
+  if (headroom_set && scheme != "b4" && scheme != "ldr") ignored = "--headroom";
+  if (!o.class_weights.empty() && scheme != "ldr") ignored = "--classes";
+  if (ignored != nullptr) {
+    std::fprintf(stderr, "ldrctl: %s has no effect with --scheme %s\n",
+                 ignored, scheme.c_str());
+    return std::nullopt;
   }
   return o;
 }
@@ -191,9 +207,7 @@ int CmdRoute(const Topology& t, const RouteOptions& o) {
   if (o.scheme_name == "sp") {
     scheme = std::make_unique<ShortestPathScheme>(&t.graph, &cache);
   } else if (o.scheme_name == "b4") {
-    B4Options b4o;
-    b4o.headroom = o.headroom;
-    scheme = std::make_unique<B4Scheme>(&t.graph, &cache, b4o);
+    scheme = std::make_unique<B4Scheme>(&t.graph, &cache, o.headroom);
   } else if (o.scheme_name == "minmax") {
     scheme = std::make_unique<MinMaxScheme>(&t.graph, &cache);
   } else if (o.scheme_name == "minmaxk10") {
@@ -275,7 +289,7 @@ int CmdCorpus() {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string cmd = argv[1];
-  if (cmd == "corpus") return CmdCorpus();
+  if (cmd == "corpus") return argc == 2 ? CmdCorpus() : Usage();
   if (argc < 3) return Usage();
   // Options are checked before the topology is read, so a bad flag fails
   // fast whatever the file holds.
@@ -283,7 +297,7 @@ int main(int argc, char** argv) {
   if (cmd == "route") {
     route_opts = ParseRouteOptions(argc - 3, argv + 3);
     if (!route_opts.has_value()) return Usage();
-  } else if (cmd != "llpd" && cmd != "dot") {
+  } else if ((cmd != "llpd" && cmd != "dot") || argc != 3) {
     return Usage();
   }
   auto topology = LoadTopology(argv[2]);
