@@ -73,7 +73,12 @@ void BM_FftConvolution(benchmark::State& state) {
   // it: `k` aggregate PMFs over a common bin width of (sum of peaks) / 1024,
   // so their lengths sum to ~1024 bins and the result fills one 1024-point
   // transform (paper: "all the needed convolutions in milliseconds").
+  // With a second argument d > 0 the first PMF has d bins and the other k - 1
+  // share the rest: the measured shape, whose longest PMF holds more than
+  // n/8 bins. With d = 0 every PMF gets a near-equal share, which leaves
+  // more leading stages for ConvolvePmfs to skip.
   size_t k = static_cast<size_t>(state.range(0));
+  size_t dominant = static_cast<size_t>(state.range(1));
   Rng rng(5);
   std::vector<double> share(k);
   double share_total = 0;
@@ -81,12 +86,16 @@ void BM_FftConvolution(benchmark::State& state) {
     s = rng.Uniform(0.5, 1.5);
     share_total += s;
   }
+  if (dominant > 0) share_total -= share[0];
+  const size_t spread = dominant > 0 ? 1024 - dominant : 1023;
   std::vector<std::vector<double>> pmfs(k);
   size_t extra_left = 1023;  // sum of (length - 1): result length 1024
   for (size_t a = 0; a < k; ++a) {
-    size_t extra = a + 1 < k ? static_cast<size_t>(1023 * share[a] /
-                                                   share_total)
-                             : extra_left;
+    size_t extra = dominant > 0 && a == 0 ? dominant - 1
+                   : a + 1 < k ? static_cast<size_t>(
+                                     static_cast<double>(spread) * share[a] /
+                                     share_total)
+                               : extra_left;
     extra_left -= extra;
     double total = 0;
     for (size_t i = 0; i <= extra; ++i) {
@@ -100,7 +109,9 @@ void BM_FftConvolution(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_FftConvolution)->Arg(4)->Arg(10)->Arg(17);
+BENCHMARK(BM_FftConvolution)
+    ->Args({4, 0})->Args({10, 0})->Args({17, 0})
+    ->Args({4, 400})->Args({10, 400})->Args({17, 400});
 
 }  // namespace
 

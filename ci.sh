@@ -42,9 +42,13 @@
 #                Perf refactors cannot silently break the parity markers the
 #                BENCH baseline stands on. Then runs the controller
 #                benchmark (perfbench's ldr_bench) for 1 s on each workload
-#                (steady_mux, cold_grid, failover, seed 1, untraced) and
-#                fails unless each result reports "correct": true and
-#                "failed": 0.
+#                (steady_mux, cold_grid, failover, seed 1, untraced), then
+#                steady_mux once more for 1 s traced (--trace 1), where the
+#                benchmark's span mirror re-runs every epoch through the
+#                public calls (its appraisal scans each series for its peak)
+#                and must place bitwise like the controller (which carries
+#                the per-epoch peaks); fails unless each result reports
+#                "correct": true and "failed": 0.
 #   --soak       implies --sanitize; after the suite, re-run the randomized
 #                fault campaigns (fault_injection_test) and the seeded
 #                correlated-failure campaign slice (campaign_test) with
@@ -213,16 +217,19 @@ if [ "$BENCH_SMOKE" = 1 ]; then
       exit 1
     fi
   done
-  for workload in steady_mux cold_grid failover; do
+  for run in steady_mux:0 cold_grid:0 failover:0 steady_mux:1; do
+    workload=${run%:*}
+    trace=${run#*:}
     RESULT=$("$BUILD_DIR/perfbench/ldr_bench" --workload "$workload" \
-        --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
     echo "$RESULT" >&2
     if ! grep -q '"correct": true' <<<"$RESULT" || \
         ! grep -q '"failed": 0,' <<<"$RESULT"; then
-      echo "ci.sh: bench smoke FAILED (ldr_bench $workload)" >&2
+      echo "ci.sh: bench smoke FAILED (ldr_bench $workload --trace $trace)" >&2
       exit 1
     fi
   done
   echo "ci.sh: bench smoke OK (objective/kkt/placement/recovery/survivability markers true;" \
-      "ldr_bench steady_mux/cold_grid/failover correct, 0 failed ops)" >&2
+      "ldr_bench steady_mux/cold_grid/failover and traced steady_mux correct," \
+      "0 failed ops)" >&2
 fi

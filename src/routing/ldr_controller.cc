@@ -96,6 +96,8 @@ LdrControllerResult LdrController::RunEpoch(
   // Whether warm re-entry actually happened is read off the first round's
   // outcome (IterativeLpRoute makes — and reports — that decision).
   const PathStore& store = *cache_->store();
+  std::vector<double> series_peak;  // fixed for the epoch; weights move
+  for (const auto& s : segment_100ms) series_peak.push_back(SeriesPeak(s));
   std::vector<std::vector<WeightedSeries>> on_link(g.LinkCount());
   std::vector<size_t> on_link_count(g.LinkCount());
   std::vector<bool> failing(g.LinkCount());
@@ -141,7 +143,7 @@ LdrControllerResult LdrController::RunEpoch(
         if (pa.fraction <= 1e-9) continue;
         for (LinkId l : store.Links(pa.path)) {
           on_link[static_cast<size_t>(l)].push_back(
-              {&segment_100ms[a], pa.fraction});
+              {&segment_100ms[a], pa.fraction, series_peak[a]});
         }
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace ldr {
 namespace {
@@ -32,22 +33,53 @@ struct FftPlan {
   }
 
   // In place, bit-reversed in, natural out; kernel e^{+2*pi*i*k/n} (unscaled).
-  void Transform(double* re, double* im, bool invert) const {
+  // Starts at half-width first_h (ConvolvePmfs fills in the stages below).
+  // Stages with h >= 2 run two j at once, each lane doing the scalar IEEE
+  // operations in the scalar order, so the result is bitwise the same.
+  void Transform(double* re, double* im, bool invert,
+                 size_t first_h = 1) const {
     const double sign = invert ? -1.0 : 1.0;
-    for (size_t h = 1; h < n; h <<= 1) {
+    for (size_t h = first_h; h < n; h <<= 1) {
       for (size_t i = 0; i < n; i += 2 * h) {
-        for (size_t a = i, b = i + h, t = h - 1; a < i + h; ++a, ++b, ++t) {
-          const double cr = wr[t];
-          const double ci = sign * wi[t];
-          double vr = re[b] * cr - im[b] * ci;
-          double vi = re[b] * ci + im[b] * cr;
-          re[b] = re[a] - vr;
-          im[b] = im[a] - vi;
-          re[a] += vr;
-          im[a] += vi;
+        if (h == 1) {
+          Butterfly<double>(re, im, i, i + 1, 0, sign);
+        } else {
+          for (size_t j = 0; j < h; j += 2) {
+            Butterfly<Lanes>(re, im, i + j, i + j + h, h - 1 + j, sign);
+          }
         }
       }
     }
+  }
+
+ private:
+  typedef double Lanes __attribute__((vector_size(16)));
+
+  template <typename V>
+  static V Load(const double* p) {
+    V v{};
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+
+  template <typename V>
+  static void Store(double* p, V v) {
+    std::memcpy(p, &v, sizeof v);
+  }
+
+  template <typename V>
+  void Butterfly(double* re, double* im, size_t a, size_t b, size_t t,
+                 double sign) const {
+    const V cr = Load<V>(&wr[t]);
+    const V ci = sign * Load<V>(&wi[t]);
+    const V br = Load<V>(re + b), bi = Load<V>(im + b);
+    const V ar = Load<V>(re + a), ai = Load<V>(im + a);
+    const V vr = br * cr - bi * ci;
+    const V vi = br * ci + bi * cr;
+    Store(re + b, ar - vr);
+    Store(im + b, ai - vi);
+    Store(re + a, ar + vr);
+    Store(im + a, ai + vi);
   }
 };
 
@@ -89,13 +121,21 @@ std::vector<double> ConvolvePmfs(
   acc_i.assign(n / 2 + 1, 0.0);  // bins 0..n/2 determine it
   for (size_t a = 0; a < pmfs.size(); a += 2) {
     const bool paired = a + 1 < pmfs.size();
-    zr.assign(n, 0.0);
-    zi.assign(n, 0.0);
-    for (size_t i = 0; i < pmfs[a].size(); ++i) zr[plan.rev[i]] = pmfs[a][i];
-    for (size_t i = 0; paired && i < pmfs[a + 1].size(); ++i) {
-      zi[plan.rev[i]] = pmfs[a + 1][i];
+    const std::vector<double>& x = pmfs[a];
+    const std::vector<double>& y = paired ? pmfs[a + 1] : pmfs[a];
+    // Input i < len lands at rev[i], a multiple of block; the first
+    // log2(block) stages only add +-(w * 0) to it (see fft.h), which leaves
+    // it bitwise, so each block starts out filled with its value.
+    const size_t len = NextPowerOfTwo(std::max(x.size(), y.size()));
+    const size_t block = n / len;
+    zr.resize(n);
+    zi.resize(n);
+    for (size_t i = 0; i < len; ++i) {
+      std::fill_n(&zr[plan.rev[i]], block, i < x.size() ? x[i] : 0.0);
+      std::fill_n(&zi[plan.rev[i]], block,
+                  paired && i < y.size() ? y[i] : 0.0);
     }
-    plan.Transform(zr.data(), zi.data(), false);
+    plan.Transform(zr.data(), zi.data(), false, block);
     for (size_t k = 0, m = 0; k <= n / 2; ++k, m = n - k) {
       double pr = zr[k];
       double pi = zi[k];

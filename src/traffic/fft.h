@@ -17,10 +17,13 @@ void Fft(std::vector<std::complex<double>>* a, bool invert);
 
 size_t NextPowerOfTwo(size_t n);
 
-// Convolution of real non-negative sequences (PMFs over a shared bin
-// width). Result length = sum of lengths - (count - 1); tiny negative
-// numerical residues are clamped to zero. Two PMFs share each transform;
-// with per-thread scratch, a call allocates only its result.
+// Convolution of PMFs (finite values, +0 or positive, never -0) over a
+// shared bin width. Result length = sum of lengths - (count - 1); tiny
+// negative residues are clamped to zero. Two PMFs share each n-point
+// transform; with per-thread scratch, only the result is allocated. A pair
+// whose longer PMF fits in L = 2^m bins skips the first log2(n / L) forward
+// stages: they only add +-(w * 0) to values >= +0, so the output is bitwise
+// the every-stage transform's.
 std::vector<double> ConvolvePmfs(const std::vector<std::vector<double>>& pmfs);
 
 // Quantizes rate samples (Gbps) into a PMF over bins of `bin_gbps`, bin i

@@ -34,26 +34,33 @@ double MaxQueueDelayMs(const std::vector<WeightedSeries>& inputs,
   return worst_ms;
 }
 
+double SeriesPeak(const std::vector<double>& s) {
+  // Four running maxima break the dependency chain; max is exact, so the
+  // peak is unchanged. GCC -O2 vectorizes the lanes only if each sample is
+  // copied (double{...}); on the element reference it folds them to one chain.
+  double m[4] = {0, 0, 0, 0};
+  size_t t = 0;
+  for (; t + 4 <= s.size(); t += 4) {
+    for (size_t q = 0; q < 4; ++q) m[q] = std::max(m[q], double{s[t + q]});
+  }
+  for (; t < s.size(); ++t) m[0] = std::max(m[0], s[t]);
+  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+}
+
 LinkCheckResult CheckLinkMultiplexing(const std::vector<WeightedSeries>& inputs,
                                       double capacity_gbps,
                                       const MultiplexOptions& opts) {
   LinkCheckResult r;
   // Optimization 1: if even the peaks sum below capacity, both tests pass.
-  // The per-aggregate peaks also size test C's PMFs. Four running maxima
-  // break the dependency chain; max is exact, so the peak is unchanged.
+  // The per-aggregate peaks also size test C's PMFs.
   thread_local std::vector<double> peaks;
   peaks.clear();
   double peak_sum = 0;
   size_t len = 0;
   for (const WeightedSeries& w : inputs) {
     const std::vector<double>& s = *w.series_gbps;
-    double m[4] = {0, 0, 0, 0};
-    size_t t = 0;
-    for (; t + 4 <= s.size(); t += 4) {
-      for (size_t q = 0; q < 4; ++q) m[q] = std::max(m[q], s[t + q] * w.weight);
-    }
-    for (; t < s.size(); ++t) m[0] = std::max(m[0], s[t] * w.weight);
-    peaks.push_back(std::max(std::max(m[0], m[1]), std::max(m[2], m[3])));
+    double peak = w.peak_gbps >= 0 ? w.peak_gbps : SeriesPeak(s);
+    peaks.push_back(peak * w.weight);
     peak_sum += peaks.back();
     len = std::max(len, s.size());
   }

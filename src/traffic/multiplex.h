@@ -22,11 +22,18 @@
 namespace ldr {
 
 // One aggregate's contribution to a link: its measured rate series (Gbps,
-// fixed period) scaled by the routed fraction.
+// fixed period) scaled by the routed fraction, weight > 0. `peak_gbps` is
+// SeriesPeak(*series_gbps), carried per epoch by the controller; negative
+// means not supplied, and CheckLinkMultiplexing scans. Both give the same
+// scaled peak: rounding is monotone, so max_t fl(v_t*w) = fl(max_t v_t * w).
 struct WeightedSeries {
   const std::vector<double>* series_gbps = nullptr;
   double weight = 1.0;
+  double peak_gbps = -1.0;
 };
+
+// max(0, max_t series[t]): the peak of a rate series, floored at zero.
+double SeriesPeak(const std::vector<double>& series_gbps);
 
 struct MultiplexOptions {
   double max_queue_ms = 10.0;

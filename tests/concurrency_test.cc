@@ -300,9 +300,14 @@ TEST(Concurrency, ThreadLocalFftScratchAcrossSizes) {
     }
     return pmfs;
   };
-  // Output lengths 7, 1000 and 1500 (k * (len - 1) + 1).
+  // Output lengths 7, 1000 and 1500 (k * (len - 1) + 1); the last input
+  // pairs a 400-bin PMF with short ones, so its pairs skip different
+  // numbers of leading stages.
+  std::vector<std::vector<double>> mixed = pmfs_of(1, 400);
+  const size_t short_lens[] = {3, 40, 9, 130, 17};
+  for (size_t len : short_lens) mixed.push_back(pmfs_of(1, len)[0]);
   const std::vector<std::vector<std::vector<double>>> inputs = {
-      pmfs_of(3, 3), pmfs_of(9, 112), pmfs_of(4, 375)};
+      pmfs_of(3, 3), pmfs_of(9, 112), pmfs_of(4, 375), mixed};
   std::vector<std::vector<double>> serial;
   for (const auto& pmfs : inputs) serial.push_back(ConvolvePmfs(pmfs));
   std::atomic<int> mismatches{0};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "traffic/fft.h"
 #include "traffic/multiplex.h"
@@ -330,18 +331,34 @@ std::vector<std::vector<double>> SampledPmfs(size_t k, size_t out_len,
   return pmfs;
 }
 
+// `k` PMFs whose convolution has exactly `out_len` bins, the first of them
+// `dominant` bins long: the shape the controller's links measure, where the
+// longest PMF holds more than n/8 of an n-point transform's bins.
+std::vector<std::vector<double>> DominantPmfs(size_t k, size_t out_len,
+                                              size_t dominant, Rng* rng) {
+  std::vector<std::vector<double>> pmfs{SampledPmf(dominant, rng)};
+  if (k == 1) return pmfs;
+  for (auto& p : SampledPmfs(k - 1, out_len - (dominant - 1), rng)) {
+    pmfs.push_back(std::move(p));
+  }
+  return pmfs;
+}
+
 TEST(Fft, ConvolvePmfsMatchesDirectConvolution) {
   Rng rng(19);
   struct Case {
-    size_t k, out_len;
+    size_t k, out_len, dominant;  // dominant 0: bins spread evenly
   };
   // Odd k leaves one PMF unpaired; out_len 1025 crosses 1024 -> 2048.
-  const Case cases[] = {{3, 15},    {1, 700},   {2, 1024},
-                        {3, 1024},  {4, 1024},  {10, 913},
-                        {17, 1024}, {3, 1025},  {17, 1025}};
+  const Case cases[] = {{3, 15, 0},    {1, 700, 0},   {2, 1024, 0},
+                        {3, 1024, 0},  {4, 1024, 0},  {10, 913, 0},
+                        {17, 1024, 0}, {3, 1025, 0},  {17, 1025, 0},
+                        {4, 1024, 300}, {10, 1024, 400}, {17, 1025, 500}};
   for (const Case& c : cases) {
     for (int rep = 0; rep < 3; ++rep) {
-      std::vector<std::vector<double>> pmfs = SampledPmfs(c.k, c.out_len, &rng);
+      std::vector<std::vector<double>> pmfs =
+          c.dominant > 0 ? DominantPmfs(c.k, c.out_len, c.dominant, &rng)
+                         : SampledPmfs(c.k, c.out_len, &rng);
       std::vector<double> fft = ConvolvePmfs(pmfs);
       std::vector<double> direct = DirectConvolution(pmfs);
       ASSERT_EQ(fft.size(), c.out_len);
@@ -351,6 +368,123 @@ TEST(Fft, ConvolvePmfsMatchesDirectConvolution) {
             << "k=" << c.k << " out_len=" << c.out_len << " bin " << i;
       }
     }
+  }
+}
+
+// The convolution as an every-stage scalar radix-2 transform: the same
+// twiddles, pairing and operation order as ConvolvePmfs, without skipping
+// the stages that pair values with zero padding or running two lanes.
+std::vector<double> FullStageConvolution(
+    const std::vector<std::vector<double>>& pmfs) {
+  size_t out_len = 1;
+  for (const auto& p : pmfs) out_len += p.size() - 1;
+  const size_t n = NextPowerOfTwo(out_len);
+  std::vector<double> wr(n - 1), wi(n - 1);
+  for (size_t h = 1; h < n; h <<= 1) {
+    for (size_t j = 0; j < h; ++j) {
+      double angle = M_PI * static_cast<double>(j) / static_cast<double>(h);
+      wr[h - 1 + j] = std::cos(angle);
+      wi[h - 1 + j] = std::sin(angle);
+    }
+  }
+  std::vector<size_t> rev(n, 0);
+  for (size_t i = 1; i < n; ++i) {
+    rev[i] = (rev[i >> 1] >> 1) | ((i & 1) ? n >> 1 : 0);
+  }
+  auto transform = [&](std::vector<double>& re, std::vector<double>& im,
+                       bool invert) {
+    const double sign = invert ? -1.0 : 1.0;
+    for (size_t h = 1; h < n; h <<= 1) {
+      for (size_t i = 0; i < n; i += 2 * h) {
+        for (size_t a = i, b = i + h, t = h - 1; a < i + h; ++a, ++b, ++t) {
+          const double cr = wr[t];
+          const double ci = sign * wi[t];
+          double vr = re[b] * cr - im[b] * ci;
+          double vi = re[b] * ci + im[b] * cr;
+          re[b] = re[a] - vr;
+          im[b] = im[a] - vi;
+          re[a] += vr;
+          im[a] += vi;
+        }
+      }
+    }
+  };
+  std::vector<double> acc_r(n / 2 + 1, 1.0), acc_i(n / 2 + 1, 0.0);
+  std::vector<double> zr(n), zi(n);
+  for (size_t a = 0; a < pmfs.size(); a += 2) {
+    const bool paired = a + 1 < pmfs.size();
+    zr.assign(n, 0.0);
+    zi.assign(n, 0.0);
+    for (size_t i = 0; i < pmfs[a].size(); ++i) zr[rev[i]] = pmfs[a][i];
+    for (size_t i = 0; paired && i < pmfs[a + 1].size(); ++i) {
+      zi[rev[i]] = pmfs[a + 1][i];
+    }
+    transform(zr, zi, false);
+    for (size_t k = 0, m = 0; k <= n / 2; ++k, m = n - k) {
+      double pr = zr[k];
+      double pi = zi[k];
+      if (paired) {
+        double xr = 0.5 * (zr[k] + zr[m]);
+        double xi = 0.5 * (zi[k] - zi[m]);
+        double yr = 0.5 * (zi[k] + zi[m]);
+        double yi = 0.5 * (zr[m] - zr[k]);
+        pr = xr * yr - xi * yi;
+        pi = xr * yi + xi * yr;
+      }
+      double r = acc_r[k] * pr - acc_i[k] * pi;
+      acc_i[k] = acc_r[k] * pi + acc_i[k] * pr;
+      acc_r[k] = r;
+    }
+  }
+  for (size_t k = 0; k < n; ++k) {
+    zr[rev[k]] = acc_r[std::min(k, n - k)];
+    zi[rev[k]] = k > n / 2 ? -acc_i[n - k] : acc_i[k];
+  }
+  transform(zr, zi, true);
+  std::vector<double> out(out_len);
+  for (size_t i = 0; i < out_len; ++i) {
+    out[i] = std::max(0.0, zr[i] * (1.0 / static_cast<double>(n)));
+  }
+  return out;
+}
+
+TEST(Fft, ConvolvePmfsBitwiseAgainstFullStageReference) {
+  Rng rng(2303);
+  std::vector<std::vector<std::vector<double>>> inputs;
+  auto add = [&](const std::vector<size_t>& lens) {
+    std::vector<std::vector<double>> pmfs;
+    for (size_t len : lens) pmfs.push_back(SampledPmf(len, &rng));
+    inputs.push_back(std::move(pmfs));
+  };
+  // Single PMFs, among them one bin and lengths 2^m and 2^m + 1.
+  add({1});
+  add({2});
+  add({700});
+  add({1024});
+  add({1025});  // out_len 1025: a 2048-point transform
+  // Pairs of unequal length, and odd counts whose last PMF is alone.
+  add({512, 3});
+  add({3, 512});
+  add({257, 64, 9});
+  add({4, 5, 600});
+  add({128, 129, 2, 17});
+  add({513, 513});  // out_len 1025
+  const size_t counts[] = {1, 2, 3, 4, 10, 17};
+  for (size_t k : counts) {
+    for (int rep = 0; rep < 3; ++rep) {
+      size_t dominant = static_cast<size_t>(rng.UniformInt(257, 500));
+      size_t out_len = k == 1 ? dominant : 1024 + static_cast<size_t>(rep % 2);
+      inputs.push_back(DominantPmfs(k, out_len, dominant, &rng));
+      inputs.push_back(SampledPmfs(k, out_len, &rng));
+    }
+  }
+  for (size_t c = 0; c < inputs.size(); ++c) {
+    std::vector<double> got = ConvolvePmfs(inputs[c]);
+    std::vector<double> want = FullStageConvolution(inputs[c]);
+    ASSERT_EQ(got.size(), want.size()) << "case " << c;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0)
+        << "case " << c << " (" << inputs[c].size() << " PMFs)";
   }
 }
 
@@ -408,6 +542,67 @@ TEST(Multiplex, VerdictsMatchDirectConvolutionOracle) {
   EXPECT_GE(fft_tests, 300);
   EXPECT_GE(fft_fails, 100);
   EXPECT_GE(fft_tests - fft_fails, 100);
+}
+
+// A peak carried in WeightedSeries::peak_gbps must give the same result,
+// bit for bit, as the scan CheckLinkMultiplexing falls back to.
+TEST(Multiplex, SuppliedSeriesPeakMatchesScan) {
+  Rng rng(2304);
+  MultiplexOptions opts;
+  auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  int skipped = 0, b_fails = 0, fft_tests = 0;
+  for (int link = 0; link < 600; ++link) {
+    size_t k = static_cast<size_t>(rng.UniformInt(1, 12));
+    std::vector<std::vector<double>> series(k);
+    std::vector<WeightedSeries> scan, supplied;
+    double mean_sum = 0, peak_sum = 0;
+    for (std::vector<double>& s : series) {
+      // Lengths off a multiple of 4 and, now and then, an empty series.
+      size_t len = rng.Chance(0.05) ? 0 : 600 + rng.NextIndex(4) - 1;
+      double mean = rng.Uniform(-0.2, 2.0);  // negative samples included
+      double burst = rng.Uniform(0, 1);
+      for (size_t t = 0; t < len; ++t) {
+        double v = mean * (1 + 0.4 * rng.Gaussian());
+        s.push_back(rng.Chance(0.01) ? v * (1 + 4 * burst) : v);
+      }
+      double w = 1.0 - rng.NextDouble();  // (0, 1]
+      if (rng.Chance(0.05)) w = 1.0;
+      scan.push_back({&s, w});  // peak_gbps left at "not supplied"
+      supplied.push_back({&s, w, SeriesPeak(s)});
+      ASSERT_LT(scan.back().peak_gbps, 0.0);
+      // Rounding is monotone: the scaled peak is the peak of scaled samples.
+      double scaled_peak = 0;
+      for (double v : s) scaled_peak = std::max(scaled_peak, v * w);
+      EXPECT_EQ(bits(SeriesPeak(s) * w), bits(scaled_peak)) << "link " << link;
+      for (double v : s) mean_sum += v * w / static_cast<double>(s.size());
+      peak_sum += scaled_peak;
+    }
+    double capacity =
+        rng.Uniform(std::max(0.0, mean_sum) * 0.9, peak_sum * 1.3);
+    LinkCheckResult a = CheckLinkMultiplexing(scan, capacity, opts);
+    LinkCheckResult b = CheckLinkMultiplexing(supplied, capacity, opts);
+    EXPECT_EQ(a.pass, b.pass) << "link " << link;
+    EXPECT_EQ(a.skipped_peak_test, b.skipped_peak_test) << "link " << link;
+    EXPECT_EQ(bits(a.queue_delay_ms), bits(b.queue_delay_ms))
+        << "link " << link;
+    EXPECT_EQ(bits(a.exceed_probability), bits(b.exceed_probability))
+        << "link " << link;
+    if (a.skipped_peak_test) {
+      ++skipped;
+    } else if (a.queue_delay_ms > opts.max_queue_ms) {
+      ++b_fails;
+    } else {
+      ++fft_tests;
+    }
+  }
+  // All three outcomes are well represented.
+  EXPECT_GE(skipped, 100);
+  EXPECT_GE(b_fails, 100);
+  EXPECT_GE(fft_tests, 100);
 }
 
 }  // namespace
