@@ -10,10 +10,10 @@ int main() {
   using namespace ldr;
   std::printf("# Ablation: MinMaxK10 (fixed paths) vs MinMax (grown paths)\n");
   std::printf("# rows: <scheme>-stretch|<scheme>-fit  <llpd>  <value>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   CorpusRunOptions opts;
   opts.scheme_ids = {kSchemeMinMax, kSchemeMinMaxK10};
-  opts.workload.num_instances = BenchFullScale() ? 5 : 2;
+  opts.workload.num_instances = bench::BenchFullScale() ? 5 : 2;
   opts.workload.target_utilization = 0.85;  // stress path choice
   int idx = 0;
   for (const Topology& t : corpus) {

@@ -10,21 +10,28 @@
 //                     116-network corpus at paper-scale instance counts.
 //   LDR_THREADS       worker count for the parallel corpus runner (default:
 //                     hardware concurrency). Instances and topologies fan
-//                     out across this many threads with per-task KspCaches;
-//                     results are identical for every value, so it is purely
-//                     a wall-clock dial. LDR_THREADS=1 forces the serial
-//                     path (one shared KspCache, minimum total CPU).
+//                     out across this many threads, each worker keeping one
+//                     KspCache; results are identical for every value, so it
+//                     is purely a wall-clock dial. LDR_THREADS=1 runs the same
+//                     code on one worker (one KspCache, minimum total CPU).
 //
-// The micro_* benches (google-benchmark) ignore both knobs; their runtime is
-// set with --benchmark_min_time and friends. tools/bench_to_json runs a
-// fixed subset of all of the above and emits BENCH_lp.json for the perf
-// trajectory.
+// LDR_BENCH_SCALE is read here, by the benches and tools/bench_to_json; the
+// library reads only LDR_THREADS. The micro_* benches (google-benchmark)
+// ignore both knobs; their runtime is set with --benchmark_min_time and
+// friends. tools/bench_to_json runs a fixed subset of all of the above and
+// emits BENCH_lp.json for the perf trajectory.
 #ifndef LDR_BENCH_BENCH_UTIL_H_
 #define LDR_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <vector>
+
+#include "topology/topology.h"
+#include "topology/zoo_corpus.h"
 
 namespace ldr::bench {
 
@@ -42,6 +49,28 @@ inline void Note(const char* fmt, ...) {
   buf[end] = '\n';
   buf[end + 1] = '\0';
   std::fputs(buf, stderr);
+}
+
+// True when LDR_BENCH_SCALE is "full" (default "small").
+inline bool BenchFullScale() {
+  const char* env = std::getenv("LDR_BENCH_SCALE");
+  return env != nullptr && std::strcmp(env, "full") == 0;
+}
+
+// The zoo corpus at bench scale: all of it under LDR_BENCH_SCALE=full,
+// otherwise every `small_stride`-th topology plus the named specials.
+inline std::vector<Topology> BenchCorpus(size_t small_stride = 4) {
+  std::vector<Topology> corpus = ZooCorpus();
+  if (BenchFullScale() || small_stride <= 1) return corpus;
+  std::vector<Topology> out;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    // Always keep the named specials; stride the rest.
+    if (corpus[i].name == "GTS-like" || corpus[i].name == "Cogent-like" ||
+        corpus[i].name == "Globalcenter-like" || i % small_stride == 0) {
+      out.push_back(std::move(corpus[i]));
+    }
+  }
+  return out;
 }
 
 }  // namespace ldr::bench

@@ -11,7 +11,7 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 1: APA CDF per network (stretch limit 1.4)\n");
   std::printf("# rows: apa:<network>  <apa>  <cum-fraction>  |  llpd  <index>  <llpd>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   ApaOptions opts;
   int idx = 0;
   for (const Topology& t : corpus) {

@@ -12,10 +12,10 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 3: SP congestion vs LLPD\n");
   std::printf("# rows: median|p90  <llpd>  <congested-fraction>   (one point per network)\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   CorpusRunOptions opts;
   opts.scheme_ids = {kSchemeSp};
-  opts.workload.num_instances = BenchFullScale() ? 10 : 3;
+  opts.workload.num_instances = bench::BenchFullScale() ? 10 : 3;
   std::atomic<size_t> done{0};
   std::vector<TopologyRun> runs =
       RunCorpus(corpus, opts, [&](size_t i) {

@@ -16,11 +16,11 @@ int main() {
   std::printf(
       "# rows: cong-median:<scheme>|cong-p90:<scheme>|stretch-median:<scheme>"
       "|stretch-p90:<scheme>  <llpd>  <value>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   CorpusRunOptions opts;
   opts.scheme_ids = {kSchemeOptimal, kSchemeB4, kSchemeMinMax,
                      kSchemeMinMaxK10};
-  opts.workload.num_instances = BenchFullScale() ? 10 : 3;
+  opts.workload.num_instances = bench::BenchFullScale() ? 10 : 3;
   std::atomic<size_t> done{0};
   std::vector<TopologyRun> runs =
       RunCorpus(corpus, opts, [&](size_t i) {

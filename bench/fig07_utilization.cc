@@ -22,7 +22,7 @@ int main() {
   }
   KspCache cache(&gts.graph);
   WorkloadOptions wopts;
-  wopts.num_instances = BenchFullScale() ? 9 : 3;
+  wopts.num_instances = bench::BenchFullScale() ? 9 : 3;
   auto workloads = MakeScaledWorkloads(gts, &cache, wopts);
   std::vector<double> apsp = AllPairsShortestDelay(gts.graph);
 

@@ -13,7 +13,7 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 8: median total-delay stretch vs LLPD at several headrooms\n");
   std::printf("# rows: h<percent>  <llpd>  <median-stretch>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   const double headrooms[] = {0.0, 0.11, 0.23, 0.40};
   int idx = 0;
   for (const Topology& t : corpus) {
@@ -22,7 +22,7 @@ int main() {
     double llpd = ComputeLlpd(t.graph);
     KspCache cache(&t.graph);
     WorkloadOptions wopts;
-    wopts.num_instances = BenchFullScale() ? 5 : 2;
+    wopts.num_instances = bench::BenchFullScale() ? 5 : 2;
     wopts.target_utilization = 0.60;
     auto workloads = MakeScaledWorkloads(t, &cache, wopts);
     std::vector<double> apsp = AllPairsShortestDelay(t.graph);

@@ -16,8 +16,8 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 15: optimization runtime CDFs on LLPD > 0.5 networks\n");
   std::printf("# rows: ldr|ldr-cold|link-based  <ms>  <cdf>\n");
-  std::vector<Topology> corpus = BenchCorpus();
-  bool full = BenchFullScale();
+  std::vector<Topology> corpus = bench::BenchCorpus();
+  bool full = bench::BenchFullScale();
   EmpiricalCdf warm_cdf, cold_cdf, link_cdf;
   int idx = 0;
   for (const Topology& t : corpus) {

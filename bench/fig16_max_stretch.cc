@@ -41,13 +41,13 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 16: max path stretch CDFs by LLPD group and headroom\n");
   std::printf("# rows: <panel>:<scheme>  <max-stretch>  <cdf>  |  fit:<panel>:<scheme>  0  <fraction>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   Panel a{"low-llpd-h0", {}, {}};
   Panel b{"high-llpd-h0", {}, {}};
   Panel c{"high-llpd-h10", {}, {}};
 
   CorpusRunOptions base;
-  base.workload.num_instances = BenchFullScale() ? 5 : 2;
+  base.workload.num_instances = bench::BenchFullScale() ? 5 : 2;
 
   // No-headroom pass over the full corpus: B4, Optimal(=LDR h0), MinMax,
   // MinMaxK10.

@@ -18,7 +18,7 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 17: median max stretch vs load, networks with LLPD > 0.5\n");
   std::printf("# rows: <scheme>  <load-percent>  <median-max-stretch>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   const double loads[] = {0.60, 0.70, 0.77, 0.85, 0.90};
 
   // Parallel LLPD pre-filter: keep the high-diversity group.
@@ -40,7 +40,7 @@ int main() {
     CorpusRunOptions opts;
     opts.scheme_ids = {kSchemeB4, kSchemeOptimal, kSchemeMinMax,
                        kSchemeMinMaxK10};
-    opts.workload.num_instances = BenchFullScale() ? 5 : 2;
+    opts.workload.num_instances = bench::BenchFullScale() ? 5 : 2;
     opts.workload.target_utilization = load;
     std::vector<TopologyRun> runs = RunCorpus(high, opts, [&](size_t i) {
       bench::Note("fig17 load %.0f%%: %s (%zu/%zu)", load * 100,

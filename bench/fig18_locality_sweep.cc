@@ -19,7 +19,7 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 18: median max stretch vs locality, networks with LLPD > 0.5\n");
   std::printf("# rows: <scheme>  <locality>  <median-max-stretch>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   const double localities[] = {0.0, 0.5, 1.0, 1.5, 2.0};
 
   // Parallel LLPD pre-filter: keep the high-diversity group.
@@ -41,7 +41,7 @@ int main() {
     CorpusRunOptions opts;
     opts.scheme_ids = {kSchemeB4, kSchemeOptimal, kSchemeMinMax,
                        kSchemeMinMaxK10};
-    opts.workload.num_instances = BenchFullScale() ? 5 : 2;
+    opts.workload.num_instances = bench::BenchFullScale() ? 5 : 2;
     opts.workload.locality = locality;
     std::vector<TopologyRun> runs = RunCorpus(high, opts, [&](size_t i) {
       bench::Note("fig18 locality %.1f: %s (%zu/%zu)", locality,

@@ -18,9 +18,9 @@ int main() {
   std::printf("# rows: median|p90|google-median|google-p90|google-optimal  <llpd>  <value>\n");
   CorpusRunOptions opts;
   opts.scheme_ids = {kSchemeSp};
-  opts.workload.num_instances = BenchFullScale() ? 10 : 3;
+  opts.workload.num_instances = bench::BenchFullScale() ? 10 : 3;
 
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
   std::vector<TopologyRun> runs = RunCorpus(corpus, opts, [&](size_t i) {
     bench::Note("fig19: %s (%zu/%zu)", corpus[i].name.c_str(), i + 1,
                 corpus.size());

@@ -15,7 +15,7 @@ int main() {
   using namespace ldr;
   std::printf("# Fig 20: stretch before/after +5%% links (picked by LLPD gain)\n");
   std::printf("# rows: median:<scheme>|p90:<scheme>  <stretch-before>  <stretch-after>\n");
-  std::vector<Topology> corpus = BenchCorpus();
+  std::vector<Topology> corpus = bench::BenchCorpus();
 
   // Pick 4 non-clique networks with the highest optimal-routing stretch:
   // ring-like topologies where even optimal placement detours.
@@ -41,7 +41,7 @@ int main() {
   CorpusRunOptions eval;
   eval.scheme_ids = {kSchemeOptimal, kSchemeB4, kSchemeMinMax,
                      kSchemeMinMaxK10};
-  eval.workload.num_instances = BenchFullScale() ? 5 : 2;
+  eval.workload.num_instances = bench::BenchFullScale() ? 5 : 2;
   eval.max_nodes = 40;
 
   for (const auto& [stretch, idx] : ranked) {
@@ -55,7 +55,7 @@ int main() {
     TopologyRun before = RunTopologyOnWorkloads(t, workloads, eval);
     Rng rng(20202);
     GrowthOptions gopts;
-    gopts.max_candidates = BenchFullScale() ? 150 : 60;
+    gopts.max_candidates = bench::BenchFullScale() ? 150 : 60;
     std::vector<GrowthStep> steps = GreedyLlpdAugment(&t, gopts, &rng);
     for (const GrowthStep& s : steps) {
       bench::Note("fig20:   added %d-%d llpd %.3f -> %.3f", s.a, s.b,

@@ -9,7 +9,6 @@
 // realized queueing, the highest fallback-ladder rung, and the per-event
 // reconvergence-epoch distribution. LDR_BENCH_SCALE=full widens the corpus
 // slice and seed count.
-#include <cstdlib>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -18,8 +17,7 @@
 
 int main() {
   using namespace ldr;
-  const char* scale = std::getenv("LDR_BENCH_SCALE");
-  const bool full = scale != nullptr && std::string(scale) == "full";
+  const bool full = bench::BenchFullScale();
   const size_t topologies = full ? 16 : 8;
   const uint64_t seeds = full ? 8 : 5;
 

@@ -223,12 +223,6 @@ class Solver::Impl {
     for (size_t i = 0; i < m_; ++i) xb_[i] += ftran_[i] * delta;
   }
 
-  double rhs(int row) const { return rhs_[static_cast<size_t>(row)]; }
-
-  void SetRhs(const std::vector<std::pair<int, double>>& rows) {
-    for (const auto& [row, value] : rows) SetRhs(row, value);
-  }
-
   // Basis-preserving bound repair. A basic variable only records the new
   // bounds — the next Solve() drives any violation out (dual restart or
   // primal phase 1). A nonbasic variable is re-rested on the finite bound
@@ -1940,10 +1934,6 @@ void Solver::AddToRow(int row, int var, double delta) {
 
 void Solver::SetRhs(int row, double rhs) { impl_->SetRhs(row, rhs); }
 
-void Solver::SetRhs(const std::vector<std::pair<int, double>>& rows) {
-  impl_->SetRhs(rows);
-}
-
 void Solver::SetBounds(int var, double lo, double hi) {
   impl_->SetBounds(var, lo, hi);
 }
@@ -1951,8 +1941,6 @@ void Solver::SetBounds(int var, double lo, double hi) {
 void Solver::FixVariable(int var, double value) {
   impl_->FixVariable(var, value);
 }
-
-double Solver::rhs(int row) const { return impl_->rhs(row); }
 
 void Solver::AddToObjective(int var, double delta) {
   impl_->AddToObjective(var, delta);

@@ -246,14 +246,10 @@ class Solver {
   // otherwise.
   void AddToRow(int row, int var, double delta);
 
-  // Replaces a row's right-hand side.
+  // Replaces a row's right-hand side in place, pushing the delta into the
+  // basic values; the basis is preserved (the capacity-row half of a
+  // topology repair).
   void SetRhs(int row, double rhs);
-  // Bulk rhs repair: each (row, rhs) entry replaces that row's right-hand
-  // side in place, pushing the deltas into the basic values — the
-  // capacity-row half of a topology repair. Equivalent to the single-row
-  // form per entry; the basis is preserved throughout.
-  void SetRhs(const std::vector<std::pair<int, double>>& rows);
-  double rhs(int row) const;
 
   // Overwrites a variable's bounds in place, preserving the basis. A
   // nonbasic variable is re-rested at the finite bound nearest its previous

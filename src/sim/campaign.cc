@@ -153,7 +153,6 @@ Scenario GenerateCampaign(const Topology& topology, uint64_t seed,
   Scenario s;
   s.name = topology.name + "+campaign" + std::to_string(seed);
   s.epochs = opts.epochs;
-  s.epoch_sec = opts.epoch_sec;
 
   Rng rng(seed ^ HashName(topology.name));
 

@@ -33,8 +33,7 @@
 namespace ldr {
 
 struct CampaignOptions {
-  int epochs = 18;
-  double epoch_sec = 60;
+  int epochs = 18;  // of Scenario's default 60 s each
   // Workload MinMax target utilization; 0.5 leaves the headroom correlated
   // failures are meant to eat into.
   double utilization = 0.5;

@@ -1,14 +1,9 @@
 #include "sim/corpus_runner.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
-
 #include "graph/shortest_path.h"
 #include "routing/b4.h"
 #include "routing/lp_routing.h"
 #include "routing/shortest_path_routing.h"
-#include "topology/zoo_corpus.h"
 #include "util/thread_pool.h"
 
 namespace ldr {
@@ -88,8 +83,8 @@ TopologyRun RunTopology(const Topology& topology,
 namespace {
 
 // Routes one instance with one scheme and writes the measurements into the
-// instance's slot — index-addressed so the parallel and serial paths yield
-// identical series.
+// instance's slot — index-addressed so every worker count yields identical
+// series.
 void EvaluateInstance(const Topology& topology, RoutingScheme* scheme,
                       const std::vector<Aggregate>& aggs,
                       const std::vector<double>& apsp, size_t slot,
@@ -138,42 +133,28 @@ TopologyRun RunTopologyOnWorkloads(
     run.schemes.push_back(std::move(series));
   }
 
-  size_t threads = std::min(workloads.size(), DefaultThreadCount());
-  if (threads <= 1 || ThreadPool::InWorker()) {
-    // Serial: one KspCache amortizes Yen across every scheme and instance,
-    // exactly as the paper's warm-cache controller would.
-    KspCache cache(&topology.graph);
+  // Instances are independent optimizations. Each worker keeps one KspCache
+  // for all the instances and schemes it processes (Yen results are pure, so
+  // per-worker memoization cannot change results), and measurements land in
+  // per-instance slots, so the series are identical for any LDR_THREADS. One
+  // thread, one instance or a call from inside a corpus worker runs inline
+  // on worker 0: one KspCache amortizes Yen across every scheme and
+  // instance, as the paper's warm-cache controller would.
+  std::vector<std::unique_ptr<KspCache>> caches(DefaultThreadCount());
+  ParallelForWorker(workloads.size(), [&](size_t worker, size_t i) {
+    if (caches[worker] == nullptr) {
+      caches[worker] = std::make_unique<KspCache>(&topology.graph);
+    }
     for (SchemeSeries& series : run.schemes) {
       std::unique_ptr<RoutingScheme> scheme =
-          MakeScheme(series.scheme, &topology.graph, &cache);
-      for (size_t i = 0; i < workloads.size(); ++i) {
-        EvaluateInstance(topology, scheme.get(), workloads[i], apsp, i,
-                         &series);
-      }
+          MakeScheme(series.scheme, &topology.graph, caches[worker].get());
+      EvaluateInstance(topology, scheme.get(), workloads[i], apsp, i,
+                       &series);
     }
-    run.path_unique_stored = cache.store()->intern_misses();
-  } else {
-    // Parallel: instances are independent optimizations. Each worker keeps
-    // one KspCache for all the instances and schemes it processes (Yen
-    // results are pure, so per-worker memoization cannot change results),
-    // and measurements land in per-instance slots, so the series are
-    // identical to the serial path for any LDR_THREADS.
-    std::vector<std::unique_ptr<KspCache>> caches(DefaultThreadCount());
-    ParallelForWorker(workloads.size(), [&](size_t worker, size_t i) {
-      if (caches[worker] == nullptr) {
-        caches[worker] = std::make_unique<KspCache>(&topology.graph);
-      }
-      for (SchemeSeries& series : run.schemes) {
-        std::unique_ptr<RoutingScheme> scheme =
-            MakeScheme(series.scheme, &topology.graph, caches[worker].get());
-        EvaluateInstance(topology, scheme.get(), workloads[i], apsp, i,
-                         &series);
-      }
-    });
-    for (const std::unique_ptr<KspCache>& cache : caches) {
-      if (cache == nullptr) continue;
-      run.path_unique_stored += cache->store()->intern_misses();
-    }
+  });
+  for (const std::unique_ptr<KspCache>& cache : caches) {
+    if (cache == nullptr) continue;
+    run.path_unique_stored += cache->store()->intern_misses();
   }
   for (const SchemeSeries& series : run.schemes) {
     for (uint32_t refs : series.allocation_refs) {
@@ -192,25 +173,6 @@ std::vector<TopologyRun> RunCorpus(const std::vector<Topology>& corpus,
     if (progress) progress(i);
   });
   return runs;
-}
-
-bool BenchFullScale() {
-  const char* env = std::getenv("LDR_BENCH_SCALE");
-  return env != nullptr && std::strcmp(env, "full") == 0;
-}
-
-std::vector<Topology> BenchCorpus(size_t small_stride) {
-  std::vector<Topology> corpus = ZooCorpus();
-  if (BenchFullScale() || small_stride <= 1) return corpus;
-  std::vector<Topology> out;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    // Always keep the named specials; stride the rest.
-    if (corpus[i].name == "GTS-like" || corpus[i].name == "Cogent-like" ||
-        corpus[i].name == "Globalcenter-like" || i % small_stride == 0) {
-      out.push_back(std::move(corpus[i]));
-    }
-  }
-  return out;
 }
 
 }  // namespace ldr

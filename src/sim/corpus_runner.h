@@ -83,7 +83,9 @@ struct CorpusRunOptions {
 // Traffic-matrix instances run in parallel across LDR_THREADS workers
 // (default: hardware concurrency); each worker keeps its own KspCache across
 // the instances it processes and writes into per-instance slots, so the
-// resulting SchemeSeries are identical for every thread count.
+// resulting SchemeSeries are identical for every thread count. LDR_THREADS=1,
+// or a call from inside a corpus worker, runs inline on worker 0 with a
+// single KspCache.
 TopologyRun RunTopology(const Topology& topology,
                         const CorpusRunOptions& opts);
 
@@ -96,19 +98,13 @@ TopologyRun RunTopologyOnWorkloads(
     const CorpusRunOptions& opts);
 
 // Runs every topology of a corpus, in parallel across LDR_THREADS workers
-// (nested instance-level parallelism degrades to serial inside a worker).
+// (nested instance-level parallelism runs inline on the calling worker).
 // Results are ordered like `corpus` regardless of thread count. `progress`,
 // when set, is invoked with the topology index as each one finishes (from
 // worker threads — keep it cheap and thread-safe).
 std::vector<TopologyRun> RunCorpus(
     const std::vector<Topology>& corpus, const CorpusRunOptions& opts,
     const std::function<void(size_t)>& progress = nullptr);
-
-// Bench scaling: reads LDR_BENCH_SCALE ("small" default, or "full").
-bool BenchFullScale();
-
-// Convenience subsampling for small-scale benches: keep every k-th topology.
-std::vector<Topology> BenchCorpus(size_t small_stride = 4);
 
 }  // namespace ldr
 

@@ -135,13 +135,12 @@ void Scenario::AddNodeOutage(NodeId node, int down_epoch, int up_epoch) {
 }
 
 std::vector<std::vector<double>> ConstantScenarioTraffic(
-    const std::vector<Aggregate>& aggregates, int epochs, double epoch_sec,
-    double utilization) {
+    const std::vector<Aggregate>& aggregates, int epochs, double epoch_sec) {
   size_t samples =
       static_cast<size_t>(epochs * epoch_sec / kSeriesPeriodSec + 0.5);
   std::vector<std::vector<double>> series(aggregates.size());
   for (size_t a = 0; a < aggregates.size(); ++a) {
-    series[a].assign(samples, aggregates[a].demand_gbps * utilization);
+    series[a].assign(samples, aggregates[a].demand_gbps);
   }
   return series;
 }

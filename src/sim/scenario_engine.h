@@ -15,9 +15,12 @@
 // optimizer's view (congestion/stretch from Evaluate) and the realized one
 // (queueing from replay).
 //
-// The engine is deliberately serial and consults no environment knobs:
-// identical scenarios produce bitwise-identical reports at any LDR_THREADS
-// setting (the ci.sh determinism probe holds it to that).
+// The engine is deliberately serial and consults no environment knobs: the
+// library's one, LDR_THREADS, sets only a worker count, and failpoints are
+// armed in code (Scenario::faults), never from the environment. Identical
+// scenarios produce bitwise-identical reports at any LDR_THREADS setting
+// (the ci.sh determinism probe holds it to that), and with LDR_FAILPOINTS
+// or LDR_BENCH_SCALE set (ctest env_knobs_ignored).
 #ifndef LDR_SIM_SCENARIO_ENGINE_H_
 #define LDR_SIM_SCENARIO_ENGINE_H_
 
@@ -146,12 +149,10 @@ struct Scenario {
 };
 
 // Builds the constant-rate timeline used by the failure benches and tests:
-// each aggregate transmits at `utilization` times its Scenario demand for
-// the whole scenario, so event-free epochs are exactly stationary (route
-// churn on them must be 0).
+// each aggregate transmits at its Scenario demand for the whole scenario, so
+// event-free epochs are exactly stationary (route churn on them must be 0).
 std::vector<std::vector<double>> ConstantScenarioTraffic(
-    const std::vector<Aggregate>& aggregates, int epochs, double epoch_sec,
-    double utilization = 1.0);
+    const std::vector<Aggregate>& aggregates, int epochs, double epoch_sec);
 
 // The inherited record is the LP telemetry of the epoch's solves (the
 // controller's RoutingOutcome totals; zero for scheme drivers).

@@ -1,6 +1,5 @@
 #include "util/failpoint.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 
@@ -31,19 +30,6 @@ Registry& GetRegistry() {
   static Registry* r = new Registry;  // never destroyed: sites may be hit
   return *r;                          // during static teardown
 }
-
-// Activates env-configured failpoints before main() so sites hit by code
-// that never calls Activate() still fire. Ordering with other dynamic
-// initializers is safe: the registry itself is a function-local static.
-struct EnvInstaller {
-  EnvInstaller() {
-    const char* spec = std::getenv("LDR_FAILPOINTS");
-    if (spec != nullptr && *spec != '\0') {
-      Failpoint::InstallFromSpecString(spec);
-    }
-  }
-};
-EnvInstaller g_env_installer;
 
 }  // namespace
 
@@ -129,66 +115,6 @@ bool Failpoint::ShouldFail(const char* name) {
   }
   ++s.fires;
   return true;
-}
-
-size_t Failpoint::InstallFromSpecString(const std::string& specs) {
-  size_t installed = 0;
-  size_t pos = 0;
-  while (pos <= specs.size()) {
-    size_t end = specs.find(';', pos);
-    if (end == std::string::npos) end = specs.size();
-    std::string entry = specs.substr(pos, end - pos);
-    pos = end + 1;
-    if (entry.empty()) continue;
-
-    size_t colon = entry.find(':');
-    std::string name = entry.substr(0, colon);
-    std::string mode =
-        colon == std::string::npos ? "always" : entry.substr(colon + 1);
-    if (name.empty()) continue;
-    if (mode == "off") continue;
-
-    Spec spec;
-    bool ok = true;
-    if (mode == "once") {
-      spec.limit = 1;
-    } else if (mode != "always" && !mode.empty()) {
-      size_t fpos = 0;
-      while (ok && fpos <= mode.size()) {
-        size_t fend = mode.find('+', fpos);
-        if (fend == std::string::npos) fend = mode.size();
-        std::string field = mode.substr(fpos, fend - fpos);
-        fpos = fend + 1;
-        if (field.empty()) continue;
-        size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-          ok = false;
-          break;
-        }
-        std::string key = field.substr(0, eq);
-        std::string value = field.substr(eq + 1);
-        try {
-          if (key == "skip") {
-            spec.skip = std::stoi(value);
-          } else if (key == "limit") {
-            spec.limit = std::stoi(value);
-          } else if (key == "p" || key == "prob") {
-            spec.probability = std::stod(value);
-          } else if (key == "seed") {
-            spec.seed = std::stoull(value);
-          } else {
-            ok = false;
-          }
-        } catch (...) {
-          ok = false;
-        }
-      }
-    }
-    if (!ok) continue;
-    Activate(name, spec);
-    ++installed;
-  }
-  return installed;
 }
 
 }  // namespace ldr::util

@@ -7,16 +7,11 @@
 // load — cheap enough to leave in release builds, which is the point: the
 // fault campaigns exercise the exact binaries the benches measure.
 //
-// Activation is programmatic (Activate/Deactivate, used by the scenario
-// engine's fault windows and the tests) or via the environment:
-//
-//   LDR_FAILPOINTS="lp.iter_limit:once;ksp.empty:p=0.5+seed=7+skip=3"
-//
-// Each entry is `site:mode` where mode is `always`, `once`, `off`, or a
-// `+`-joined list of `skip=N` (hits ignored before the trigger arms),
-// `limit=N` (max fires; -1 unlimited), `p=X` (per-hit Bernoulli), and
-// `seed=N` (SplitMix64 stream for the Bernoulli draws — same seed, same
-// fire pattern, every run).
+// Activation is programmatic only: Activate/Deactivate with a Spec, called
+// by the scenario engine for the fault windows of Scenario::faults (which the
+// degradation bench and the campaign soak arm) and by the tests. No
+// environment variable arms a site, so a run that sets no fault window
+// never injects a fault.
 //
 // Known sites (grep LDR_FAILPOINT for ground truth):
 //   lp.iter_limit        Solve() reports kIterLimit without iterating
@@ -53,7 +48,8 @@ class Failpoint {
     int skip = 0;              // hits ignored before the trigger arms
     int limit = -1;            // max fires; -1 = unlimited
     double probability = 1.0;  // per-armed-hit Bernoulli
-    uint64_t seed = 0;         // PRNG stream for the Bernoulli draws
+    uint64_t seed = 0;         // PRNG stream for the Bernoulli draws (same
+                               // seed, same fire pattern, every run)
   };
 
   // (Re)activates `name`; resets its hit/fire counters and PRNG stream.
@@ -74,11 +70,6 @@ class Failpoint {
   // The slow path behind LDR_FAILPOINT: records a hit and decides whether
   // the site fires. False for names never activated.
   static bool ShouldFail(const char* name);
-
-  // Parses the LDR_FAILPOINTS grammar and activates each entry; malformed
-  // entries are skipped. Returns the number of failpoints activated. Called
-  // automatically at startup on the env var; exposed for tests.
-  static size_t InstallFromSpecString(const std::string& specs);
 };
 
 inline bool FailpointsArmed() {

@@ -8,7 +8,8 @@
 // is bitwise identical regardless of worker count or scheduling order.
 //
 // Worker count comes from the LDR_THREADS environment variable (default:
-// hardware concurrency), mirroring the LDR_BENCH_SCALE knob. Nested
+// hardware concurrency), the only environment variable the library reads
+// (ldr_lint's ldr-getenv rule keeps it that way). Nested
 // ParallelFor calls — e.g. per-topology parallelism inside a corpus-level
 // sweep — run inline on the calling worker instead of deadlocking or
 // oversubscribing.

@@ -41,8 +41,7 @@ namespace {
 using util::Failpoint;
 
 // Every test starts and ends with a clean registry: failpoints are process
-// globals and must never leak across tests (or into other test binaries'
-// assumptions about LDR_FAILPOINTS being unset).
+// globals and must never leak across tests.
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override { Failpoint::DeactivateAll(); }
@@ -170,34 +169,6 @@ TEST_F(FaultInjectionTest, FailpointSeededProbabilityIsDeterministic) {
   spec.seed = 43;
   Failpoint::Activate("t.bern", spec);
   EXPECT_NE(draw(), first);
-}
-
-TEST_F(FaultInjectionTest, FailpointSpecStringParsing) {
-  // Grammar from failpoint.h: `site:mode` entries joined by ';', modes
-  // always/once/off or '+'-joined fields. Malformed entries are skipped.
-  size_t n = Failpoint::InstallFromSpecString(
-      "t.a:once;t.b:skip=1+limit=2;t.c;t.off:off;"
-      "t.bad:nonsense;t.bad2:p=abc;:always;t.p:p=0.5+seed=7");
-  EXPECT_EQ(n, 4u);  // t.a, t.b, t.c, t.p
-  EXPECT_TRUE(Failpoint::IsActive("t.a"));
-  EXPECT_TRUE(Failpoint::IsActive("t.b"));
-  EXPECT_TRUE(Failpoint::IsActive("t.c"));
-  EXPECT_TRUE(Failpoint::IsActive("t.p"));
-  EXPECT_FALSE(Failpoint::IsActive("t.off"));
-  EXPECT_FALSE(Failpoint::IsActive("t.bad"));
-  EXPECT_FALSE(Failpoint::IsActive("t.bad2"));
-
-  // once == limit 1.
-  EXPECT_TRUE(LDR_FAILPOINT("t.a"));
-  EXPECT_FALSE(LDR_FAILPOINT("t.a"));
-  // skip=1+limit=2: hit 1 skipped, then two fires.
-  EXPECT_FALSE(LDR_FAILPOINT("t.b"));
-  EXPECT_TRUE(LDR_FAILPOINT("t.b"));
-  EXPECT_TRUE(LDR_FAILPOINT("t.b"));
-  EXPECT_FALSE(LDR_FAILPOINT("t.b"));
-  // Bare name defaults to always.
-  EXPECT_TRUE(LDR_FAILPOINT("t.c"));
-  EXPECT_TRUE(LDR_FAILPOINT("t.c"));
 }
 
 // ---------------------------------------------------------------------------

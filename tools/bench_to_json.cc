@@ -34,11 +34,13 @@
 //                     produces all three matrices; median, min and max over
 //                     the runs, and the paths one run produces
 //   lp_revised        revised-simplex tracking: per-pivot cost and resident
-//                     solver memory on the lp_resolve_large warm round and
-//                     the shape_partial cold solve. basis_bytes is the
-//                     sparse L/U + update file the solver actually keeps.
-//                     objective_parity re-checks each warm/incremental solve
-//                     against a cold one-shot rebuild.
+//                     solver memory, counted on the solves lp_resolve and
+//                     lp_pricing already run: the lp_resolve_large warm
+//                     round, and the routing-shaped cold solves as
+//                     shape_partial. basis_bytes is the sparse L/U + update
+//                     file the solver actually keeps. objective_parity
+//                     re-checks each warm solve against its cold rebuild,
+//                     and is false if any base, warm or shape solve fails.
 //   lp_lu             the basis-size sweep: routing-shaped LPs generated at
 //                     increasing link counts, each solved cold. Per point:
 //                     wall-clock, pivots, per-pivot ms and resident basis
@@ -110,6 +112,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "bench/failure_scenario.h"
 #include "bench/lp_shapes.h"
 #include "routing/lp_routing.h"
@@ -137,14 +140,46 @@ double MedianMs(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
-// --- lp_resolve -------------------------------------------------------------
+// --- lp_resolve / lp_revised ----------------------------------------------
+
+// lp_revised: the revised-simplex work of the solves an lp_resolve or
+// lp_pricing run already does, counted on those same solves.
+struct RevisedStats {
+  double total_ms = 0;        // summed wall-clock of the measured solves
+  int reps = 0;               // solves actually measured (failures excluded)
+  long iters = 0;             // summed simplex iterations
+  long pivots = 0;            // summed basis-changing pivots
+  long ftran_nnz = 0;         // summed FTRAN input nonzeros
+  size_t basis_bytes = 0;     // resident L/U + file bytes (last solver)
+  bool objective_parity = true;
+  double per_pivot_ms() const {
+    return pivots > 0 ? total_ms / static_cast<double>(pivots) : 0;
+  }
+  // A failed solve clears objective_parity rather than dropping out.
+  void Record(double ms, const lp::Solution& s) {
+    total_ms += ms;
+    if (!s.ok()) {
+      objective_parity = false;
+      return;
+    }
+    ++reps;
+    iters += s.lp_iterations;
+    pivots += s.lp_pivots;
+    ftran_nnz += s.lp_ftran_nnz;
+    basis_bytes = s.lp_basis_bytes;
+  }
+};
 
 struct WarmCold {
   double warm_ms = 0;
   double cold_ms = 0;
+  RevisedStats revised;  // the warm solves
   double speedup() const { return warm_ms > 0 ? cold_ms / warm_ms : 0; }
 };
 
+// One Fig. 13 growth round per rep: warm AddColumn+re-solve vs cold
+// rebuild-and-solve. `revised` holds each warm objective to the cold one; a
+// failed base solve clears its objective_parity too.
 WarmCold BenchLpResolve(int aggregates, int links, int reps) {
   WarmCold wc;
   std::vector<double> warm, cold;
@@ -153,21 +188,28 @@ WarmCold BenchLpResolve(int aggregates, int links, int reps) {
                                              aggregates, links);
     bench::WarmLp base = bench::BuildSolverBase(spec);
     lp::Solution s0 = base.solver.Solve();
-    if (!s0.ok()) continue;
+    if (!s0.ok()) {
+      wc.revised.objective_parity = false;
+      continue;
+    }
 
     double t0 = NowMs();
     bench::AppendGrowth(spec, &base);
     lp::Solution sw = base.solver.Solve();
     warm.push_back(NowMs() - t0);
+    wc.revised.Record(warm.back(), sw);
 
     t0 = NowMs();
     lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
     lp::Solution sc = lp::Solve(p);
     cold.push_back(NowMs() - t0);
 
-    if (sw.ok() && sc.ok() &&
-        std::abs(sw.objective - sc.objective) >
-            1e-5 * (1 + std::abs(sc.objective))) {
+    if (!sw.ok()) continue;
+    if (!sc.ok()) {
+      wc.revised.objective_parity = false;
+    } else if (std::abs(sw.objective - sc.objective) >
+               1e-5 * (1 + std::abs(sc.objective))) {
+      wc.revised.objective_parity = false;
       std::fprintf(stderr,
                    "bench_to_json: warm/cold objective mismatch (%g vs %g)\n",
                    sw.objective, sc.objective);
@@ -297,6 +339,7 @@ struct PricingRun {
   long iters = 0;    // total simplex iterations
   long solved = 0;   // instances that reached optimal
   bool kkt_certificate = true;
+  RevisedStats revised;  // the routing-shaped solves (shape_partial)
   double per_iter() const {
     return iters > 0 ? static_cast<double>(columns) / static_cast<double>(iters)
                      : 0;
@@ -316,6 +359,7 @@ PricingRun BenchPricingShapes(int aggregates, int links, int reps) {
     lp::Solver solver(p);
     lp::Solution s = solver.Solve();
     times.push_back(NowMs() - t0);
+    out.revised.Record(times.back(), s);
     std::string violation = lp::KktViolation(p, s, &solver);
     if (!violation.empty()) {
       out.kkt_certificate = false;
@@ -372,81 +416,6 @@ PricingRun BenchPricingCorpus(CorpusPricingFixture* f) {
     if (o.lp_failures == 0) ++out.solved;
   }
   out.ms = NowMs() - t0;
-  return out;
-}
-
-// --- lp_revised -------------------------------------------------------------
-
-struct RevisedStats {
-  double total_ms = 0;        // summed wall-clock of the measured solves
-  int reps = 0;               // solves actually measured (failures excluded)
-  long iters = 0;             // summed simplex iterations
-  long pivots = 0;            // summed basis-changing pivots
-  long ftran_nnz = 0;         // summed FTRAN input nonzeros
-  size_t basis_bytes = 0;     // resident L/U + file bytes (last solver)
-  bool objective_parity = true;
-  double per_pivot_ms() const {
-    return pivots > 0 ? total_ms / static_cast<double>(pivots) : 0;
-  }
-};
-
-// The lp_resolve_large experiment (one Fig. 13 growth round re-solved warm),
-// instrumented: pivots, FTRAN volume, and the resident factorization bytes.
-RevisedStats BenchRevisedResolve(int aggregates, int links, int reps) {
-  RevisedStats out;
-  for (int r = 0; r < reps; ++r) {
-    auto spec = bench::RoutingLpSpec::Random(7 + static_cast<uint64_t>(r),
-                                             aggregates, links);
-    bench::WarmLp warm = bench::BuildSolverBase(spec);
-    lp::Solution s0 = warm.solver.Solve();
-    if (!s0.ok()) {
-      out.objective_parity = false;  // a failed solve must not drop out
-      continue;
-    }
-    double t0 = NowMs();
-    bench::AppendGrowth(spec, &warm);
-    lp::Solution sw = warm.solver.Solve();
-    out.total_ms += NowMs() - t0;
-    if (!sw.ok()) {
-      out.objective_parity = false;
-      continue;
-    }
-    ++out.reps;
-    out.iters += sw.lp_iterations;
-    out.pivots += sw.lp_pivots;
-    out.ftran_nnz += sw.lp_ftran_nnz;
-    out.basis_bytes = sw.lp_basis_bytes;
-    lp::Solution sc =
-        lp::Solve(bench::BuildProblem(spec, /*with_growth=*/true));
-    if (!sc.ok() || std::abs(sw.objective - sc.objective) >
-                        1e-5 * (1 + std::abs(sc.objective))) {
-      out.objective_parity = false;
-    }
-  }
-  return out;
-}
-
-// The shape_partial experiment (cold routing-shaped LP, partial pricing),
-// instrumented the same way.
-RevisedStats BenchRevisedShapes(int aggregates, int links, int reps) {
-  RevisedStats out;
-  for (int r = 0; r < reps; ++r) {
-    auto spec = bench::RoutingLpSpec::Random(21 + static_cast<uint64_t>(r),
-                                             aggregates, links);
-    lp::Problem p = bench::BuildProblem(spec, /*with_growth=*/true);
-    double t0 = NowMs();
-    lp::Solution s = lp::Solve(p);
-    out.total_ms += NowMs() - t0;
-    if (!s.ok()) {
-      out.objective_parity = false;
-      continue;
-    }
-    ++out.reps;
-    out.iters += s.lp_iterations;
-    out.pivots += s.lp_pivots;
-    out.ftran_nnz += s.lp_ftran_nnz;
-    out.basis_bytes = s.lp_basis_bytes;
-  }
   return out;
 }
 
@@ -847,15 +816,6 @@ int main(int argc, char** argv) {
   WarmCold resolve_small = BenchLpResolve(50, 25, smoke ? 3 : 7);
   WarmCold resolve_large = BenchLpResolve(150, 75, smoke ? 1 : 3);
 
-  std::fprintf(stderr, "bench_to_json: lp_revised...\n");
-  RevisedStats revised_resolve = BenchRevisedResolve(150, 75, smoke ? 1 : 3);
-  RevisedStats revised_shapes = BenchRevisedShapes(120, 60, smoke ? 2 : 5);
-  bool revised_parity =
-      revised_resolve.objective_parity && revised_shapes.objective_parity;
-  if (!revised_parity) {
-    std::fprintf(stderr, "bench_to_json: lp_revised objective mismatch\n");
-  }
-
   std::fprintf(stderr, "bench_to_json: lp_lu sweep...\n");
   std::vector<LuSweepPoint> lu_sweep;
   lu_sweep.push_back(BenchLuSweepPoint(50, 25, smoke ? 1 : 3));
@@ -867,9 +827,16 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "bench_to_json: lp_pricing...\n");
   PricingRun pricing_shapes = BenchPricingShapes(120, 60, smoke ? 2 : 5);
+  const RevisedStats& revised_resolve = resolve_large.revised;
+  const RevisedStats& revised_shapes = pricing_shapes.revised;
+  bool revised_parity =
+      revised_resolve.objective_parity && revised_shapes.objective_parity;
+  if (!revised_parity) {
+    std::fprintf(stderr, "bench_to_json: lp_revised objective mismatch\n");
+  }
   PricingRun pricing_corpus;
   if (!smoke) {
-    CorpusPricingFixture fixture = MakePricingFixture(BenchCorpus(8));
+    CorpusPricingFixture fixture = MakePricingFixture(bench::BenchCorpus(8));
     pricing_corpus = BenchPricingCorpus(&fixture);
   }
 
@@ -896,7 +863,7 @@ int main(int argc, char** argv) {
   ThreadScaling scaling;
   if (!smoke) {
     std::fprintf(stderr, "bench_to_json: thread_scaling...\n");
-    corpus = BenchCorpus(/*small_stride=*/8);
+    corpus = bench::BenchCorpus(/*small_stride=*/8);
     CorpusRunOptions copts;
     copts.scheme_ids = {kSchemeOptimal, kSchemeMinMax};
     copts.workload.num_instances = 4;

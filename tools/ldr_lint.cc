@@ -30,6 +30,9 @@
 //                           stored values carry a reasoned NOLINT)
 //   ldr-nolint-reason       every NOLINT in src/ names a rule and carries a
 //                           ": reason" string — bare suppressions rejected
+//   ldr-getenv              the library reads the environment only in
+//                           src/util/thread_pool.cc (LDR_THREADS, a worker
+//                           count); no other file in src/ calls getenv
 //
 // Suppression grammar (checked by ldr-nolint-reason itself):
 //   ... // NOLINT(ldr-float-eq): exact sparsity test, not a tolerance
@@ -445,6 +448,28 @@ void CheckNolintReasons(const Tree& tree) {
   }
 }
 
+// --- rule 6: ldr-getenv ----------------------------------------------------
+
+// The one file in src/ allowed to read the environment.
+constexpr char kGetenvAllowed[] = "src/util/thread_pool.cc";
+
+void CheckGetenv(const Tree& tree) {
+  for (const auto& [path, content] : tree) {
+    if (!StartsWith(path, "src/") || path == kGetenvAllowed) continue;
+    std::vector<std::string> lines =
+        SplitLines(StripCommentsAndStrings(content));
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (ContainsWord(lines[i], "getenv") ||
+          ContainsWord(lines[i], "secure_getenv")) {
+        Report(path, i + 1, "ldr-getenv",
+               std::string("getenv in the library; only ") + kGetenvAllowed +
+                   " reads the environment (LDR_THREADS) — pass the value "
+                   "in from the bench or tool instead");
+      }
+    }
+  }
+}
+
 // --- driver -----------------------------------------------------------------
 
 void RunAllRules(const Tree& tree) {
@@ -452,6 +477,7 @@ void RunAllRules(const Tree& tree) {
   CheckCtestTimeouts(tree);
   CheckLpAllocationAndFloatEq(tree);
   CheckNolintReasons(tree);
+  CheckGetenv(tree);
 }
 
 Tree LoadTree(const fs::path& root) {
@@ -568,6 +594,21 @@ std::vector<Fixture> SelfTestFixtures() {
     fixtures.push_back(std::move(f));
   }
 
+  // ldr-getenv: getenv anywhere in src/ but thread_pool.cc fires; the
+  // allowed file, and mentions in comments and strings, stay quiet.
+  {
+    Fixture f;
+    f.rule = "ldr-getenv";
+    f.bad["src/util/failpoint.cc"] =
+        "const char* spec = std::getenv(\"LDR_FAILPOINTS\");\n";
+    f.good["src/util/thread_pool.cc"] =
+        "const char* env = std::getenv(\"LDR_THREADS\");\n";
+    f.good["src/sim/x.cc"] =
+        "// no getenv here\n"
+        "const char* k = \"getenv\";\n";
+    fixtures.push_back(std::move(f));
+  }
+
   return fixtures;
 }
 
@@ -614,7 +655,9 @@ void PrintRules() {
       "ldr-lp-alloc            no naked new/malloc in src/lp/\n"
       "ldr-float-eq            no tolerance-free ==/!= on float literals in "
       "src/lp/\n"
-      "ldr-nolint-reason       suppressions must be NOLINT(rule): reason\n");
+      "ldr-nolint-reason       suppressions must be NOLINT(rule): reason\n"
+      "ldr-getenv              getenv in src/ only in "
+      "src/util/thread_pool.cc\n");
 }
 
 }  // namespace
