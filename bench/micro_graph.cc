@@ -1,15 +1,23 @@
 // Microbenchmarks for the graph substrate (google-benchmark): Dijkstra,
 // Yen's k-shortest paths (the paper notes KSP, not the LP, bottlenecks
-// LDR), Dinic max-flow, and the FFT PMF convolution of the multiplexing
-// check.
+// LDR), Dinic max-flow, the FFT PMF convolution of the multiplexing
+// check, and the closed-loop trace replay of a scenario epoch.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "graph/ksp.h"
 #include "graph/max_flow.h"
 #include "graph/path_store.h"
 #include "graph/shortest_path.h"
+#include "routing/b4.h"
+#include "sim/evaluate.h"
+#include "sim/replay.h"
+#include "sim/workload.h"
 #include "topology/generators.h"
+#include "topology/zoo_corpus.h"
 #include "traffic/fft.h"
+#include "traffic/trace.h"
 #include "util/random.h"
 
 namespace {
@@ -112,6 +120,63 @@ void BM_FftConvolution(benchmark::State& state) {
 BENCHMARK(BM_FftConvolution)
     ->Args({4, 0})->Args({10, 0})->Args({17, 0})
     ->Args({4, 400})->Args({10, 400})->Args({17, 400});
+
+void BM_ReplayTraffic(benchmark::State& state) {
+  // One epoch's replay as ScenarioEngine::Run makes it: every aggregate's
+  // one-minute series (600 periods of 100 ms) pushed through a B4
+  // placement. Arg 0 is a failover-like epoch: a 24-node chorded ring with
+  // 20 aggregates, every loaded link at twice its mean load except the
+  // busiest, at 0.9x, which queues. Arg 1 is GtsLike with its 302-aggregate
+  // matrix at 0.7 MinMax load on the true capacities.
+  bool gts = state.range(0) == 1;
+  Rng rng(7);
+  Topology t = gts ? GtsLike()
+                   : MakeChordedRing("failover", 24, 6, EuropeRegion(), &rng);
+  Graph& g = t.graph;
+  KspCache cache(&g);
+  std::vector<Aggregate> aggs;
+  if (gts) {
+    WorkloadOptions w;
+    w.num_instances = 1;
+    w.target_utilization = 0.7;
+    aggs = MakeScaledWorkloads(t, &cache, w)[0];
+  } else {
+    size_t n = g.NodeCount();
+    for (int i = 0; i < 20; ++i) {
+      Aggregate a;
+      a.src = static_cast<NodeId>(rng.NextIndex(n));
+      a.dst = static_cast<NodeId>(rng.NextIndex(n - 1));
+      if (a.dst >= a.src) ++a.dst;
+      a.demand_gbps = rng.Uniform(1, 5);
+      aggs.push_back(a);
+    }
+  }
+  B4Scheme b4(&g, &cache);
+  RoutingOutcome out = b4.Route(aggs);
+  if (!gts) {
+    std::vector<double> load = LinkLoads(g, aggs, out);
+    size_t busiest = static_cast<size_t>(
+        std::max_element(load.begin(), load.end()) - load.begin());
+    for (size_t l = 0; l < load.size(); ++l) {
+      if (load[l] > 0) {
+        g.SetCapacity(static_cast<LinkId>(l),
+                      (l == busiest ? 0.9 : 2.0) * load[l]);
+      }
+    }
+  }
+  std::vector<std::vector<double>> series;
+  for (const Aggregate& a : aggs) {
+    TraceOptions topts;
+    topts.mean_gbps = a.demand_gbps;
+    topts.minutes = 1;
+    series.push_back(SynthesizeTraceGbps(topts, &rng));
+  }
+  for (auto _ : state) {
+    ReplayResult r = ReplayTraffic(g, aggs, out, series);
+    benchmark::DoNotOptimize(r.worst_queue_ms);
+  }
+}
+BENCHMARK(BM_ReplayTraffic)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -27,7 +27,8 @@
 #                is not installed: the container bakes in GCC only, and
 #                installing packages is out of scope for CI.
 #   --bench-smoke  after the tests, run the micro_lp warm-resolve bench
-#                (BM_LpResolveWarm/50) once and bench_to_json in --smoke
+#                (BM_LpResolveWarm/50) and the micro_graph trace-replay
+#                bench (BM_ReplayTraffic) once and bench_to_json in --smoke
 #                mode, failing if any correctness marker in the emitted JSON
 #                — lp_revised objective_parity, lp_lu / lp_pricing
 #                kkt_certificate (every solve of the basis-size sweep and
@@ -202,6 +203,8 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   # markers must all be true. bench_to_json --smoke skips the slow corpus
   # sections but computes every parity flag for real.
   "$BUILD_DIR/micro_lp" --benchmark_filter='BM_LpResolveWarm/50' \
+      --benchmark_min_time=0.05 >&2
+  "$BUILD_DIR/micro_graph" --benchmark_filter='BM_ReplayTraffic' \
       --benchmark_min_time=0.05 >&2
   SMOKE_JSON=$(mktemp)
   trap 'rm -f "$PROBE_1" "$PROBE_4" "$SMOKE_JSON"' EXIT

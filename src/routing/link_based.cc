@@ -25,14 +25,16 @@ LinkBasedResult SolveLinkBased(const Graph& g,
   }
 
   lp::Problem p;
-  // flow[s][l]: commodity-s flow on link l.
+  // flow[s][l]: commodity-s flow on link l. A masked (down) link carries
+  // none: its variables are fixed at [0, 0].
   std::vector<std::vector<int>> flow(n);
   for (size_t s = 0; s < n; ++s) {
     if (!active[s]) continue;
     flow[s].resize(m);
     for (size_t l = 0; l < m; ++l) {
-      flow[s][l] =
-          p.AddVariable(0, lp::kInfinity, g.link(static_cast<LinkId>(l)).delay_ms);
+      LinkId id = static_cast<LinkId>(l);
+      flow[s][l] = p.AddVariable(0, g.IsLinkDown(id) ? 0 : lp::kInfinity,
+                                 g.link(id).delay_ms);
     }
   }
   // Overload variables.

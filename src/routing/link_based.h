@@ -3,7 +3,8 @@
 // paper rejects because its size scales with (aggregates x links) and is
 // "about two orders of magnitude slower" (Fig. 15). Implemented for that
 // comparison. Commodities are grouped by source node (the standard
-// aggregation), so the LP has NodeCount * LinkCount flow variables.
+// aggregation), so the LP has NodeCount * LinkCount flow variables; those
+// of masked (down) links are fixed at zero.
 #ifndef LDR_ROUTING_LINK_BASED_H_
 #define LDR_ROUTING_LINK_BASED_H_
 

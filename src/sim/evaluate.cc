@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "graph/shortest_path.h"
 
 namespace ldr {
 
@@ -24,6 +27,22 @@ std::vector<double> LinkLoads(const Graph& g,
     }
   }
   return load;
+}
+
+std::vector<double> SourceRowsShortestDelay(
+    const Graph& g, const std::vector<Aggregate>& aggregates) {
+  size_t n = g.NodeCount();
+  std::vector<double> out(n * n, std::numeric_limits<double>::infinity());
+  std::vector<bool> filled(n, false);
+  for (const Aggregate& agg : aggregates) {
+    size_t s = static_cast<size_t>(agg.src);
+    if (filled[s]) continue;
+    filled[s] = true;
+    SpTree tree = ShortestPathTree(g, agg.src);
+    std::copy(tree.distance_ms.begin(), tree.distance_ms.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(s * n));
+  }
+  return out;
 }
 
 EvalResult Evaluate(const Graph& g, const std::vector<Aggregate>& aggregates,

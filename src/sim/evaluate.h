@@ -28,11 +28,20 @@ struct EvalResult {
   std::vector<double> link_utilization;  // load / true capacity, by LinkId
 };
 
-// `sp_delay_ms` is the row-major all-pairs shortest-delay matrix of the
-// graph (AllPairsShortestDelay), used for the S_a denominators.
+// `sp_delay_ms` is a row-major NodeCount x NodeCount shortest-delay table,
+// used for the S_a denominators. Only the entries (src, dst) of the
+// aggregates are read, so the rows of their sources suffice
+// (SourceRowsShortestDelay); AllPairsShortestDelay works as well.
 EvalResult Evaluate(const Graph& g, const std::vector<Aggregate>& aggregates,
                     const RoutingOutcome& outcome,
                     const std::vector<double>& sp_delay_ms);
+
+// The NodeCount x NodeCount shortest-delay table with only the rows of the
+// aggregates' sources filled (one full ShortestPathTree per distinct
+// source; those rows equal AllPairsShortestDelay's bit for bit) and
+// infinity elsewhere — all that Evaluate reads.
+std::vector<double> SourceRowsShortestDelay(
+    const Graph& g, const std::vector<Aggregate>& aggregates);
 
 // Per-link load in Gbps implied by the outcome.
 std::vector<double> LinkLoads(const Graph& g,

@@ -36,7 +36,22 @@ struct ReplayResult {
 
 // `series_gbps[a]` is aggregate a's rate series at kSeriesPeriodSec
 // (traffic/trace.h); shorter series are treated as silent after they end.
-// Fractions come from `outcome`.
+// Fractions come from `outcome`. An empty horizon still reports
+// `worst_aggregate_delay_ms`: propagation alone, since no queue forms.
+//
+// The replay runs link-major: for each loaded link it sums the weighted
+// series into one horizon-long rate buffer (contributions in aggregate,
+// path, hop order, so every period's rate is the same floating-point sum a
+// period-by-period loop would form), takes utilization and the peak rate in
+// one pass, and runs Lindley's recursion q = max(0, q + rate*T - served)
+// only when fl(peak*T) > served. The skip is exact: rounding is monotone,
+// so when the busiest period fits, every period does and q stays +0. The
+// per-link maxima divide once (peak/cap, max_q/cap*1000), which again by
+// monotone rounding equals the maximum of the per-period quotients. Links
+// share the utilization pass in pairs, one per vector lane, each lane doing
+// its link's scalar operations in period order. Cost: one pass over each
+// contributing series per loaded link, one horizon pass per pair of loaded
+// links, and a queue pass only where some period overflows.
 ReplayResult ReplayTraffic(const Graph& g,
                            const std::vector<Aggregate>& aggregates,
                            const RoutingOutcome& outcome,

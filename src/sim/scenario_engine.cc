@@ -5,7 +5,6 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "graph/shortest_path.h"
 #include "routing/placement.h"
 #include "sim/corpus_runner.h"
 #include "sim/evaluate.h"
@@ -640,7 +639,7 @@ ScenarioReport ScenarioEngine::Run() {
     for (const Aggregate& a : working) er.demand_total_gbps += a.demand_gbps;
 
     if (sp_dirty_) {
-      sp_delay_ms_ = AllPairsShortestDelay(graph_);
+      sp_delay_ms_ = SourceRowsShortestDelay(graph_, working);
       sp_dirty_ = false;
     }
     EvalResult eval = Evaluate(graph_, working, *outcome, sp_delay_ms_);

@@ -364,7 +364,9 @@ class ScenarioEngine {
   std::unique_ptr<LdrController> controller_;   // LDR driver
   std::unique_ptr<RoutingScheme> scheme_;       // scheme driver
   std::vector<MeanRatePredictor> predictors_;   // scheme driver's Algorithm 1
-  std::vector<double> sp_delay_ms_;             // refreshed on mask changes
+  // Shortest delays from the aggregates' sources (the rows Evaluate reads),
+  // refreshed on mask changes.
+  std::vector<double> sp_delay_ms_;
   bool sp_dirty_ = true;
   size_t scheme_ksp_evictions_ = 0;  // scheme driver's LinkDown evictions
   // Closed-loop demand state (AdaptiveDemandOptions; empty when disabled).

@@ -402,6 +402,21 @@ TEST(LinkBased, MultiAggregate) {
   EXPECT_GT(r.total_delay_gbps_ms, 0);
 }
 
+TEST(LinkBased, MaskedLinkCarriesNoFlow) {
+  // A -> B directly (1 ms) or via C (2 + 2 ms). With the direct link down,
+  // all 5 Gbps take the detour.
+  Graph g;
+  NodeId a = g.AddNode("A"), b = g.AddNode("B"), c = g.AddNode("C");
+  LinkId direct = g.AddBidiLink(a, b, 1, 10);
+  g.AddBidiLink(a, c, 2, 10);
+  g.AddBidiLink(c, b, 2, 10);
+  g.SetLinkDown(direct, true);
+  LinkBasedResult r = SolveLinkBased(g, {MakeAgg(a, b, 5)});
+  ASSERT_TRUE(r.solved);
+  EXPECT_NEAR(r.max_overload, 1.0, 1e-6);
+  EXPECT_NEAR(r.total_delay_gbps_ms, 5 * 4.0, 1e-6);
+}
+
 TEST(MinMaxUtilizationHelper, MatchesExpectation) {
   Graph g = TriDiamond();
   KspCache cache(&g);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
+#include "graph/ksp.h"
 #include "graph/shortest_path.h"
+#include "routing/b4.h"
 #include "routing/lp_routing.h"
+#include "routing/shortest_path_routing.h"
 #include "sim/corpus_runner.h"
 #include "sim/evaluate.h"
 #include "sim/workload.h"
@@ -113,6 +118,57 @@ TEST(Evaluate, LinkLoadsSumAllocations) {
   out.allocations[1].push_back({store.Intern(*sp), 0.5});
   auto loads = LinkLoads(g, aggs, out);
   EXPECT_NEAR(loads[0], 8 + 2, 1e-9);
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// The engine evaluates against the sources' rows only; on masked graphs the
+// result must be AllPairsShortestDelay's bit for bit. Sources (nodes 0-3)
+// and destinations (4-9) are disjoint, so a table holding the wrong rows
+// drops aggregates from the stretch sums and changes weighted_delay_ms.
+TEST(Evaluate, SourceRowsMatchAllPairsOnMaskedGraphs) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Topology t = MakeChordedRing("r", 10, 3, UsRegion(), &rng);
+    Graph& g = t.graph;
+    for (int i = 0; i < 2; ++i) {
+      g.SetLinkDown(static_cast<LinkId>(rng.NextIndex(g.LinkCount())), true);
+    }
+    std::vector<Aggregate> aggs;
+    for (int i = 0; i < 10; ++i) {
+      aggs.push_back(MakeAgg(static_cast<NodeId>(rng.NextIndex(4)),
+                             static_cast<NodeId>(4 + rng.NextIndex(6)),
+                             rng.Uniform(20, 120)));
+    }
+    std::vector<double> all_pairs = AllPairsShortestDelay(g);
+    std::vector<double> source_rows = SourceRowsShortestDelay(g, aggs);
+    KspCache cache(&g);
+    ShortestPathScheme sp(&g, &cache);
+    B4Scheme b4(&g, &cache);
+    for (RoutingScheme* scheme : {static_cast<RoutingScheme*>(&sp),
+                                  static_cast<RoutingScheme*>(&b4)}) {
+      SCOPED_TRACE(scheme->name());
+      RoutingOutcome out = scheme->Route(aggs);
+      EvalResult want = Evaluate(g, aggs, out, all_pairs);
+      EvalResult got = Evaluate(g, aggs, out, source_rows);
+      EXPECT_GT(want.weighted_delay_ms, 0);
+      EXPECT_EQ(Bits(got.congested_fraction), Bits(want.congested_fraction));
+      EXPECT_EQ(Bits(got.total_stretch), Bits(want.total_stretch));
+      EXPECT_EQ(Bits(got.max_stretch), Bits(want.max_stretch));
+      EXPECT_EQ(Bits(got.weighted_delay_ms), Bits(want.weighted_delay_ms));
+      EXPECT_EQ(got.overloaded_links, want.overloaded_links);
+      ASSERT_EQ(got.link_utilization.size(), want.link_utilization.size());
+      for (size_t l = 0; l < got.link_utilization.size(); ++l) {
+        EXPECT_EQ(Bits(got.link_utilization[l]),
+                  Bits(want.link_utilization[l]));
+      }
+    }
+  }
 }
 
 TEST(Workload, ScalingHitsTargetUtilization) {
