@@ -94,7 +94,7 @@ void BM_FftConvolution(benchmark::State& state) {
     s = rng.Uniform(0.5, 1.5);
     share_total += s;
   }
-  if (dominant > 0) share_total -= share[0];
+  if (dominant > 0 && k > 0) share_total -= share[0];
   const size_t spread = dominant > 0 ? 1024 - dominant : 1023;
   std::vector<std::vector<double>> pmfs(k);
   size_t extra_left = 1023;  // sum of (length - 1): result length 1024

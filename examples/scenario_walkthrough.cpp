@@ -78,11 +78,9 @@ int main() {
   }
   for (const ScenarioEventReport& evr : report.events) {
     const char* kind =
-        evr.event.type == ScenarioEvent::Type::kLinkDown     ? "link-down"
-        : evr.event.type == ScenarioEvent::Type::kLinkUp     ? "link-up"
-        : evr.event.type == ScenarioEvent::Type::kCapacityScale
-            ? "capacity-scale"
-            : "demand-surge";
+        evr.event.type == ScenarioEvent::Type::kLinkDown ? "link-down"
+        : evr.event.type == ScenarioEvent::Type::kLinkUp ? "link-up"
+                                                         : "demand-surge";
     std::printf("event %-14s epoch %d  reconverged after %d epoch(s)\n", kind,
                 evr.event.epoch, evr.reconverge_epochs);
   }

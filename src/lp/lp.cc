@@ -261,9 +261,6 @@ class Solver::Impl {
     cost_[static_cast<size_t>(var)] += delta;
   }
 
-  size_t VariableCount() const { return n_; }
-  size_t RowCount() const { return m_; }
-
   void Invalidate() { factor_valid_ = false; }
 
   std::vector<double> RowDuals() {
@@ -1085,12 +1082,8 @@ class Solver::Impl {
     // The entering column exists only for the duration of this step: FTRAN
     // it into the reused scratch and run the ratio test off that.
     Ftran(entering);
-    // Fault sites: corrupt the FTRAN-ed entering column the way real
-    // factorization drift would — a relative perturbation (silent numeric
-    // error) or an outright NaN (catastrophic breakdown).
-    if (m_ > 0 && LDR_FAILPOINT("lp.ftran_perturb")) {
-      for (size_t i = 0; i < m_; ++i) ftran_[i] *= 1.0 + 1e-3;
-    }
+    // Fault site: poison the FTRAN-ed entering column the way a
+    // catastrophic factorization breakdown would — an outright NaN.
     if (m_ > 0 && LDR_FAILPOINT("lp.ftran_nan")) {
       ftran_[0] = std::numeric_limits<double>::quiet_NaN();
     }
@@ -1886,10 +1879,11 @@ class Solver::Impl {
   int iter_ = 0;
 };
 
-Solver::Solver(const SolveOptions& options) : impl_(new Impl(options)) {}  // NOLINT(ldr-lp-alloc): pimpl construction at Solver birth, not the pivot loop
+Solver::Solver(const SolveOptions& options)
+    : impl_(std::make_unique<Impl>(options)) {}
 
 Solver::Solver(const Problem& p, const SolveOptions& options)
-    : impl_(new Impl(options)) {  // NOLINT(ldr-lp-alloc): pimpl construction at Solver birth, not the pivot loop
+    : impl_(std::make_unique<Impl>(options)) {
   for (size_t j = 0; j < p.VariableCount(); ++j) {
     impl_->AddVariable(p.lower_bounds()[j], p.upper_bounds()[j],
                        p.objective()[j]);
@@ -1899,20 +1893,9 @@ Solver::Solver(const Problem& p, const SolveOptions& options)
   }
 }
 
-Solver::~Solver() { delete impl_; }
-
-Solver::Solver(Solver&& other) noexcept : impl_(other.impl_) {
-  other.impl_ = nullptr;
-}
-
-Solver& Solver::operator=(Solver&& other) noexcept {
-  if (this != &other) {
-    delete impl_;
-    impl_ = other.impl_;
-    other.impl_ = nullptr;
-  }
-  return *this;
-}
+Solver::~Solver() = default;
+Solver::Solver(Solver&&) noexcept = default;
+Solver& Solver::operator=(Solver&&) noexcept = default;
 
 int Solver::AddVariable(double lo, double hi, double obj) {
   return impl_->AddVariable(lo, hi, obj);
@@ -1945,10 +1928,6 @@ void Solver::FixVariable(int var, double value) {
 void Solver::AddToObjective(int var, double delta) {
   impl_->AddToObjective(var, delta);
 }
-
-size_t Solver::VariableCount() const { return impl_->VariableCount(); }
-
-size_t Solver::RowCount() const { return impl_->RowCount(); }
 
 Solution Solver::Solve() { return impl_->Solve(); }
 

@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -247,8 +248,8 @@ class Solver {
   void AddToRow(int row, int var, double delta);
 
   // Replaces a row's right-hand side in place, pushing the delta into the
-  // basic values; the basis is preserved (the capacity-row half of a
-  // topology repair).
+  // basic values; the basis is preserved (how fixed load moves in and out
+  // of the routing LP's capacity rows).
   void SetRhs(int row, double rhs);
 
   // Overwrites a variable's bounds in place, preserving the basis. A
@@ -267,9 +268,6 @@ class Solver {
 
   // Adds `delta` to a variable's objective coefficient.
   void AddToObjective(int var, double delta);
-
-  size_t VariableCount() const;
-  size_t RowCount() const;
 
   // Re-optimizes from the current basis: dual simplex when a once-optimal
   // basis is primal infeasible (e.g. after SetRhs) but dual feasible,
@@ -291,7 +289,7 @@ class Solver {
 
  private:
   class Impl;
-  Impl* impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 Solution Solve(const Problem& problem, const SolveOptions& options = {});

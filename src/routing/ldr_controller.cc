@@ -29,20 +29,13 @@ LdrController::LdrController(const Graph* graph, KspCache* cache,
                              const LdrControllerOptions& opts)
     : g_(graph), cache_(cache), opts_(opts) {}
 
-// Topology hooks: a topology delta marks the live LP dirty, and the
-// next epoch repairs it in place (dead-path variables fixed to zero,
-// capacity rows re-synced), with the solver re-entering via dual simplex off
-// the still-dual-feasible basis. With no live LP there is nothing to repair
-// (nor any path set: the two are always dropped together), and the next
-// epoch builds cold.
+// Topology hooks: a topology delta marks the live LP dirty, and the next
+// epoch repairs it in place (dead-path variables fixed to zero), with the
+// solver re-entering via dual simplex off the still-dual-feasible basis.
+// With no live LP there is nothing to repair (nor any path set: the two are
+// always dropped together), and the next epoch builds cold.
 void LdrController::MarkLpStale() {
   if (reuse_.lp != nullptr) reuse_.lp->MarkTopologyDirty();
-}
-
-void LdrController::OnCapacityChange() {
-  // PathIds and their cached delays are untouched; only the LP's capacity
-  // rows are stale — repaired in place.
-  MarkLpStale();
 }
 
 // Mask deltas: one reconciliation per event. The LP side is marked stale

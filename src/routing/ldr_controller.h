@@ -15,8 +15,8 @@
 // every minute against live measurements, and consecutive minutes share
 // almost all state. LdrController is that persistent form — it owns the
 // per-aggregate predictor states and the warm LP context across epochs, and
-// takes topology deltas (link down/up, capacity change) between epochs. The
-// free RunLdrController function remains as the one-epoch wrapper every
+// takes topology deltas (links down/up) between epochs. The free
+// RunLdrController function remains as the one-epoch wrapper every
 // pre-engine caller uses: a fresh controller driven for a single epoch over
 // the full history, bit-for-bit the original behavior.
 #ifndef LDR_ROUTING_LDR_CONTROLLER_H_
@@ -58,8 +58,8 @@ struct LdrControllerResult {
   // RunLdrController wrapper and after DropWarmState).
   bool warm_epoch = false;
   // True when this epoch's warm re-entry repaired the live LP in place
-  // after a topology delta (dead-path variables fixed to zero, capacity
-  // rows re-synced, dual-simplex warm restart) instead of rebuilding cold.
+  // after a topology delta (dead-path variables fixed to zero, dual-simplex
+  // warm restart) instead of rebuilding cold.
   bool topology_repaired = false;
   // Degradation telemetry (PR 6): the highest fallback-ladder rung that
   // fired across the epoch's rounds producing the installed placement.
@@ -84,14 +84,11 @@ std::vector<double> AdvancePredictors(
 // (Algorithm 1 decay needs the previous prediction), the warm LP plus grown
 // path sets (LpReuseContext), and the KSP cache it was handed. The scenario
 // engine owns one of these and threads topology deltas through the
-// OnLinksDown / OnLinksUp / OnCapacityChange hooks, which invalidate exactly
-// as much of that state as the delta requires (the LP is marked dirty and
-// repaired in place, never dropped):
+// OnLinksDown / OnLinksUp hooks, which invalidate exactly as much of that
+// state as the delta requires (the LP is marked dirty and repaired in
+// place, never dropped):
 //
 //   demand change      nothing — RunEpoch pushes demand deltas warm
-//   capacity change    LP marked dirty (capacity-row coefficients re-synced
-//                      on the next solve). Predictors and KSP cache survive
-//                      (delays unchanged)
 //   links down         targeted KSP eviction of the pairs whose produced
 //                      paths cross any member link (KspCache::
 //                      InvalidateLinks over the reverse index); LP marked
@@ -118,12 +115,9 @@ class LdrController {
       const std::vector<Aggregate>& aggregates,
       const std::vector<std::vector<double>>& segment_100ms);
 
-  // Topology deltas (see table above). The caller flips the graph state
-  // (Graph::SetLinksDown / SetCapacity) itself; these hooks reconcile the
-  // controller's cached state with it.
-  void OnCapacityChange();
-
-  // Link mask deltas. Every event is a group — a single link event is a
+  // Link mask deltas (see table above). The caller flips the graph state
+  // (Graph::SetLinksDown) itself; these hooks reconcile the controller's
+  // cached state with it. Every event is a group — a single link event is a
   // group with one member, and a correlated event (SRLG cut, node failure,
   // maintenance drain) delivers all its member links in ONE batch — so the
   // controller reconciles once per event, not once per link: the KSP

@@ -70,7 +70,6 @@ IncrementalRoutingLp::IncrementalRoutingLp(
   fixed_load_.assign(num_links, 0.0);
   link_row_.assign(num_links, -1);
   olvar_.assign(num_links, -1);
-  applied_cap_.assign(num_links, 0.0);
   link_vars_.resize(num_links);
 }
 
@@ -88,7 +87,6 @@ void IncrementalRoutingLp::EnsureLinkRows() {
     if (fixed_load_[l] <= 0 && link_vars_[l].empty()) continue;
     double cap = g_->link(static_cast<LinkId>(l)).capacity_gbps * cap_scale_;
     if (cap <= 0) cap = 1e-9;
-    applied_cap_[l] = cap;
     std::vector<std::pair<int, double>> terms;
     terms.reserve(link_vars_[l].size() + 1);
     for (const auto& [var, a] : link_vars_[l]) {
@@ -109,12 +107,11 @@ void IncrementalRoutingLp::EnsureLinkRows() {
 }
 
 // In-place topology repair (MarkTopologyDirty): re-syncs the live LP with
-// the graph's current link mask and capacities instead of discarding it.
-// LP columns of paths crossing a masked link are fixed to zero (and released
-// back to [0, 1] when the link returns) — basis-preserving bound edits the
-// solver repairs with dual pivots on the next Solve(). Capacity-row
-// coefficients are shifted by the delta against the capacity each row was
-// built with (CapacityScale events; SetLinkDown leaves capacity untouched).
+// the graph's current link mask instead of discarding it. LP columns of
+// paths crossing a masked link are fixed to zero (and released back to
+// [0, 1] when the link returns) — basis-preserving bound edits the solver
+// repairs with dual pivots on the next Solve(). Masking leaves capacities
+// untouched, so the capacity rows stay as built.
 void IncrementalRoutingLp::RepairTopology() {
   for (size_t a = 0; a < aggs_.size(); ++a) {
     if (npaths_[a] < 2) continue;
@@ -132,15 +129,6 @@ void IncrementalRoutingLp::RepairTopology() {
         solver_.SetBounds(xvar_[a][pi], 0.0, 1.0);
       }
     }
-  }
-  for (size_t l = 0; l < link_row_.size(); ++l) {
-    if (link_row_[l] < 0) continue;
-    double cap = g_->link(static_cast<LinkId>(l)).capacity_gbps * cap_scale_;
-    if (cap <= 0) cap = 1e-9;
-    if (cap == applied_cap_[l]) continue;
-    int capvar = opts_.minmax ? omax_var_ : olvar_[l];
-    solver_.AddToRow(link_row_[l], capvar, -(cap - applied_cap_[l]));
-    applied_cap_[l] = cap;
   }
   topology_dirty_ = false;
 }

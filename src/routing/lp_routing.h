@@ -94,11 +94,11 @@ class IncrementalRoutingLp {
   // degradation ladder's rung 1 repair for drift-induced solve failures.
   void ForceRefactorize() { solver_.Invalidate(); }
 
-  // Marks the mirrored topology stale after a LinkDown/LinkUp/CapacityScale
-  // event: the next Solve() repairs the live LP in place — path variables
-  // crossing masked links are fixed to zero (and released when the link
-  // returns), capacity-row coefficients are re-synced — instead of the
-  // whole incremental state being discarded for a cold rebuild.
+  // Marks the mirrored link mask stale after a links-down/up event: the
+  // next Solve() repairs the live LP in place — path variables crossing
+  // masked links are fixed to zero (and released when the link returns) —
+  // instead of the whole incremental state being discarded for a cold
+  // rebuild.
   void MarkTopologyDirty() { topology_dirty_ = true; }
   bool topology_dirty() const { return topology_dirty_; }
 
@@ -126,9 +126,6 @@ class IncrementalRoutingLp {
   std::vector<double> fixed_load_;
   std::vector<int> link_row_;                   // capacity row, -1 if unused
   std::vector<int> olvar_;                      // overload var (LDR mode)
-  // Capacity (after headroom scaling) each existing capacity row was built
-  // with — the delta a CapacityScale repair must push into the row.
-  std::vector<double> applied_cap_;
   // (variable, aggregate) pairs crossing each link, for deferred row
   // creation; demand is read from aggs_ at creation time.
   std::vector<std::vector<std::pair<int, size_t>>> link_vars_;

@@ -32,14 +32,16 @@
 
 namespace ldr {
 
+// Only fault_windows is a setting; the constants are properties of every
+// campaign, readable as CampaignOptions{}.epochs and so on.
 struct CampaignOptions {
-  int epochs = 18;  // of Scenario's default 60 s each
+  static constexpr int epochs = 18;  // of Scenario's default 60 s each
   // Workload MinMax target utilization; 0.5 leaves the headroom correlated
   // failures are meant to eat into.
-  double utilization = 0.5;
-  int fault_windows = 0;  // optimizer fault windows (soak arms these)
+  static constexpr double utilization = 0.5;
   // Workload thinning: keeps campaigns lean enough for corpus-wide sweeps.
-  double workload_min_fraction = 1e-2;
+  static constexpr double workload_min_fraction = 1e-2;
+  int fault_windows = 0;  // optimizer fault windows (soak arms these)
 };
 
 // Deterministic function of (topology, seed): the full campaign Scenario —

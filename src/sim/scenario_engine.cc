@@ -258,51 +258,29 @@ ScenarioEngine::ScenarioEngine(const Topology& topology, Scenario scenario,
 
 ScenarioEngine::~ScenarioEngine() = default;
 
-bool ScenarioEngine::EventValid(const ScenarioEvent& ev) const {
+bool ScenarioEngine::EventValid(const ScenarioEvent& ev,
+                                const std::vector<LinkId>& links) const {
   // Invalid events are ignored everywhere — not applied, not epoch-marking,
   // not reported — so they cannot skew the event-free churn/solve
   // populations or fabricate reconvergence entries. Ways to be invalid: an
   // epoch outside the scenario (the apply loop would never fire it), a
-  // link-typed event naming no real link (a default-constructed
-  // ScenarioEvent or an unguarded ReverseLink() miss would otherwise index
-  // the mask array at SIZE_MAX), or a grouped event whose expansion yields
-  // no links at all (an out-of-range SRLG index, an SRLG of only bogus
-  // member ids, an isolated or unknown node), or a surge / capacity factor
-  // that is not a finite positive number (a zero-capacity link never counts
-  // as congested, so a 0 factor would hide load instead of modelling it).
+  // window without extent, a surge factor that is not a finite positive
+  // number, or a link-typed event whose expansion yields no links at all (a
+  // default-constructed ScenarioEvent, an out-of-range SRLG index, an SRLG of
+  // only bogus member ids, an isolated or unknown node).
   if (ev.epoch < 0 || ev.epoch >= scenario_.epochs) return false;
-  const bool factor_ok = std::isfinite(ev.factor) && ev.factor > 0;
-  switch (ev.type) {
-    case ScenarioEvent::Type::kDemandSurge:
-      // A surge must actually surge something: positive window, and a
-      // target that is either the documented -1 ("every aggregate") or a
-      // real index.
-      return factor_ok && ev.duration_epochs > 0 && ev.aggregate >= -1 &&
-             (ev.aggregate < 0 ||
-              static_cast<size_t>(ev.aggregate) < scenario_.aggregates.size());
-    case ScenarioEvent::Type::kSrlgDown:
-    case ScenarioEvent::Type::kSrlgUp:
-      return ev.srlg >= 0 &&
-             static_cast<size_t>(ev.srlg) < scenario_.srlgs.size() &&
-             !EventLinks(ev).empty();
-    case ScenarioEvent::Type::kNodeDown:
-    case ScenarioEvent::Type::kNodeUp:
-      return ev.node >= 0 &&
-             static_cast<size_t>(ev.node) < graph_.NodeCount() &&
-             !EventLinks(ev).empty();
-    case ScenarioEvent::Type::kMaintenance:
-      // The window must have extent; the drain epoch clamps to 0 on its own.
-      return ev.duration_epochs > 0 && ev.link >= 0 &&
-             static_cast<size_t>(ev.link) < graph_.LinkCount();
-    case ScenarioEvent::Type::kCapacityScale:
-      return factor_ok && ev.link >= 0 &&
-             static_cast<size_t>(ev.link) < graph_.LinkCount();
-    case ScenarioEvent::Type::kLinkDown:
-    case ScenarioEvent::Type::kLinkUp:
-      return ev.link >= 0 &&
-             static_cast<size_t>(ev.link) < graph_.LinkCount();
+  if (ev.type == ScenarioEvent::Type::kDemandSurge) {
+    // A surge must actually surge something: positive window, and a target
+    // that is either the documented -1 ("every aggregate") or a real index.
+    return std::isfinite(ev.factor) && ev.factor > 0 &&
+           ev.duration_epochs > 0 && ev.aggregate >= -1 &&
+           (ev.aggregate < 0 ||
+            static_cast<size_t>(ev.aggregate) < scenario_.aggregates.size());
   }
-  return false;
+  // A maintenance window must have extent; its drain epoch clamps to 0.
+  const bool has_extent = ev.type != ScenarioEvent::Type::kMaintenance ||
+                          ev.duration_epochs > 0;
+  return has_extent && !links.empty();
 }
 
 std::vector<LinkId> ScenarioEngine::EventLinks(const ScenarioEvent& ev) const {
@@ -335,7 +313,6 @@ std::vector<LinkId> ScenarioEngine::EventLinks(const ScenarioEvent& ev) const {
     case ScenarioEvent::Type::kMaintenance:
       out = CableLinks(graph_, ev.link);
       break;
-    case ScenarioEvent::Type::kCapacityScale:
     case ScenarioEvent::Type::kDemandSurge:
       break;
   }
@@ -406,7 +383,7 @@ size_t ScenarioEngine::UpdateAdaptiveDemand(const ReplayResult& replay,
 }
 
 std::vector<std::vector<double>> ScenarioEngine::EpochSegment(
-    int epoch) const {
+    int epoch, const std::vector<size_t>& surges) const {
   size_t spe =
       static_cast<size_t>(scenario_.epoch_sec / kSeriesPeriodSec + 0.5);
   size_t begin = static_cast<size_t>(epoch) * spe;
@@ -423,11 +400,8 @@ std::vector<std::vector<double>> ScenarioEngine::EpochSegment(
     // instead of holding the last estimate forever, and the optimizer-view
     // metrics describe the same world the replay sees.
     segment[a].resize(spe, 0.0);
-    for (const ScenarioEvent& ev : scenario_.events) {
-      if (ev.type != ScenarioEvent::Type::kDemandSurge || !EventValid(ev)) {
-        continue;  // invalid events are ignored everywhere, surges included
-      }
-      if (epoch < ev.epoch || epoch >= ev.epoch + ev.duration_epochs) continue;
+    for (size_t i : surges) {
+      const ScenarioEvent& ev = scenario_.events[i];
       if (ev.aggregate >= 0 && static_cast<size_t>(ev.aggregate) != a) continue;
       for (double& v : segment[a]) v *= ev.factor;
     }
@@ -446,36 +420,32 @@ ScenarioReport ScenarioEngine::Run() {
   report.scenario = scenario_.name;
   report.driver = opts_.scheme_id.empty() ? "LDR" : opts_.scheme_id;
 
-  // Which demand surges are active at an epoch — a change in that set makes
-  // the epoch an event epoch even though nothing fires at it (the surge
-  // expiring changes the inputs).
-  auto active_surges = [&](int epoch) {
-    std::vector<size_t> active;
-    if (epoch < 0) return active;
-    for (size_t i = 0; i < scenario_.events.size(); ++i) {
-      const ScenarioEvent& ev = scenario_.events[i];
-      if (ev.type != ScenarioEvent::Type::kDemandSurge || !EventValid(ev)) {
-        continue;
-      }
-      if (epoch >= ev.epoch && epoch < ev.epoch + ev.duration_epochs) {
-        active.push_back(i);
-      }
-    }
-    return active;
-  };
-
-  // Scenario-input validation: rejected events are ignored everywhere and
-  // counted once, up front (they are a property of the scenario, not of any
-  // epoch). `applied` tracks which events actually took effect, so skipped
-  // redundant/dropped events cannot fabricate reconvergence entries below.
-  for (const ScenarioEvent& ev : scenario_.events) {
-    if (!EventValid(ev)) ++report.invalid_events;
-  }
-  std::vector<char> applied(scenario_.events.size(), 0);
+  // Scenario-input validation and expansion, once per event, up front:
+  // rejected events are ignored everywhere and counted once (they are a
+  // property of the scenario, not of any epoch). The firing loop below reads
+  // each valid link-typed event's stored expansion; it stays empty for
+  // surges and rejected events.
+  const size_t num_events = scenario_.events.size();
+  std::vector<std::vector<LinkId>> event_links(num_events);
   // First epoch each event actually changed something — the reconvergence
   // scan starts there, not at the nominal epoch (a maintenance window's
-  // disruption starts at its drain epoch, one before `epoch`).
-  std::vector<int> first_applied(scenario_.events.size(), -1);
+  // disruption starts at its drain epoch, one before `epoch`); -1 until
+  // then, so skipped redundant/dropped events cannot fabricate
+  // reconvergence entries below. A valid surge starts at its own epoch.
+  std::vector<int> first_applied(num_events, -1);
+  std::vector<size_t> surges;
+  for (size_t i = 0; i < num_events; ++i) {
+    const ScenarioEvent& ev = scenario_.events[i];
+    std::vector<LinkId> links = EventLinks(ev);
+    if (!EventValid(ev, links)) {
+      ++report.invalid_events;
+    } else if (ev.type == ScenarioEvent::Type::kDemandSurge) {
+      surges.push_back(i);
+      first_applied[i] = ev.epoch;
+    } else {
+      event_links[i] = std::move(links);
+    }
+  }
 
   auto fault_active = [&](int epoch) {
     for (const FaultWindow& fw : scenario_.faults) {
@@ -485,6 +455,7 @@ ScenarioReport ScenarioEngine::Run() {
   };
 
   AllocationMap prev_alloc;
+  std::vector<size_t> prev_active;
   for (int e = 0; e < scenario_.epochs; ++e) {
     // Fault windows open/close at epoch boundaries, before events and the
     // epoch's reconfiguration. Closing a window also drops the controller's
@@ -501,31 +472,10 @@ ScenarioReport ScenarioEngine::Run() {
     }
 
     bool event_fired = false;
-    for (size_t i = 0; i < scenario_.events.size(); ++i) {
+    for (size_t i = 0; i < num_events; ++i) {
+      const std::vector<LinkId>& group = event_links[i];
+      if (group.empty()) continue;  // rejected, or a surge (EpochSegment)
       const ScenarioEvent& ev = scenario_.events[i];
-      if (ev.type == ScenarioEvent::Type::kDemandSurge) {
-        // Surges apply through EpochSegment; valid ones count as applied.
-        if (EventValid(ev)) applied[i] = 1;
-        continue;
-      }
-      if (!EventValid(ev)) continue;
-      if (ev.type == ScenarioEvent::Type::kCapacityScale) {
-        if (ev.epoch != e) continue;
-        // Fault site: the event is lost before reaching the topology (a
-        // controller that missed a provisioning notification).
-        if (LDR_FAILPOINT("scenario.drop_event")) {
-          ++report.dropped_events;
-          continue;
-        }
-        graph_.SetCapacity(ev.link,
-                           graph_.link(ev.link).capacity_gbps * ev.factor);
-        if (controller_ != nullptr) controller_->OnCapacityChange();
-        // Delays are untouched: the stretch denominators stay valid.
-        applied[i] = 1;
-        if (first_applied[i] < 0) first_applied[i] = e;
-        event_fired = true;
-        continue;
-      }
       // Link-group events: a singleton flap direction, an SRLG cut, a node
       // failure, or a maintenance window's drain/restore edge. Maintenance
       // fires twice — the mask at the drain epoch (one before the nominal
@@ -553,7 +503,6 @@ ScenarioReport ScenarioEngine::Run() {
       // reports the rest, link by link — not the old all-or-nothing per-link
       // call sequence. Fully-redundant events stay no-ops: not applied, not
       // epoch-marking, no reconvergence entry.
-      std::vector<LinkId> group = EventLinks(ev);
       std::vector<LinkId> live;
       live.reserve(group.size());
       for (LinkId l : group) {
@@ -577,17 +526,27 @@ ScenarioReport ScenarioEngine::Run() {
         live.resize(keep);
       }
       ApplyMask(live, down);
-      applied[i] = 1;
       if (first_applied[i] < 0) first_applied[i] = e;
       event_fired = true;
     }
-    bool surge_changed = active_surges(e) != active_surges(e - 1);
+    // Which surges are active — a change in that set makes the epoch an
+    // event epoch even though nothing fires at it (a surge expiring changes
+    // the inputs).
+    std::vector<size_t> active;
+    for (size_t i : surges) {
+      const ScenarioEvent& ev = scenario_.events[i];
+      if (e >= ev.epoch && e < ev.epoch + ev.duration_epochs) {
+        active.push_back(i);
+      }
+    }
+    bool surge_changed = active != prev_active;
 
     if (!opts_.incremental && controller_ != nullptr) {
       controller_->DropWarmState();
     }
 
-    std::vector<std::vector<double>> segment = EpochSegment(e);
+    std::vector<std::vector<double>> segment = EpochSegment(e, active);
+    prev_active = std::move(active);
     std::vector<Aggregate> working = scenario_.aggregates;
 
     ScenarioEpochReport er;
@@ -617,7 +576,6 @@ ScenarioReport ScenarioEngine::Run() {
       static_cast<lp::SolveStats&>(er) = ctrl.outcome;
       er.rounds = ctrl.rounds;
       er.multiplex_ok = ctrl.multiplex_ok;
-      er.failing_links = ctrl.failing_links_last_round;
       // All rounds' solve time, not just the final re-optimization's —
       // multi-round (event) epochs must not under-report.
       er.solve_ms = ctrl.solve_ms_total;
@@ -678,7 +636,6 @@ ScenarioReport ScenarioEngine::Run() {
 
     if (er.dual_repair) {
       ++report.dual_repair_epochs;
-      report.dual_repair_solve_ms_total += er.solve_ms;
     } else if (er.warm) {
       ++report.warm_epochs;
       report.warm_solve_ms_total += er.solve_ms;
@@ -697,16 +654,12 @@ ScenarioReport ScenarioEngine::Run() {
 
   // Reconvergence per event: epochs until the first clean placement at or
   // after the event's epoch.
-  for (size_t i = 0; i < scenario_.events.size(); ++i) {
-    const ScenarioEvent& ev = scenario_.events[i];
-    if (!applied[i]) continue;  // never applied: no phantom report entry
+  for (size_t i = 0; i < num_events; ++i) {
+    const int start = first_applied[i];
+    if (start < 0) continue;  // never applied: no phantom report entry
     ScenarioEventReport evr;
-    evr.event = ev;
+    evr.event = scenario_.events[i];
     double ms = 0;
-    // Surges apply through EpochSegment from their nominal epoch; every
-    // other applied event recorded where it first changed the topology
-    // (the drain epoch for maintenance windows).
-    int start = first_applied[i] >= 0 ? first_applied[i] : ev.epoch;
     for (int e = start; e < scenario_.epochs; ++e) {
       const ScenarioEpochReport& er = report.epochs[static_cast<size_t>(e)];
       ms += er.solve_ms;

@@ -5,15 +5,15 @@
 // one traffic matrix, one placement. A Scenario is the missing time axis — a
 // measured traffic timeline cut into controller epochs (one per minute, as
 // deployed) plus an ordered list of operational events: links failing and
-// recovering, capacities being re-provisioned, demand surging. The engine
-// advances the timeline epoch by epoch, keeping the controller state that
-// makes consecutive epochs cheap (per-aggregate predictor states, the
-// KspCache + PathStore arena, the warm LP of LpReuseContext) and reconciling
-// exactly as much of it as each event invalidates (see LdrController's
-// delta hooks). After each reconfiguration the epoch's measured segment is
-// replayed through the installed placement, so every epoch reports both the
-// optimizer's view (congestion/stretch from Evaluate) and the realized one
-// (queueing from replay).
+// recovering, demand surging. The engine advances the timeline epoch by
+// epoch, keeping the controller state that makes consecutive epochs cheap
+// (per-aggregate predictor states, the KspCache + PathStore arena, the warm
+// LP of LpReuseContext) and reconciling exactly as much of it as each event
+// invalidates (see LdrController's delta hooks). After each
+// reconfiguration the epoch's measured segment is replayed through the
+// installed placement, so every epoch reports both the optimizer's view
+// (congestion/stretch from Evaluate) and the realized one (queueing from
+// replay).
 //
 // The engine is deliberately serial and consults no environment knobs: the
 // library's one, LDR_THREADS, sets only a worker count, and failpoints are
@@ -61,7 +61,6 @@ struct ScenarioEvent {
   enum class Type {
     kLinkDown,       // mask `link` out of the topology
     kLinkUp,         // restore `link`
-    kCapacityScale,  // multiply `link`'s capacity by `factor`
     kDemandSurge,    // multiply traffic of `aggregate` (-1: all) by `factor`
                      // for `duration_epochs` epochs
     kSrlgDown,       // mask every member of SRLG `srlg` atomically
@@ -73,9 +72,9 @@ struct ScenarioEvent {
 
   Type type = Type::kLinkDown;
   int epoch = 0;
-  LinkId link = kInvalidLink;  // kLinkDown / kLinkUp / kCapacityScale /
-                               // kMaintenance (the cable's forward link)
-  double factor = 1.0;         // kCapacityScale / kDemandSurge
+  LinkId link = kInvalidLink;  // kLinkDown / kLinkUp / kMaintenance (the
+                               // cable's forward link)
+  double factor = 1.0;         // kDemandSurge
   int duration_epochs = 1;     // kDemandSurge / kMaintenance
   int aggregate = -1;          // kDemandSurge; -1 = every aggregate
   int srlg = -1;               // kSrlgDown / kSrlgUp: index into
@@ -169,7 +168,6 @@ struct ScenarioEpochReport : lp::SolveStats {
   double solve_ms = 0;    // routing computation wall-clock
   int rounds = 0;         // controller optimize/appraise rounds (1 = clean)
   bool multiplex_ok = false;
-  size_t failing_links = 0;
   double demand_total_gbps = 0;  // sum of the epoch's demand estimates
   // Optimizer-view metrics (Evaluate against true capacities; stretch
   // denominators use the *current* — masked — topology's shortest paths).
@@ -236,7 +234,6 @@ struct ScenarioReport {
   size_t dual_repair_epochs = 0;
   double warm_solve_ms_total = 0;
   double cold_solve_ms_total = 0;
-  double dual_repair_solve_ms_total = 0;
   size_t ksp_evictions = 0;  // generators evicted by LinkDown invalidation
 
   // Degradation telemetry (PR 6). fallback_counts[r] = epochs whose
@@ -247,9 +244,9 @@ struct ScenarioReport {
   size_t clean_fallback_epochs = 0;
   // Scenario-input validation (PR 6): events skipped as redundant (LinkDown
   // on an already-masked link / LinkUp on a link that is up), dropped by
-  // the scenario.drop_event failpoint, or rejected by EventValid (bad link
-  // id, epoch outside the timeline, non-finite or non-positive surge or
-  // capacity factor).
+  // the scenario.drop_event failpoint, or rejected by EventValid (no real
+  // link to act on, epoch outside the timeline, non-finite or non-positive
+  // surge factor).
   size_t redundant_events = 0;
   size_t dropped_events = 0;
   size_t invalid_events = 0;
@@ -327,8 +324,8 @@ struct ScenarioEngineOptions {
 
 class ScenarioEngine {
  public:
-  // Copies the topology's graph: events mutate it (masking, capacity), and
-  // the scenario must not bleed into the caller's instance.
+  // Copies the topology's graph: events mutate its link mask, and the
+  // scenario must not bleed into the caller's instance.
   ScenarioEngine(const Topology& topology, Scenario scenario,
                  ScenarioEngineOptions opts = {});
   ~ScenarioEngine();
@@ -340,16 +337,22 @@ class ScenarioEngine {
   const Graph& graph() const { return graph_; }
 
  private:
-  bool EventValid(const ScenarioEvent& ev) const;
+  // `links` is the event's expansion (EventLinks; empty for surges).
+  bool EventValid(const ScenarioEvent& ev,
+                  const std::vector<LinkId>& links) const;
   // The directed links a link-group event masks or restores (deduplicated;
-  // empty for surge/capacity events). Singleton link events stay single-
-  // direction — AddLinkFlap already emits both directions as two events.
+  // empty for surges and for ids naming no real link, SRLG or node).
+  // Singleton link events stay single-direction — AddLinkFlap already emits
+  // both directions as two events.
   std::vector<LinkId> EventLinks(const ScenarioEvent& ev) const;
   // Masks (`down`) or restores every link of the group atomically, then
   // delivers ONE batched delta to the driver (LdrController::OnLinksDown /
   // OnLinksUp, or grouped KSP invalidation for scheme drivers).
   void ApplyMask(const std::vector<LinkId>& links, bool down);
-  std::vector<std::vector<double>> EpochSegment(int epoch) const;
+  // The epoch's measured segment, scaled by the `surges` active in it
+  // (indices into scenario_.events) and by the closed-loop demand scales.
+  std::vector<std::vector<double>> EpochSegment(
+      int epoch, const std::vector<size_t>& surges) const;
   // End-of-epoch closed-loop demand update (see AdaptiveDemandOptions):
   // attributes the replay's per-link queueing to the aggregates whose paths
   // cross those links and moves each aggregate's scale along the CUBIC

@@ -18,7 +18,6 @@
 //   lp.refactor_singular Refactorize() reports a singular basis
 //   lp.tiny_pivot        Step() sees a below-threshold pivot (recovery path)
 //   lp.ftran_nan         FTRAN result poisoned with a NaN entry
-//   lp.ftran_perturb     FTRAN result perturbed by a relative 1e-3
 //   lp.dual_infeasible   dual warm restart reports dual feasibility lost
 //                        (forces the primal phase-1 fallback path)
 //   ksp.empty            KspGenerator yields no *new* paths (prefix survives)
